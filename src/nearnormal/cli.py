@@ -11,8 +11,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .colouring import class_counts, MEDIUM
-from .discharging import run_audit, run_discharging
+from .colouring import MEDIUM, class_counts, construct_colouring
+from .discharging import audit, run_discharging
 from .factor import choose_two_factor
 from .graph import GraphError, MultiGraph, validate_input
 from .graphio import (
@@ -31,6 +31,7 @@ from .petersen import (
     normal_to_petersen,
 )
 from .pipeline import BoundViolation, colour_graph
+from .reductions import reduce_fully
 from .selection import find_optimal_selection
 
 
@@ -98,16 +99,12 @@ def _cmd_audit(args) -> int:
         )
         return 0
     # rerun on the reduced graph to print the full check list
-    from .reductions import reduce_fully
-
-    base, _records = reduce_fully(g)
+    base, _records, _ids = reduce_fully(g)
     tf = choose_two_factor(base)
     sel = find_optimal_selection(tf)
-    from .colouring import construct_colouring
-
     constructed = construct_colouring(base, tf, sel)
     ledger = run_discharging(base, tf, sel, constructed)
-    audit_report = run_audit(base, tf, sel, constructed)
+    audit_report = audit(ledger, base, tf, sel, constructed)
     for chk in audit_report.checks:
         status = "ok " if chk.ok else "FAIL"
         detail = f" ({chk.detail})" if chk.detail else ""

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .factor import TwoFactor
-from .graph import GraphError, MultiGraph, adjacent_edges, girth
+from .graph import GraphError, MultiGraph, adjacent_edges, triangles_through
 from .selection import CYCLE, EdgeSelection, s_components, selection_violation
 
 POOR = "poor"
@@ -76,11 +76,7 @@ def classify_all(g: MultiGraph, c: EdgeColouring) -> tuple[str, ...]:
 
 def class_counts(g: MultiGraph, c: EdgeColouring) -> dict[str, int]:
     classes = classify_all(g, c)
-    return {
-        POOR: classes.count(POOR),
-        MEDIUM: classes.count(MEDIUM),
-        RICH: classes.count(RICH),
-    }
+    return {cls: classes.count(cls) for cls in (POOR, MEDIUM, RICH)}
 
 
 def medium_count(g: MultiGraph, c: EdgeColouring) -> int:
@@ -299,7 +295,7 @@ def construct_colouring(g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> Edg
         raise ColouringError("two-factor belongs to a different graph")
     if not g.is_simple():
         raise ColouringError("construction requires a simple graph")
-    if girth(g) == 3:
+    if any(triangles_through(g, e) for e in range(g.m)):
         raise ColouringError("construction requires a triangle-free graph")
     cols = [0] * g.m
     for e in tf.matching:
@@ -334,10 +330,7 @@ def bullet_violations(
         if (e in tf.matching) != (c.colour_of[e] == 4):
             out.append(f"edge {e}: colour-4 does not coincide with the matching")
     odd = set(tf.odd_cycles())
-    cycle_of_edge: dict[int, int] = {}
-    for idx, eids in enumerate(tf.cycle_edges):
-        for e in eids:
-            cycle_of_edge[e] = idx
+    cycle_of_edge = tf.cycle_of_edge()
     for e in range(g.m):
         if c.colour_of[e] == 3:
             cyc = cycle_of_edge.get(e)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .colouring import MEDIUM, EdgeColouring, classify_all
+from .colouring import MEDIUM, EdgeColouring, _attachments, classify_all
 from .factor import TwoFactor
 from .graph import GraphError, MultiGraph
 from .selection import CYCLE, EdgeSelection, s_components
@@ -71,14 +71,6 @@ def initial_ledger(g: MultiGraph, tf: TwoFactor, c: EdgeColouring) -> ChargeLedg
     )
 
 
-def _cycle_of_edge(tf: TwoFactor) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for idx, eids in enumerate(tf.cycle_edges):
-        for e in eids:
-            out[e] = idx
-    return out
-
-
 def _three_edges(tf: TwoFactor, c: EdgeColouring) -> dict[int, int]:
     """The unique colour-3 edge of each odd cycle of the audited colouring."""
     out: dict[int, int] = {}
@@ -94,7 +86,7 @@ def _three_edges(tf: TwoFactor, c: EdgeColouring) -> dict[int, int]:
 
 def apply_r0(ledger: ChargeLedger, g: MultiGraph, tf: TwoFactor, c: EdgeColouring) -> ChargeLedger:
     """Every medium edge on a cycle sends its whole unit to that cycle."""
-    cyc_of = _cycle_of_edge(tf)
+    cyc_of = tf.cycle_of_edge()
     for e in sorted(ledger.medium_edges):
         if e in cyc_of:
             ledger.move_from_edge("R0", e, cyc_of[e], 10)
@@ -146,14 +138,6 @@ def apply_r1(ledger: ChargeLedger, g: MultiGraph, tf: TwoFactor, c: EdgeColourin
     return ledger
 
 
-def _attachment_vertices(tf: TwoFactor, sel: EdgeSelection) -> dict[int, list[int]]:
-    att: dict[int, list[int]] = {}
-    for e in sorted(sel.selected):
-        for x in tf.graph.endpoints(e):
-            att.setdefault(tf.cycle_of_vertex[x], []).append(x)
-    return att
-
-
 def _cyclic_distance(tf: TwoFactor, c: int, a: int, b: int) -> int:
     ell = tf.cycle_length(c)
     d = (tf.position_on_cycle(c, a) - tf.position_on_cycle(c, b)) % ell
@@ -173,7 +157,7 @@ def apply_r2_r3_r4(
     degrees, attachment positions), never on current charges, so applying
     the three rules sequentially equals the simultaneous wave.
     """
-    att = _attachment_vertices(tf, sel)
+    att = _attachments(tf, sel)
     deg = sel.degree_of_cycle
     plans = {"R2": [], "R3": [], "R4": []}
     for cyc in range(len(tf.cycles)):

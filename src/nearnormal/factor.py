@@ -41,6 +41,10 @@ class TwoFactor:
     def position_on_cycle(self, c: int, v: int) -> int:
         return self.cycles[c].index(v)
 
+    def cycle_of_edge(self) -> dict[int, int]:
+        """The cycle index of every cycle edge (matching edges are absent)."""
+        return {e: c for c, eids in enumerate(self.cycle_edges) for e in eids}
+
 
 def is_perfect_matching(g: MultiGraph, m) -> bool:
     covered = set()
@@ -88,6 +92,7 @@ def enumerate_perfect_matchings(g: MultiGraph, limit: int = DEFAULT_MATCHING_LIM
         return True
 
     search()
+    del search  # the closure refers to itself; free ``found`` on return, not at the next GC
     return sorted(found, key=sorted)
 
 
@@ -156,10 +161,12 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
 def choose_two_factor(g: MultiGraph, limit: int = DEFAULT_MATCHING_LIMIT) -> TwoFactor:
     """Pick the 2-factor the construction starts from.
 
-    Among the enumerated perfect matchings (up to ``limit``), prefer the
-    first whose 2-factor contains a cycle of length other than 5; such a
-    2-factor exists for every connected bridgeless cubic graph except the
-    Petersen graph, and it makes the final medium bound strict.
+    Take the lexicographically first enumerated perfect matching whose
+    2-factor contains a cycle of length other than 5; such a 2-factor exists
+    for every connected bridgeless cubic graph except the Petersen graph, and
+    it makes the final medium bound strict.  Above ``limit`` matchings the
+    enumeration stops early, so the choice is the first among the ``limit``
+    matchings found, not among all of them.
     """
     matchings = enumerate_perfect_matchings(g, limit)
     if not matchings:

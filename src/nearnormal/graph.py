@@ -72,10 +72,6 @@ class MultiGraph:
         """Neighbouring vertices, with multiplicity for parallel edges."""
         return [self.other_end(e, v) for e in self.incident_edges(v)]
 
-    def edges_between(self, u: int, v: int) -> list[int]:
-        self._check_vertex(v)
-        return [e for e in self.incident_edges(u) if self.other_end(e, u) == v]
-
     def is_cubic(self) -> bool:
         return self.n > 0 and all(len(es) == 3 for es in self._incident)
 
@@ -222,6 +218,15 @@ def validate_input(g: MultiGraph) -> Diagnosis:
     return Diagnosis(True)
 
 
+def triangles_through(g, e: int) -> list[tuple[int, int, int]]:
+    """Sorted vertex triples of the triangles through edge ``e``, in O(1)
+    on a cubic graph.  ``g`` needs only ``edges`` and ``incident_edges``."""
+    a, b = g.edges[e]
+    near_a = {w for f in g.incident_edges(a) for w in g.edges[f]} - {a}
+    near_b = {w for f in g.incident_edges(b) for w in g.edges[f]} - {b}
+    return [tuple(sorted((a, b, w))) for w in near_a & near_b]
+
+
 def girth(g: MultiGraph) -> int:
     """Length of a shortest cycle; parallel pairs count as 2-cycles."""
     if not g.is_simple():
@@ -245,24 +250,9 @@ def girth(g: MultiGraph) -> int:
     return best if best <= g.n else 0
 
 
-def _distance_profile(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
+def _distance_profile(g: MultiGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Sorted per-vertex multisets of BFS distance counts (iso invariant)."""
-    profiles = []
-    for root in range(g.n):
-        dist = [-1] * g.n
-        dist[root] = 0
-        queue = deque([root])
-        counts: dict[int, int] = {}
-        while queue:
-            v = queue.popleft()
-            counts[dist[v]] = counts.get(dist[v], 0) + 1
-            for e in g.incident_edges(v):
-                w = g.other_end(e, v)
-                if dist[w] == -1:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        profiles.append(tuple(counts.get(d, 0) for d in range(g.n)))
-    return tuple(sorted(profiles))
+    return tuple(sorted(_per_vertex_profile(g)))
 
 
 def isomorphism_invariant(g: MultiGraph):
@@ -284,12 +274,8 @@ def graphs_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:
         return True
     adj1 = [set(g1.neighbours(v)) for v in range(n)]
     adj2 = [set(g2.neighbours(v)) for v in range(n)]
-    prof1 = [None] * n
-    prof2 = [None] * n
-    for g, adj, prof in ((g1, adj1, prof1), (g2, adj2, prof2)):
-        profile = _per_vertex_profile(g)
-        for v in range(n):
-            prof[v] = profile[v]
+    prof1 = _per_vertex_profile(g1)
+    prof2 = _per_vertex_profile(g2)
     # map vertices of g1 in a connectivity-friendly order
     order = _mapping_order(adj1)
     mapping = [-1] * n
@@ -323,6 +309,7 @@ def graphs_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:
 
 
 def _per_vertex_profile(g: MultiGraph) -> list:
+    """Per vertex, the (distance, count) pairs of a BFS from it."""
     out = []
     for root in range(g.n):
         dist = [-1] * g.n

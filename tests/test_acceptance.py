@@ -32,8 +32,9 @@ from nearnormal.petersen import (
     petersen_to_normal,
 )
 from nearnormal.pipeline import colour_graph
-from nearnormal.reductions import MULTI_EDGE, reduce_fully
+from nearnormal.reductions import MULTI_EDGE, lift, reduce_fully
 from nearnormal.selection import find_optimal_selection
+from reference_reductions import aligned_steps
 from witnesses import (
     even_square_component,
     long_pair,
@@ -74,7 +75,7 @@ def constructed_instances(corpus_run):
         for g, report in rows:
             if report.base_branch != "constructed":
                 continue
-            base, _records = reduce_fully(g)
+            base, _records, _ids = reduce_fully(g)
             tf = choose_two_factor(base)
             sel = find_optimal_selection(tf)
             col = construct_colouring(base, tf, sel)
@@ -257,27 +258,36 @@ def _triangle_locals(rec) -> list[int]:
     return list(rec.x_edges) + sorted(set(outers))
 
 
-def _check_multi_edge_record(rec) -> int:
+def _production_lift(step, pattern):
+    """Colours of the original graph's edges (reference ids) after the
+    production ``lift`` of a local pattern on the reduced graph.
+
+    Edges outside the pattern stay 0, a value no colour takes.  They enter
+    the lift's own local check only through the neighbourhoods of edges at
+    the touched vertices, whose colours the lift leaves alone, and they are
+    left out of the result."""
+    _old, rec, before, after = step
+    colours = [0] * (after[-1] + 1)
+    for e, col in pattern.items():
+        colours[after[e]] = col
+    lift(rec, colours)
+    return {e: colours[w] for e, w in enumerate(before) if colours[w]}
+
+
+def _check_multi_edge_record(step) -> int:
+    rec = step[0]
     gp, g = rec.reduced, rec.original
-    anchors = list(rec.anchor_edges)
     local = _multi_edge_locals(rec)
-    shared = dict(rec.shared)
     removed_nbhd = adjacent_edges(gp, rec.new_edge).adjacent_ids
     assert removed_nbhd <= set(local)
     new_in_g = [rec.spokes[0], rec.spokes[1], rec.pair[0], rec.pair[1]]
+    new_nbhds = [adjacent_edges(g, e).adjacent_ids for e in new_in_g]
     checked = 0
     for pattern in _proper_local_patterns(gp, local):
-        lookup = {shared[e]: pattern[e] for e in set(local) if e != rec.new_edge}
-        ce = pattern[rec.new_edge]
-        low, high = sorted((pattern[anchors[0]], pattern[anchors[1]]))
-        lookup[rec.spokes[0]] = ce
-        lookup[rec.spokes[1]] = ce
-        lookup[rec.pair[0]] = low
-        lookup[rec.pair[1]] = high
+        lookup = _production_lift(step, pattern)
         removed_medium = _is_medium(pattern, removed_nbhd)
         new_medium = 0
-        for e in new_in_g:
-            nb = adjacent_edges(g, e).adjacent_ids
+        for nb in new_nbhds:
             assert all(x in lookup for x in nb)
             if _is_medium(lookup, nb):
                 new_medium += 1
@@ -288,38 +298,34 @@ def _check_multi_edge_record(rec) -> int:
     return checked
 
 
-def _check_triangle_record(rec) -> int:
+def _check_triangle_record(step) -> int:
+    rec = step[0]
     gp, g = rec.reduced, rec.original
     x_edges = list(rec.x_edges)
     local = _triangle_locals(rec)
-    shared = dict(rec.shared)
+    x_nbhds = [adjacent_edges(gp, xe).adjacent_ids for xe in x_edges]
+    assert all(nb <= set(local) for nb in x_nbhds)
+    spoke_nbhds = [adjacent_edges(g, e).adjacent_ids for e in rec.spokes]
+    triangle_nbhds = [adjacent_edges(g, e).adjacent_ids for e in rec.triangle_edges]
     checked = 0
     for pattern in _proper_local_patterns(gp, local):
-        star = [pattern[e] for e in x_edges]
-        lookup = {shared[e]: pattern[e] for e in set(local) if e not in x_edges}
-        for i in range(3):
-            lookup[rec.spokes[i]] = star[i]
-            lookup[rec.triangle_edges[i]] = star[(i + 2) % 3]
+        lookup = _production_lift(step, pattern)
         removed_medium = 0
         removed_classes = []
-        for xe in x_edges:
-            nb = adjacent_edges(gp, xe).adjacent_ids
-            assert nb <= set(local)
+        for nb in x_nbhds:
             cols = frozenset(pattern[e] for e in nb)
             removed_classes.append(cols)
             if len(cols) == 3:
                 removed_medium += 1
         new_medium = 0
-        for i in range(3):
-            nb = adjacent_edges(g, rec.spokes[i]).adjacent_ids
+        for i, nb in enumerate(spoke_nbhds):
             assert all(e in lookup for e in nb)
             cols = frozenset(lookup[e] for e in nb)
             # the spoke inherits the star edge's neighbourhood colour set
             assert cols == removed_classes[i]
             if len(cols) == 3:
                 new_medium += 1
-        for i in range(3):
-            nb = adjacent_edges(g, rec.triangle_edges[i]).adjacent_ids
+        for nb in triangle_nbhds:
             assert all(e in lookup for e in nb)
             if _is_medium(lookup, nb):
                 new_medium += 1
@@ -333,21 +339,22 @@ def _check_triangle_record(rec) -> int:
 def test_criterion_6_reduction_monotonicity():
     from nearnormal.graph import build_graph
 
-    records = []
+    # each step pairs the reference's whole graphs with the production
+    # record; aligned_steps asserts that the two reducers agree
+    steps = []
     for n in (4, 6, 8, 10, 12):
         for g in load_cubic_corpus(n):
-            _base, chain = reduce_fully(g)
-            records.extend(chain)
+            steps.extend(aligned_steps(g)[2])
     double_double = build_graph(
         4, [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)]
     )
-    _base, chain = reduce_fully(double_double)
-    records.extend(chain)
+    steps.extend(aligned_steps(double_double)[2])
 
     seen_signatures = set()
     patterns_checked = 0
     sites = 0
-    for rec in records:
+    for step in steps:
+        rec = step[0]
         if rec.kind == MULTI_EDGE:
             role_order = _multi_edge_locals(rec)
         else:
@@ -358,13 +365,13 @@ def test_criterion_6_reduction_monotonicity():
         seen_signatures.add(sig)
         sites += 1
         if rec.kind == MULTI_EDGE:
-            patterns_checked += _check_multi_edge_record(rec)
+            patterns_checked += _check_multi_edge_record(step)
         else:
-            patterns_checked += _check_triangle_record(rec)
+            patterns_checked += _check_triangle_record(step)
     _report(
         6,
         sites > 0 and patterns_checked > 0,
-        f"lifting never increases the medium count: {len(records)} reachable "
+        f"lifting never increases the medium count: {len(steps)} reachable "
         f"rewrite sites, {sites} distinct local configurations, "
         f"{patterns_checked} proper local colour patterns enumerated",
     )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -51,6 +52,19 @@ class TestEnumeratePerfectMatchings:
     def test_limit_must_be_positive(self, k4):
         with pytest.raises(GraphError, match="positive"):
             enumerate_perfect_matchings(k4, limit=0)
+
+    def test_leaves_no_reference_cycle(self, petersen):
+        # the matchings found are freed by reference counting when the call
+        # returns, not left for the cyclic garbage collector
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_perfect_matchings(petersen)
+            choose_two_factor(prism(5))
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
 
     def test_odd_order_has_none(self):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])

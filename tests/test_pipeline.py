@@ -8,6 +8,7 @@ from nearnormal.colouring import is_proper, medium_count
 from nearnormal.corpus import load_cubic_corpus
 from nearnormal.graph import GraphError, build_graph
 from nearnormal.pipeline import colour_graph
+from nearnormal.reductions import reduce_fully
 
 
 def expand_vertex_to_triangle(g, v):
@@ -66,6 +67,22 @@ class TestColourGraph:
         assert report.reductions == ("triangle", "triangle")
         assert report.base_order == 10
         assert 5 * report.medium < 4 * 14
+
+    def test_fourfold_truncation_of_petersen(self, petersen):
+        g = petersen
+        for _ in range(4):
+            for v in range(g.n):
+                g = expand_vertex_to_triangle(g, v)
+        assert g.n == 810
+        colouring, report = colour_graph(g)
+        assert is_proper(g, colouring)
+        assert report.bound_ok and not report.bound_tight
+        base, records, _ids = reduce_fully(g)
+        _c, base_report = colour_graph(base)
+        assert len(report.reductions) == len(records) == (g.n - base.n) // 2
+        # the lifts through all the reductions add no medium edge
+        assert report.medium <= base_report.medium
+        assert medium_count(g, colouring) == report.medium
 
     def test_invalid_input_rejected(self):
         g = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
