@@ -1,14 +1,18 @@
-"""Edge colourings: classification, the 3-colouring shortcut, and the
-construction that colours the matching 4, gives every odd cycle exactly one
-colour-3 edge, and fills the rest with {1,2} paths.
+"""Edge colourings: classification, the one exhaustive colour search, and
+the construction that colours the matching 4, gives every odd cycle exactly
+one colour-3 edge, and fills the rest with {1,2} paths.
 
 Colours are integers 1..k.  An edge is poor/medium/rich according to how many
 distinct colours its adjacent edges carry (2/3/4); a colouring with no medium
 edge is normal.
+
+One search, :func:`_min_medium_search`, serves both the 3-colour shortcut
+:func:`try_3_edge_colouring` and the oracles in :mod:`nearnormal.oracle`.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -106,41 +110,86 @@ def _bfs_edge_order(g: MultiGraph) -> list[int]:
     return order
 
 
-def try_3_edge_colouring(g: MultiGraph) -> EdgeColouring | None:
-    """Exact backtracking; ``None`` when no proper 3-edge-colouring exists.
+def _min_medium_search(
+    g: MultiGraph, k: int, bound: float = math.inf, symmetry_break: bool = True
+) -> tuple[int, tuple[int, ...]] | None:
+    """Branch and bound over the proper k-edge-colourings of ``g``.
 
-    Colour symmetry is broken by pinning the first vertex's edges to
-    colours 1, 2, 3 in edge-id order (sound: any proper colouring can be
-    renamed to match).
+    Returns the fewest medium edges below ``bound`` together with the first
+    colouring in search order that has that many, or ``None`` when every
+    proper k-edge-colouring has at least ``bound``.  Edges are coloured in
+    :func:`_bfs_edge_order`, colours are tried from low to high, and with
+    ``symmetry_break`` the edges at vertex 0 are pinned to 1, 2, 3 in
+    edge-id order (sound: classes do not change when colours are renamed).
+    An edge's class is frozen when its last neighbour is coloured; a branch
+    dies once its frozen mediums reach the bound, each complete colouring
+    lowers the bound to its own count, and the search stops at 0.  The stack
+    is explicit, with a bitmask of the colours still to try per position, so
+    no graph is too large for Python's recursion limit.
+
+    At k = 3 no class is frozen: in a proper 3-edge-colouring of a cubic
+    graph every edge is poor.
     """
-    if g.m == 0:
-        return EdgeColouring(3, ())
     order = _bfs_edge_order(g)
-    forced: dict[int, int] = {}
-    if g.n and g.degree(0) == 3:
+    m = len(order)
+    if not m:
+        return 0, ()
+    nbrs = [adjacent_edges(g, e).adjacent_ids for e in range(g.m)]
+    pos = {e: i for i, e in enumerate(order)}
+    freeze: list[list[int]] = [[] for _ in range(m)]
+    if k > 3:
+        for f in range(g.m):
+            freeze[max(pos[x] for x in nbrs[f])].append(f)
+    palette = [(1 << (k + 1)) - 2] * m
+    if symmetry_break and g.n and g.degree(0) == 3:
         for col, e in enumerate(sorted(g.incident_edges(0)), start=1):
-            forced[e] = col
-    nbr_ids = [adjacent_edges(g, e).adjacent_ids for e in range(g.m)]
+            palette[pos[e]] = 1 << col
     colours = [0] * g.m
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
+    todo = palette[:]  # per position, the colours still to try
+    frozen = [0] * m  # per position, the frozen mediums before it
+    best = None
+    i = 0
+    while i >= 0:
         e = order[i]
-        options = (forced[e],) if e in forced else (1, 2, 3)
-        blocked = {colours[x] for x in nbr_ids[e] if colours[x]}
-        for col in options:
-            if col in blocked:
-                continue
-            colours[e] = col
-            if place(i + 1):
-                return True
+        options = todo[i]
+        if not options:
             colours[e] = 0
-        return False
+            i -= 1
+            continue
+        low = options & -options
+        todo[i] = options ^ low
+        colours[e] = low.bit_length() - 1
+        mediums = frozen[i]
+        for f in freeze[i]:
+            seen = 0
+            for x in nbrs[f]:
+                seen |= 1 << colours[x]
+            mediums += seen.bit_count() == 3
+        if mediums >= bound:
+            continue
+        if i + 1 == m:
+            best = mediums, tuple(colours)
+            bound = mediums
+            if not bound:
+                break
+            continue
+        i += 1
+        blocked = 0
+        for x in nbrs[order[i]]:
+            blocked |= 1 << colours[x]
+        todo[i] = palette[i] & ~blocked
+        frozen[i] = mediums
+    return best
 
-    if place(0):
-        return EdgeColouring(3, tuple(colours))
-    return None
+
+def try_3_edge_colouring(g: MultiGraph) -> EdgeColouring | None:
+    """A proper 3-edge-colouring, or ``None`` when none exists.
+
+    Exhaustive, through :func:`_min_medium_search` with colours 1, 2, 3
+    pinned at vertex 0; the colouring returned is the first in search order.
+    """
+    found = _min_medium_search(g, 3)
+    return None if found is None else EdgeColouring(3, found[1])
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +362,6 @@ def construct_colouring(g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> Edg
     if any(col == 0 for col in cols):
         raise ColouringError("construction left an edge uncoloured")
     colouring = EdgeColouring(4, tuple(cols))
-    check_proper(g, colouring)
     problems = construction_violations(g, tf, sel, colouring)
     if problems:
         raise ColouringError("constructed colouring violates: " + "; ".join(problems))
@@ -321,11 +369,11 @@ def construct_colouring(g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> Edg
 
 
 def bullet_violations(
-    g: MultiGraph, tf: TwoFactor, sel: EdgeSelection, c: EdgeColouring
+    g: MultiGraph, tf: TwoFactor, sel: EdgeSelection, c: EdgeColouring, classes: tuple[str, ...]
 ) -> list[str]:
-    """Audit the five structural properties of the construction."""
+    """Audit the five structural properties of the construction;
+    ``classes`` is ``classify_all(g, c)``."""
     out: list[str] = []
-    classes = classify_all(g, c)
     for e in range(g.m):
         if (e in tf.matching) != (c.colour_of[e] == 4):
             out.append(f"edge {e}: colour-4 does not coincide with the matching")
@@ -360,10 +408,10 @@ def bullet_violations(
     return out
 
 
-def fact_one_violations(g: MultiGraph, tf: TwoFactor, c: EdgeColouring) -> list[str]:
-    """Per-cycle medium counts: 0 on even cycles, exactly 3 on odd ones."""
+def fact_one_violations(tf: TwoFactor, classes: tuple[str, ...]) -> list[str]:
+    """Per-cycle medium counts: 0 on even cycles, exactly 3 on odd ones,
+    from the classes of the colouring's edges."""
     out: list[str] = []
-    classes = classify_all(g, c)
     for cyc, eids in enumerate(tf.cycle_edges):
         mediums = sum(1 for e in eids if classes[e] == MEDIUM)
         want = 3 if len(eids) % 2 else 0
@@ -375,5 +423,7 @@ def fact_one_violations(g: MultiGraph, tf: TwoFactor, c: EdgeColouring) -> list[
 def construction_violations(
     g: MultiGraph, tf: TwoFactor, sel: EdgeSelection, c: EdgeColouring
 ) -> list[str]:
-    """Five-bullet audit plus the per-cycle medium counts; empty means clean."""
-    return bullet_violations(g, tf, sel, c) + fact_one_violations(g, tf, c)
+    """Five-bullet audit plus the per-cycle medium counts; empty means clean.
+    Raises :class:`ColouringError` when ``c`` is not proper."""
+    classes = classify_all(g, c)
+    return bullet_violations(g, tf, sel, c, classes) + fact_one_violations(tf, classes)

@@ -2,32 +2,25 @@
 edges over all proper k-edge-colourings, and existence of normal
 k-colourings.
 
-The search colours edges in a breadth-first order so that edge
-neighbourhoods complete early; an edge's class is frozen the moment its last
-neighbour is coloured (its own colour is irrelevant to the class), and the
-count of frozen medium edges is a sound lower bound used for pruning.
+Both are ``colouring._min_medium_search``, the branch and bound behind the
+3-colour shortcut: :func:`min_medium_exact` runs it with no bound and
+:func:`exists_normal` with a bound of one medium edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import EdgeColouring, _bfs_edge_order, classify_all, MEDIUM
-from .graph import GraphError, MultiGraph, adjacent_edges, validate_input
+from .colouring import EdgeColouring, _min_medium_search, classify_all, MEDIUM
+from .graph import GraphError, MultiGraph, validate_input
 
 
-def _prepare(g: MultiGraph, symmetry_break: bool):
-    order = _bfs_edge_order(g)
-    pos = {e: i for i, e in enumerate(order)}
-    nbrs = [tuple(adjacent_edges(g, e).adjacent_ids) for e in range(g.m)]
-    finalize_at: list[list[int]] = [[] for _ in range(g.m)]
-    for e in range(g.m):
-        finalize_at[max(pos[x] for x in nbrs[e])].append(e)
-    forced: dict[int, int] = {}
-    if symmetry_break and g.n and g.degree(0) == 3:
-        for col, e in enumerate(sorted(g.incident_edges(0)), start=1):
-            forced[e] = col
-    return order, nbrs, finalize_at, forced
+def _check_oracle_input(g: MultiGraph, k: int) -> None:
+    if k < 3 or k > 6:
+        raise GraphError("oracle palettes are limited to 3..6 colours")
+    diag = validate_input(g)
+    if not diag.ok:
+        raise GraphError(f"oracle requires a validated input: {diag.reason}")
 
 
 def min_medium_exact(
@@ -40,96 +33,23 @@ def min_medium_exact(
     (classes are invariant under colour renaming, so the count is exact);
     disable it only to cross-check that very fact.
     """
-    if k < 3 or k > 6:
-        raise GraphError("oracle palettes are limited to 3..6 colours")
-    diag = validate_input(g)
-    if not diag.ok:
-        raise GraphError(f"oracle requires a validated input: {diag.reason}")
-    order, nbrs, finalize_at, forced = _prepare(g, symmetry_break)
-    m = g.m
-    colours = [0] * m
-    best: int | None = None
-    best_cols: tuple[int, ...] | None = None
-
-    def search(i: int, frozen_medium: int) -> None:
-        nonlocal best, best_cols
-        if best is not None and frozen_medium >= best:
-            return
-        if i == m:
-            best = frozen_medium
-            best_cols = tuple(colours)
-            return
-        e = order[i]
-        blocked = 0
-        for x in nbrs[e]:
-            if colours[x]:
-                blocked |= 1 << colours[x]
-        options = (forced[e],) if e in forced else range(1, k + 1)
-        for col in options:
-            if blocked >> col & 1:
-                continue
-            colours[e] = col
-            newly = 0
-            for f in finalize_at[i]:
-                seen = set()
-                for x in nbrs[f]:
-                    seen.add(colours[x])
-                if len(seen) == 3:
-                    newly += 1
-            search(i + 1, frozen_medium + newly)
-            colours[e] = 0
-
-    search(0, 0)
-    if best is None:
+    _check_oracle_input(g, k)
+    found = _min_medium_search(g, k, symmetry_break=symmetry_break)
+    if found is None:
         raise GraphError(f"graph admits no proper {k}-edge-colouring")
-    witness = EdgeColouring(k, best_cols)
-    return best, witness
+    return found[0], EdgeColouring(k, found[1])
 
 
 def exists_normal(g: MultiGraph, k: int) -> EdgeColouring | None:
     """A proper k-colouring with no medium edge, or None.
 
-    Equivalent to asking min_medium_exact for zero, but branches die the
-    instant any frozen edge comes out medium, which is far faster.
+    The same search as :func:`min_medium_exact` with the bound set to one
+    medium edge, so branches die the instant any frozen edge comes out
+    medium, which is far faster.
     """
-    if k < 3 or k > 6:
-        raise GraphError("oracle palettes are limited to 3..6 colours")
-    diag = validate_input(g)
-    if not diag.ok:
-        raise GraphError(f"oracle requires a validated input: {diag.reason}")
-    order, nbrs, finalize_at, forced = _prepare(g, True)
-    m = g.m
-    colours = [0] * m
-
-    def search(i: int) -> bool:
-        if i == m:
-            return True
-        e = order[i]
-        blocked = 0
-        for x in nbrs[e]:
-            if colours[x]:
-                blocked |= 1 << colours[x]
-        options = (forced[e],) if e in forced else range(1, k + 1)
-        for col in options:
-            if blocked >> col & 1:
-                continue
-            colours[e] = col
-            ok = True
-            for f in finalize_at[i]:
-                seen = set()
-                for x in nbrs[f]:
-                    seen.add(colours[x])
-                if len(seen) == 3:
-                    ok = False
-                    break
-            if ok and search(i + 1):
-                return True
-            colours[e] = 0
-        return False
-
-    if search(0):
-        return EdgeColouring(k, tuple(colours))
-    return None
+    _check_oracle_input(g, k)
+    found = _min_medium_search(g, k, 1)
+    return None if found is None else EdgeColouring(k, found[1])
 
 
 @dataclass(frozen=True)

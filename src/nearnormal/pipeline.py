@@ -19,7 +19,7 @@ from .colouring import (
     try_3_edge_colouring,
 )
 from .discharging import run_audit
-from .factor import DEFAULT_MATCHING_LIMIT, choose_two_factor
+from .factor import choose_two_factor
 from .graph import GraphError, MultiGraph, validate_input
 from .petersen import is_petersen_graph
 from .report import ColouringReport
@@ -31,12 +31,7 @@ class BoundViolation(GraphError):
     or a mathematical sensation, and flagged loudly either way."""
 
 
-def colour_graph(
-    g: MultiGraph,
-    name: str = "",
-    matching_limit: int = DEFAULT_MATCHING_LIMIT,
-    run_discharging_audit: bool = True,
-) -> tuple[EdgeColouring, ColouringReport]:
+def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, ColouringReport]:
     diag = validate_input(g)
     if not diag.ok:
         raise GraphError(f"invalid input ({diag.reason}): {diag.detail}")
@@ -56,7 +51,7 @@ def colour_graph(
         base_branch = "3-colourable"
     else:
         base_branch = "constructed"
-        tf = choose_two_factor(base, matching_limit)
+        tf = choose_two_factor(base)
         odd = tf.odd_cycles()
         if len(odd) < 2:
             raise GraphError(
@@ -68,12 +63,11 @@ def colour_graph(
         cycle_lengths = tuple(len(cyc) for cyc in tf.cycles)
         selection_size = len(sel.selected)
         shapes = tuple(comp.shape for comp in s_components(tf, sel))
-        if run_discharging_audit:
-            audit_report = run_audit(base, tf, sel, colouring)
-            audit_passed = audit_report.passed
-            audit_failures = tuple(
-                f"{chk.name}: {chk.detail}" for chk in audit_report.checks if not chk.ok
-            )
+        audit_report = run_audit(base, tf, sel, colouring)
+        audit_passed = audit_report.passed
+        audit_failures = tuple(
+            f"{chk.name}: {chk.detail}" for chk in audit_report.checks if not chk.ok
+        )
 
     colours = [0] * (base_edges[-1] + 1)
     for e, col in zip(base_edges, colouring.colour_of):

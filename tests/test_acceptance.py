@@ -154,7 +154,7 @@ def test_criterion_3_discharging_audit(constructed_instances):
 def test_criterion_4_fact_one_replay(constructed_instances):
     failures = []
     for name, g, tf, _sel, col in constructed_instances:
-        problems = fact_one_violations(g, tf, col)
+        problems = fact_one_violations(tf, classify_all(g, col))
         if problems:
             failures.append((name, problems))
     _report(
@@ -169,7 +169,7 @@ def test_criterion_4_fact_one_replay(constructed_instances):
 def test_criterion_5_five_bullet_audit(constructed_instances):
     failures = []
     for name, g, tf, sel, col in constructed_instances:
-        problems = bullet_violations(g, tf, sel, col)
+        problems = bullet_violations(g, tf, sel, col, classify_all(g, col))
         if problems:
             failures.append((name, problems))
     _report(

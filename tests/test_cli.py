@@ -5,7 +5,7 @@ import json
 import pytest
 
 from nearnormal.cli import load_graph, main
-from nearnormal.corpus import complete_graph_k4, petersen_graph
+from nearnormal.corpus import complete_graph_k4, petersen_graph, prism
 from nearnormal.graphio import format_colouring, write_graph6
 from nearnormal.oracle import exists_normal
 
@@ -60,6 +60,14 @@ class TestColourCommand:
         path.write_text("n 2\n0 1\n0 1\n0 1\n")
         assert main(["colour", str(path)]) == 0
         assert "medium=0" in capsys.readouterr().out
+
+
+    def test_prism_past_the_recursion_limit(self, tmp_path, capsys):
+        path = tmp_path / "prism340.txt"
+        g = prism(340)  # m = 1020
+        path.write_text(f"n {g.n}\n" + "\n".join(f"{u} {v}" for u, v in g.edges) + "\n")
+        assert main(["colour", str(path)]) == 0
+        assert "branch: 3-colourable" in capsys.readouterr().out
 
 
 class TestVerifyCommand:

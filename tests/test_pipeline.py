@@ -5,7 +5,7 @@ import json
 import pytest
 
 from nearnormal.colouring import is_proper, medium_count
-from nearnormal.corpus import load_cubic_corpus
+from nearnormal.corpus import load_cubic_corpus, prism
 from nearnormal.graph import GraphError, build_graph
 from nearnormal.pipeline import colour_graph
 from nearnormal.reductions import reduce_fully
@@ -46,6 +46,13 @@ class TestColourGraph:
     def test_triple_edge_base_case(self, triple):
         _colouring, report = colour_graph(triple)
         assert report.medium == 0 and report.n == 2
+
+    def test_prism_past_the_recursion_limit(self):
+        g = prism(340)  # m = 1020
+        colouring, report = colour_graph(g)
+        assert is_proper(g, colouring)
+        assert report.branch == "3-colourable"
+        assert report.bound_ok and not report.bound_tight
 
     def test_expanded_petersen_reduces_and_lifts(self, petersen):
         g12 = expand_vertex_to_triangle(petersen, 0)
