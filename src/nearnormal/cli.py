@@ -11,9 +11,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .colouring import MEDIUM, class_counts, construct_colouring
-from .discharging import audit, run_discharging
-from .factor import choose_two_factor
+from .colouring import MEDIUM, class_counts
 from .graph import GraphError, MultiGraph, validate_input
 from .graphio import (
     FormatError,
@@ -31,8 +29,6 @@ from .petersen import (
     normal_to_petersen,
 )
 from .pipeline import BoundViolation, colour_graph
-from .reductions import reduce_fully
-from .selection import find_optimal_selection
 
 
 def load_graph(path: str) -> MultiGraph:
@@ -98,21 +94,14 @@ def _cmd_audit(args) -> int:
             "no discharging to audit (vacuous pass)"
         )
         return 0
-    # rerun on the reduced graph to print the full check list
-    base, _records, _ids = reduce_fully(g)
-    tf = choose_two_factor(base)
-    sel = find_optimal_selection(tf)
-    constructed = construct_colouring(base, tf, sel)
-    ledger = run_discharging(base, tf, sel, constructed)
-    audit_report = audit(ledger, base, tf, sel, constructed)
-    for chk in audit_report.checks:
+    for chk in report.audit.checks:
         status = "ok " if chk.ok else "FAIL"
         detail = f" ({chk.detail})" if chk.detail else ""
         print(f"  [{status}] {chk.name}{detail}")
-    total = ledger.total_tenths()
+    total = report.audit.total_tenths
     print(f"total charge: {total} tenths = {total // 10 if total % 10 == 0 else total / 10} medium edges")
-    print("audit " + ("passed" if audit_report.passed else "FAILED"))
-    return 0 if audit_report.passed else 1
+    print("audit " + ("passed" if report.audit.passed else "FAILED"))
+    return 0 if report.audit.passed else 1
 
 
 def _cmd_batch(args) -> int:

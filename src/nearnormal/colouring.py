@@ -52,30 +52,34 @@ def is_proper(g: MultiGraph, c: EdgeColouring) -> bool:
     return True
 
 
-def check_proper(g: MultiGraph, c: EdgeColouring) -> None:
-    if not is_proper(g, c):
-        raise ColouringError("colouring is not proper")
+def _edge_class(colour_of, e: int, nbrs) -> str:
+    """The class of edge ``e`` from the colours on ``nbrs``, the edges
+    around it (``e`` itself is skipped): medium iff they show exactly three
+    colours.  Raises :class:`ColouringError` when one of them has ``e``'s
+    colour."""
+    seen = 0
+    for x in nbrs:
+        if x != e:
+            seen |= 1 << colour_of[x]
+    if seen >> colour_of[e] & 1:
+        raise ColouringError(f"colouring is not proper at edge {e}")
+    count = seen.bit_count()
+    return POOR if count == 2 else RICH if count == 4 else MEDIUM
 
 
 def classify_edge(g: MultiGraph, c: EdgeColouring, e: int) -> str:
     """poor / medium / rich from the colours adjacent to ``e``."""
-    nbhd = adjacent_edges(g, e)
-    own = c.colour_of[e]
-    seen = set()
-    for x in nbhd.adjacent_ids:
-        if c.colour_of[x] == own:
-            raise ColouringError(f"edges {e} and {x} share a vertex and a colour")
-        seen.add(c.colour_of[x])
-    if len(seen) == 2:
-        return POOR
-    if len(seen) == 4:
-        return RICH
-    return MEDIUM
+    return _edge_class(c.colour_of, e, adjacent_edges(g, e).adjacent_ids)
 
 
 def classify_all(g: MultiGraph, c: EdgeColouring) -> tuple[str, ...]:
-    check_proper(g, c)
-    return tuple(classify_edge(g, c, e) for e in range(g.m))
+    """Every edge's class, in one pass; raises :class:`ColouringError` when
+    ``c`` is not a proper colouring of ``g``."""
+    colour_of = c.colour_of
+    if len(colour_of) != g.m:
+        raise ColouringError(f"{len(colour_of)} colours for {g.m} edges")
+    inc = [g.incident_edges(v) for v in range(g.n)]
+    return tuple(_edge_class(colour_of, e, inc[u] + inc[v]) for e, (u, v) in enumerate(g.edges))
 
 
 def class_counts(g: MultiGraph, c: EdgeColouring) -> dict[str, int]:
@@ -242,7 +246,7 @@ def _path_edges(tf: TwoFactor, c: int, three_edge: int) -> list[int]:
     """Cycle edges of ``c`` minus the colour-3 edge, in traversal order
     starting just after it."""
     eids = tf.cycle_edges[c]
-    i = eids.index(three_edge)
+    i = tf.edge_position(three_edge)
     ell = len(eids)
     return [eids[(i + 1 + t) % ell] for t in range(ell - 1)]
 
@@ -253,14 +257,10 @@ def _flank_parity(tf: TwoFactor, c: int, vertex: int, three_edge: int) -> int:
     alternating colours the flank receives for a given phase."""
     ell = tf.cycle_length(c)
     p = tf.position_on_cycle(c, vertex)
-    succ = tf.cycle_edges[c][p]
-    pred = tf.cycle_edges[c][(p - 1) % ell]
-    flank = pred if succ == three_edge else succ
-    if flank == three_edge:
+    j = p - 1 if tf.cycle_edges[c][p] == three_edge else p
+    if tf.cycle_edges[c][j] == three_edge:
         raise ColouringError(f"vertex {vertex} has no flank edge on cycle {c}")
-    i = tf.cycle_edges[c].index(three_edge)
-    j = tf.cycle_edges[c].index(flank)
-    return ((j - i - 1) % ell) & 1
+    return ((j - tf.edge_position(three_edge) - 1) % ell) & 1
 
 
 def solve_path_phases(
@@ -378,12 +378,9 @@ def bullet_violations(
         if (e in tf.matching) != (c.colour_of[e] == 4):
             out.append(f"edge {e}: colour-4 does not coincide with the matching")
     odd = set(tf.odd_cycles())
-    cycle_of_edge = tf.cycle_of_edge()
     for e in range(g.m):
-        if c.colour_of[e] == 3:
-            cyc = cycle_of_edge.get(e)
-            if cyc is None or cyc not in odd:
-                out.append(f"edge {e}: colour 3 off the odd cycles")
+        if c.colour_of[e] == 3 and tf.cycle_of_edge[e] not in odd:
+            out.append(f"edge {e}: colour 3 off the odd cycles")
     for cyc in range(len(tf.cycles)):
         threes = sum(1 for e in tf.cycle_edges[cyc] if c.colour_of[e] == 3)
         want = 1 if cyc in odd else 0

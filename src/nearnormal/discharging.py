@@ -86,10 +86,9 @@ def _three_edges(tf: TwoFactor, c: EdgeColouring) -> dict[int, int]:
 
 def apply_r0(ledger: ChargeLedger, g: MultiGraph, tf: TwoFactor, c: EdgeColouring) -> ChargeLedger:
     """Every medium edge on a cycle sends its whole unit to that cycle."""
-    cyc_of = tf.cycle_of_edge()
     for e in sorted(ledger.medium_edges):
-        if e in cyc_of:
-            ledger.move_from_edge("R0", e, cyc_of[e], 10)
+        if tf.cycle_of_edge[e] >= 0:
+            ledger.move_from_edge("R0", e, tf.cycle_of_edge[e], 10)
     ledger.snapshot("R0")
     return ledger
 
@@ -208,8 +207,12 @@ class AuditCheck:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """The checks :func:`audit` made, its verdict, and the ledger's final
+    total charge in tenths."""
+
     checks: tuple[AuditCheck, ...]
     passed: bool
+    total_tenths: int
 
     def first_failure(self) -> AuditCheck | None:
         return next((chk for chk in self.checks if not chk.ok), None)
@@ -327,7 +330,7 @@ def audit(
             f"{len(ledger.medium_edges)} medium edges vs 4/5 * {g.n}",
         )
     )
-    return AuditReport(tuple(checks), all(chk.ok for chk in checks))
+    return AuditReport(tuple(checks), all(chk.ok for chk in checks), ledger.total_tenths())
 
 
 def run_audit(

@@ -20,8 +20,10 @@ class TwoFactor:
 
     ``cycles[c]`` lists the vertices of cycle ``c`` in traversal order and
     ``cycle_edges[c][i]`` is the edge joining ``cycles[c][i]`` to
-    ``cycles[c][(i+1) % len]``.  ``partner[v]`` is the matched neighbour of
-    ``v`` and ``matching_edge_of[v]`` the matching edge at ``v``.
+    ``cycles[c][(i+1) % len]``.  ``position[v]`` is the index of ``v`` in
+    its cycle, and ``cycle_of_edge[e]`` the cycle of edge ``e`` (-1 on
+    matching edges).  ``partner[v]`` is the matched neighbour of ``v`` and
+    ``matching_edge_of[v]`` the matching edge at ``v``.
     """
 
     graph: MultiGraph
@@ -29,6 +31,8 @@ class TwoFactor:
     cycles: tuple[tuple[int, ...], ...]
     cycle_edges: tuple[tuple[int, ...], ...]
     cycle_of_vertex: tuple[int, ...]
+    position: tuple[int, ...]
+    cycle_of_edge: tuple[int, ...]
     partner: tuple[int, ...]
     matching_edge_of: tuple[int, ...]
 
@@ -39,11 +43,16 @@ class TwoFactor:
         return [c for c in range(len(self.cycles)) if len(self.cycles[c]) % 2]
 
     def position_on_cycle(self, c: int, v: int) -> int:
-        return self.cycles[c].index(v)
+        if self.cycle_of_vertex[v] != c:
+            raise GraphError(f"vertex {v} is not on cycle {c}")
+        return self.position[v]
 
-    def cycle_of_edge(self) -> dict[int, int]:
-        """The cycle index of every cycle edge (matching edges are absent)."""
-        return {e: c for c, eids in enumerate(self.cycle_edges) for e in eids}
+    def edge_position(self, e: int) -> int:
+        """The index of cycle edge ``e`` in ``cycle_edges[cycle_of_edge[e]]``."""
+        c = self.cycle_of_edge[e]
+        u, v = self.graph.edges[e]
+        p = self.position_on_cycle(c, u)  # raises on a matching edge, where c = -1
+        return p if self.cycle_edges[c][p] == e else self.position[v]
 
 
 def is_perfect_matching(g: MultiGraph, m) -> bool:
@@ -123,6 +132,8 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
     cycles: list[tuple[int, ...]] = []
     cycle_edges: list[tuple[int, ...]] = []
     cycle_of_vertex = [-1] * g.n
+    cycle_of_edge = [-1] * g.m
+    position = [-1] * g.n
     for start in range(g.n):
         if cycle_of_vertex[start] != -1:
             continue
@@ -134,12 +145,10 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
         )
         verts = [start]
         eids = [first]
-        cycle_of_vertex[start] = idx
         v = g.other_end(first, start)
         prev_edge = first
         while v != start:
             verts.append(v)
-            cycle_of_vertex[v] = idx
             a, b = cycle_inc[v]
             nxt = b if a == prev_edge else a
             eids.append(nxt)
@@ -147,12 +156,17 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
             prev_edge = nxt
         cycles.append(tuple(verts))
         cycle_edges.append(tuple(eids))
+        for i, (x, e) in enumerate(zip(verts, eids)):
+            cycle_of_vertex[x] = cycle_of_edge[e] = idx
+            position[x] = i
     return TwoFactor(
         graph=g,
         matching=matching,
         cycles=tuple(cycles),
         cycle_edges=tuple(cycle_edges),
         cycle_of_vertex=tuple(cycle_of_vertex),
+        position=tuple(position),
+        cycle_of_edge=tuple(cycle_of_edge),
         partner=tuple(partner),
         matching_edge_of=tuple(matching_edge_of),
     )

@@ -43,8 +43,7 @@ def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, Colourin
     cycle_lengths = None
     selection_size = None
     shapes = None
-    audit_passed = None
-    audit_failures: tuple[str, ...] = ()
+    audit_report = None
 
     colouring = try_3_edge_colouring(base)
     if colouring is not None:
@@ -52,22 +51,15 @@ def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, Colourin
     else:
         base_branch = "constructed"
         tf = choose_two_factor(base)
-        odd = tf.odd_cycles()
-        if len(odd) < 2:
-            raise GraphError(
-                "graph is not 3-edge-colourable yet its 2-factor has fewer "
-                "than two odd cycles (bug)"
-            )
+        if len(tf.odd_cycles()) < 2:
+            raise GraphError("graph is not 3-edge-colourable yet its 2-factor has "
+                             "fewer than two odd cycles (bug)")
         sel = find_optimal_selection(tf)
         colouring = construct_colouring(base, tf, sel)
         cycle_lengths = tuple(len(cyc) for cyc in tf.cycles)
         selection_size = len(sel.selected)
         shapes = tuple(comp.shape for comp in s_components(tf, sel))
         audit_report = run_audit(base, tf, sel, colouring)
-        audit_passed = audit_report.passed
-        audit_failures = tuple(
-            f"{chk.name}: {chk.detail}" for chk in audit_report.checks if not chk.ok
-        )
 
     colours = [0] * (base_edges[-1] + 1)
     for e, col in zip(base_edges, colouring.colour_of):
@@ -108,7 +100,10 @@ def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, Colourin
         bound_ok=bound_ok,
         bound_tight=bound_tight,
         is_petersen=petersen,
-        audit_passed=audit_passed,
-        audit_failures=audit_failures,
+        audit_passed=None if audit_report is None else audit_report.passed,
+        audit_failures=() if audit_report is None else tuple(
+            f"{chk.name}: {chk.detail}" for chk in audit_report.checks if not chk.ok
+        ),
+        audit=audit_report,
     )
     return colouring, report

@@ -49,7 +49,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 
-from .colouring import ColouringError
+from .colouring import MEDIUM, _edge_class
 from .graph import GraphError, MultiGraph, triangles_through, validate_input
 
 MULTI_EDGE = "multi_edge"
@@ -230,13 +230,7 @@ def reduce_fully(g: MultiGraph) -> tuple[MultiGraph, list[ReductionRecord], tupl
 
 
 def _local_mediums(local: Local, colours: list[int]) -> int:
-    mediums = 0
-    for e, nbrs in local:
-        seen = {colours[f] for f in nbrs}
-        if colours[e] in seen:
-            raise ColouringError(f"colouring is not proper at edge {e}")
-        mediums += len(seen) == 3
-    return mediums
+    return sum(_edge_class(colours, e, nbrs) == MEDIUM for e, nbrs in local)
 
 
 def lift_multi_edge(record: ReductionRecord, colours: list[int]) -> None:

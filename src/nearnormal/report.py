@@ -6,13 +6,18 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
+from .discharging import AuditReport
+
 
 @dataclass(frozen=True)
 class ColouringReport:
     """Everything the pipeline decided and verified for one graph.
 
     Fields that only make sense on the construction branch are None on the
-    other branches; the JSON schema is identical for every graph.
+    other branches; the JSON schema is identical for every graph.  ``audit``
+    is the discharging audit the pipeline ran on the constructed base
+    colouring: every check, the verdict and the ledger's total charge in
+    tenths.  ``audit_passed`` and ``audit_failures`` summarise it.
     """
 
     name: str
@@ -34,6 +39,7 @@ class ColouringReport:
     is_petersen: bool
     audit_passed: bool | None
     audit_failures: tuple[str, ...]
+    audit: AuditReport | None
     oracle_minimum: int | None = None
 
     def to_json(self) -> str:

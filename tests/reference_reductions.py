@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from nearnormal.colouring import EdgeColouring, check_proper, medium_count
+from nearnormal.colouring import EdgeColouring, medium_count
 from nearnormal.graph import GraphError, MultiGraph, adjacent_edges, find_bridges, is_connected
 from nearnormal.pipeline import colour_graph
 from nearnormal import reductions
+from reference_classify import check_proper
 
 MULTI_EDGE = "multi_edge"
 TRIANGLE = "triangle"

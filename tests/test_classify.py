@@ -1,0 +1,90 @@
+"""The one-pass edge classification against the two-pass one it replaced
+(``tests/reference_classify.py``): equal classes on proper colourings, and a
+``ColouringError`` from both on improper ones."""
+
+from __future__ import annotations
+
+import pytest
+
+import reference_classify as ref
+from nearnormal.colouring import ColouringError, EdgeColouring, classify_all, classify_edge
+from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, triple_edge
+from nearnormal.graph import build_graph
+from nearnormal.oracle import exists_normal, min_medium_exact
+from nearnormal.pipeline import colour_graph
+from nearnormal.reductions import _local_mediums
+
+
+def _outcome(classify, *args):
+    try:
+        return classify(*args)
+    except ColouringError:
+        return "improper"
+
+
+def assert_same_classes(g, c):
+    assert _outcome(classify_all, g, c) == _outcome(ref.classify_all, g, c)
+    if len(c.colour_of) != g.m:
+        return
+    for e in range(g.m):
+        assert _outcome(classify_edge, g, c, e) == _outcome(ref.classify_edge, g, c, e)
+
+
+def recolourings(c):
+    """Every colouring that differs from ``c`` on exactly one edge."""
+    for e, own in enumerate(c.colour_of):
+        for col in range(1, c.k + 1):
+            if col != own:
+                yield EdgeColouring(c.k, c.colour_of[:e] + (col,) + c.colour_of[e + 1:])
+
+
+@pytest.mark.parametrize("n", CORPUS_ORDERS)
+def test_pipeline_colourings_match_reference(n):
+    for g in load_cubic_corpus(n):
+        assert_same_classes(g, colour_graph(g)[0])
+
+
+@pytest.mark.parametrize("n", [n for n in CORPUS_ORDERS if n <= 10])
+def test_oracle_witnesses_match_reference(n):
+    for g in load_cubic_corpus(n):
+        for c in (min_medium_exact(g, 4)[1], exists_normal(g, 5)):
+            assert ref.is_proper(g, c)
+            assert_same_classes(g, c)
+            for other in recolourings(c):
+                assert_same_classes(g, other)
+
+
+IMPROPER = {
+    "parallel-pair": (
+        build_graph(4, [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)]),
+        EdgeColouring(4, (1, 1, 2, 2, 3, 4)),
+    ),
+    "triple-edge": (triple_edge(), EdgeColouring(4, (1, 2, 1))),
+    "too-short": (triple_edge(), EdgeColouring(4, (1, 2))),
+    "too-long": (triple_edge(), EdgeColouring(4, (1, 2, 3, 4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMPROPER))
+def test_improper_raises_in_both(name):
+    g, c = IMPROPER[name]
+    with pytest.raises(ColouringError):
+        ref.classify_all(g, c)
+    with pytest.raises(ColouringError):
+        classify_all(g, c)
+    assert_same_classes(g, c)
+
+
+def test_lift_check_uses_the_same_rule():
+    """``reductions._local_mediums`` counts what ``classify_all`` counts."""
+    for g in load_cubic_corpus(8):
+        c = min_medium_exact(g, 4)[1]
+        local = tuple(
+            (e, tuple(x for x in g.incident_edges(u) + g.incident_edges(v) if x != e))
+            for e, (u, v) in enumerate(g.edges)
+        )
+        assert _local_mediums(local, list(c.colour_of)) == ref.classify_all(g, c).count("medium")
+        for other in recolourings(c):
+            want = _outcome(ref.classify_all, g, other)
+            got = _outcome(_local_mediums, local, list(other.colour_of))
+            assert got == (want if want == "improper" else want.count("medium"))

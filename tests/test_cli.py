@@ -1,13 +1,23 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from nearnormal import cli, discharging, pipeline, reductions
 from nearnormal.cli import load_graph, main
-from nearnormal.corpus import complete_graph_k4, petersen_graph, prism
+from nearnormal.colouring import construct_colouring
+from nearnormal.corpus import CORPUS_ORDERS, complete_graph_k4, load_cubic_corpus, petersen_graph, prism
+from nearnormal.discharging import audit, run_discharging
+from nearnormal.factor import choose_two_factor
+from nearnormal.graph import build_graph
 from nearnormal.graphio import format_colouring, write_graph6
 from nearnormal.oracle import exists_normal
+from nearnormal.pipeline import colour_graph
+from nearnormal.reductions import reduce_fully
+from nearnormal.selection import find_optimal_selection
 
 
 @pytest.fixture()
@@ -45,6 +55,17 @@ class TestColourCommand:
         assert payload["medium"] == 8
         assert payload["bound_tight"] is True
         assert payload["is_petersen"] is True
+
+    def test_json_carries_the_audit(self, petersen_file, k4_edge_list, capsys):
+        assert main(["colour", petersen_file, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["audit"]["passed"] is True
+        assert payload["audit"]["total_tenths"] == 80
+        assert {"name": "global-bound", "ok": True, "detail": "8 medium edges vs 4/5 * 10"} in (
+            payload["audit"]["checks"]
+        )
+        assert main(["colour", k4_edge_list, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["audit"] is None
 
     def test_oracle_flag(self, petersen_file, capsys):
         assert main(["colour", petersen_file, "--json", "--oracle"]) == 0
@@ -104,6 +125,103 @@ class TestAuditCommand:
     def test_vacuous_on_3_colourable(self, k4_edge_list, capsys):
         assert main(["audit", k4_edge_list]) == 0
         assert "vacuous" in capsys.readouterr().out
+
+
+def reference_audit(path: str) -> int:
+    """The audit command as it was before ``colour_graph`` handed back its
+    audit: colour the graph, then build the construction on the reduced
+    graph a second time and audit that."""
+    g = load_graph(path)
+    _colouring, report = colour_graph(g, name=Path(path).name)
+    if report.base_branch != "constructed":
+        print(
+            f"pipeline used the {report.base_branch} branch; "
+            "no discharging to audit (vacuous pass)"
+        )
+        return 0
+    base, _records, _ids = reduce_fully(g)
+    tf = choose_two_factor(base)
+    sel = find_optimal_selection(tf)
+    constructed = construct_colouring(base, tf, sel)
+    ledger = run_discharging(base, tf, sel, constructed)
+    audit_report = audit(ledger, base, tf, sel, constructed)
+    for chk in audit_report.checks:
+        status = "ok " if chk.ok else "FAIL"
+        detail = f" ({chk.detail})" if chk.detail else ""
+        print(f"  [{status}] {chk.name}{detail}")
+    total = ledger.total_tenths()
+    print(f"total charge: {total} tenths = {total // 10 if total % 10 == 0 else total / 10} medium edges")
+    print("audit " + ("passed" if audit_report.passed else "FAILED"))
+    return 0 if audit_report.passed else 1
+
+
+def truncated_petersen():
+    """Petersen with vertex 0 replaced by a triangle: it reduces, then
+    constructs."""
+    g = petersen_graph()
+    corners, edges = [0, 10, 11], list(g.edges)
+    for i, e in enumerate(g.incident_edges(0)):
+        edges[e] = (corners[i], g.other_end(e, 0))
+    return build_graph(12, edges + [(0, 10), (10, 11), (11, 0)])
+
+
+def audit_graphs():
+    graphs = {
+        "petersen": petersen_graph(),
+        "truncated-petersen": truncated_petersen(),
+        "k4": complete_graph_k4(),
+    }
+    for n in CORPUS_ORDERS:
+        for i, g in enumerate(load_cubic_corpus(n)):
+            if colour_graph(g)[1].base_branch == "constructed":
+                graphs[f"corpus{n}-{i}"] = g
+    return graphs
+
+
+AUDIT_GRAPHS = audit_graphs()
+
+# the construction stages, by the module where each call looks them up
+STAGES = (
+    (reductions, "reduce_fully"),
+    (pipeline, "choose_two_factor"),
+    (pipeline, "find_optimal_selection"),
+    (pipeline, "construct_colouring"),
+    (discharging, "run_discharging"),
+)
+
+
+class TestAuditBuildsOnce:
+    def test_graph_list(self):
+        assert sum(name.startswith("corpus") for name in AUDIT_GRAPHS) == 7
+        report = colour_graph(AUDIT_GRAPHS["truncated-petersen"])[1]
+        assert report.reductions == ("triangle",) and report.base_branch == "constructed"
+
+    @pytest.mark.parametrize("name, g", AUDIT_GRAPHS.items(), ids=list(AUDIT_GRAPHS))
+    def test_same_output_as_the_rerun(self, name, g, tmp_path, monkeypatch, capsys):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+        want_code = reference_audit(str(path))
+        want = capsys.readouterr().out
+
+        calls = Counter()
+
+        def counted(attr, fn):
+            def wrapper(*args, **kwargs):
+                calls[attr] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, attr in STAGES:
+            fn = getattr(module, attr)
+            monkeypatch.setattr(module, attr, counted(attr, fn))
+            # counts calls through a name the CLI imports directly, if it does
+            monkeypatch.setattr(cli, attr, counted(attr, fn), raising=False)
+        assert main(["audit", str(path)]) == want_code
+        assert capsys.readouterr().out == want
+        constructed = "vacuous" not in want
+        assert calls == Counter({"reduce_fully": 1} | {
+            attr: 1 for _module, attr in STAGES if constructed
+        })
 
 
 class TestBatchCommand:

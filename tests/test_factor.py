@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from nearnormal.corpus import load_cubic_corpus, prism
+from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, prism
 from nearnormal.factor import (
     choose_two_factor,
     enumerate_perfect_matchings,
@@ -117,6 +117,36 @@ class TestTwoFactorFromMatching:
                 assert sum(len(c) for c in tf.cycles) == g.n
                 assert len(m) == g.n // 2
                 assert sum(1 for c in tf.cycles if len(c) % 2) % 2 == 0
+
+    @pytest.mark.parametrize("n", CORPUS_ORDERS)
+    def test_stored_positions_on_corpus(self, n):
+        """The stored positions and edge cycles equal the ``tuple.index``
+        lookups they replace, on every 2-factor of every corpus graph."""
+        for g in load_cubic_corpus(n):
+            for m in enumerate_perfect_matchings(g):
+                tf = two_factor_from_matching(g, m)
+                for c, (cyc, eids) in enumerate(zip(tf.cycles, tf.cycle_edges)):
+                    for v in cyc:
+                        assert tf.position_on_cycle(c, v) == cyc.index(v)
+                    for e in eids:
+                        assert tf.cycle_of_edge[e] == c
+                        assert tf.edge_position(e) == eids.index(e)
+                assert all(tf.cycle_of_edge[e] == -1 for e in m)
+
+    def test_stored_positions_on_two_cycles(self):
+        g = build_graph(4, [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)])
+        tf = two_factor_from_matching(g, frozenset({4, 5}))
+        for c, eids in enumerate(tf.cycle_edges):
+            assert [tf.edge_position(e) for e in eids] == [0, 1]
+            assert [tf.position_on_cycle(c, v) for v in tf.cycles[c]] == [0, 1]
+
+    def test_position_off_the_cycle_rejected(self, petersen):
+        tf = two_factor_from_matching(petersen, enumerate_perfect_matchings(petersen)[0])
+        v = tf.cycles[1][0]
+        with pytest.raises(GraphError, match="not on cycle"):
+            tf.position_on_cycle(0, v)
+        with pytest.raises(GraphError):
+            tf.edge_position(next(iter(tf.matching)))
 
 
 class TestChooseTwoFactor:
