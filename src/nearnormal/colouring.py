@@ -68,7 +68,11 @@ def _edge_class(colour_of, e: int, nbrs) -> str:
 
 
 def classify_edge(g: MultiGraph, c: EdgeColouring, e: int) -> str:
-    """poor / medium / rich from the colours adjacent to ``e``."""
+    """poor / medium / rich from the colours adjacent to ``e``; raises
+    :class:`ColouringError` when ``c`` does not colour exactly ``g``'s edges
+    or is not proper at ``e``."""
+    if len(c.colour_of) != g.m:
+        raise ColouringError(f"{len(c.colour_of)} colours for {g.m} edges")
     return _edge_class(c.colour_of, e, adjacent_edges(g, e).adjacent_ids)
 
 

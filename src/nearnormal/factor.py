@@ -3,6 +3,13 @@
 A perfect matching M of a cubic graph leaves a 2-regular remainder whose
 cycles form the 2-factor F; the construction downstream consumes the cycle
 decomposition together with a fixed cyclic ordering of each cycle.
+
+:func:`choose_two_factor` picks M as the globally lexicographically first
+perfect matching whose 2-factor has a cycle of length other than 5, in
+polynomial time: Edmonds' augmenting-path search decides, edge by edge in
+id order, whether the edges chosen so far still extend to a perfect
+matching.  :func:`enumerate_perfect_matchings` lists matchings up to a cap;
+the pipeline does not use it, the tests do.
 """
 
 from __future__ import annotations
@@ -112,22 +119,20 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
     matching = frozenset(m)
     if not is_perfect_matching(g, matching):
         raise GraphError("not a perfect matching of this graph")
+    edges = g.edges
     partner = [-1] * g.n
     matching_edge_of = [-1] * g.n
     for e in matching:
-        u, v = g.endpoints(e)
+        u, v = edges[e]
         partner[u], partner[v] = v, u
         matching_edge_of[u] = matching_edge_of[v] = e
     cycle_inc: list[list[int]] = [[] for _ in range(g.n)]
-    for e in range(g.m):
-        if e in matching:
-            continue
-        u, v = g.endpoints(e)
-        cycle_inc[u].append(e)
-        cycle_inc[v].append(e)
-    for v in range(g.n):
-        if len(cycle_inc[v]) != 2:
-            raise GraphError("graph minus matching is not 2-regular (input not cubic?)")
+    for e, (u, v) in enumerate(edges):
+        if e not in matching:
+            cycle_inc[u].append(e)
+            cycle_inc[v].append(e)
+    if any(len(inc) != 2 for inc in cycle_inc):
+        raise GraphError("graph minus matching is not 2-regular (input not cubic?)")
 
     cycles: list[tuple[int, ...]] = []
     cycle_edges: list[tuple[int, ...]] = []
@@ -139,20 +144,19 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
             continue
         idx = len(cycles)
         e1, e2 = cycle_inc[start]
-        first = min(
-            (e1, e2),
-            key=lambda e: (g.other_end(e, start), e),
-        )
+        # the far ends of e1 and e2 (u ^ v ^ start is the end that is not start)
+        w1, w2 = start ^ edges[e1][0] ^ edges[e1][1], start ^ edges[e2][0] ^ edges[e2][1]
+        first, v = (e1, w1) if (w1, e1) < (w2, e2) else (e2, w2)
         verts = [start]
         eids = [first]
-        v = g.other_end(first, start)
         prev_edge = first
         while v != start:
             verts.append(v)
             a, b = cycle_inc[v]
             nxt = b if a == prev_edge else a
             eids.append(nxt)
-            v = g.other_end(nxt, v)
+            x, y = edges[nxt]
+            v ^= x ^ y
             prev_edge = nxt
         cycles.append(tuple(verts))
         cycle_edges.append(tuple(eids))
@@ -172,24 +176,250 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
     )
 
 
-def choose_two_factor(g: MultiGraph, limit: int = DEFAULT_MATCHING_LIMIT) -> TwoFactor:
+def choose_two_factor(g: MultiGraph) -> TwoFactor:
     """Pick the 2-factor the construction starts from.
 
-    Take the lexicographically first enumerated perfect matching whose
-    2-factor contains a cycle of length other than 5; such a 2-factor exists
-    for every connected bridgeless cubic graph except the Petersen graph, and
-    it makes the final medium bound strict.  Above ``limit`` matchings the
-    enumeration stops early, so the choice is the first among the ``limit``
-    matchings found, not among all of them.
+    Take the lexicographically first perfect matching (by sorted edge-id
+    list) whose 2-factor contains a cycle of length other than 5; such a
+    2-factor exists for every connected bridgeless cubic graph except the
+    Petersen graph, and it makes the final medium bound strict.  When every
+    2-factor is made of 5-cycles, take the first perfect matching.  The
+    order is global: no matching is skipped and no cap applies.
+
+    The first matching is built edge by edge in id order with one
+    augmenting-path search per edge that it does not already hold; later
+    matchings are reached by backtracking with the same test (see
+    :class:`_LexMatcher`), which only runs while every 2-factor so far is
+    all 5-cycles.  Raises :class:`GraphError` when there is no perfect
+    matching.
     """
-    matchings = enumerate_perfect_matchings(g, limit)
-    if not matchings:
+    if g.n % 2:
         raise GraphError("graph has no perfect matching")
-    fallback: TwoFactor | None = None
-    for m in matchings:
-        tf = two_factor_from_matching(g, m)
-        if fallback is None:
-            fallback = tf
-        if any(len(cyc) != 5 for cyc in tf.cycles):
-            return tf
-    return fallback
+    lex = _LexMatcher(g)
+    if not lex.match_all():
+        raise GraphError("graph has no perfect matching")
+    chosen = lex.extend([], 0)
+    first = two_factor_from_matching(g, chosen)
+    if any(len(cyc) != 5 for cyc in first.cycles):
+        return first
+    while (chosen := lex.next_after(chosen)) is not None:
+        if not lex.only_five_cycles():
+            return two_factor_from_matching(g, chosen)
+    return first
+
+
+_EVEN, _ODD = 1, 2
+
+
+def _find(uf: list[int], v: int) -> int:
+    """The base of ``v``'s blossom: each union hangs a blossom's sets under
+    its base, so the root of a set is its base (path halving)."""
+    while uf[v] != v:
+        uf[v] = v = uf[uf[v]]
+    return v
+
+
+class _LexMatcher:
+    """Perfect matchings of one graph in lexicographic order of their sorted
+    edge-id lists.
+
+    ``mate_edge[v]`` is the matching edge at ``v`` (-1 while ``v`` is
+    exposed).  Vertices marked in ``blocked`` are covered by the chosen
+    prefix; searches never enter them.  Outside the matching, edges with id
+    at most ``floor`` are unusable, so after a branch at edge ``b`` the
+    completion uses only edges past ``b``.
+
+    The single-source search is Edmonds' blossom algorithm (Edmonds 1965,
+    "Paths, trees, and flowers"): a breadth-first alternating tree whose odd
+    cycles shrink into their base through a union-find, with the tree links
+    in ``via`` re-pointed around each blossom so that flipping the path back
+    from the far end to the root needs no expansion.  It is iterative and
+    resets only the entries it touched.
+    """
+
+    __slots__ = ("edges", "xor", "adj", "mate_edge", "blocked", "floor",
+                 "label", "via", "uf", "seen", "clock")
+
+    def __init__(self, g: MultiGraph) -> None:
+        n = g.n
+        self.edges = g.edges
+        self.xor = [u ^ v for u, v in g.edges]  # other end of e from v: xor[e] ^ v
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for e, (u, v) in enumerate(g.edges):
+            adj[u].append((e, v))
+            adj[v].append((e, u))
+        self.adj = adj
+        self.mate_edge = [-1] * n
+        self.blocked = bytearray(n)
+        self.floor = -1
+        self.label = bytearray(n)
+        self.via = [-1] * n
+        self.uf = list(range(n))
+        self.seen = [0] * n
+        self.clock = 0
+
+    def match_all(self) -> bool:
+        """Match every vertex, greedily in edge-id order and then by
+        augmenting paths; False when the graph has no perfect matching."""
+        mate_edge = self.mate_edge
+        for e, (u, v) in enumerate(self.edges):
+            if mate_edge[u] < 0 and mate_edge[v] < 0:
+                mate_edge[u] = mate_edge[v] = e
+        return all(mate_edge[v] >= 0 or self.augment(v) for v in range(len(mate_edge)))
+
+    def extend(self, chosen: list[int], start: int) -> list[int]:
+        """Grow ``chosen`` to the lexicographically first perfect matching
+        that contains it and otherwise uses edges from ``start`` on.
+
+        Expects ``blocked`` to cover ``chosen`` and the free vertices to be
+        perfectly matched.  An edge of the matching is taken as it is; any
+        other edge uv with both ends free is taken exactly when the partners
+        of u and v, unmatched, can be joined by an augmenting path that
+        avoids u, v and the chosen ones.
+        """
+        edges, xor, mate_edge, blocked = self.edges, self.xor, self.mate_edge, self.blocked
+        half = len(blocked) // 2
+        for e in range(start, len(edges)):
+            if len(chosen) == half:
+                break
+            u, v = edges[e]
+            if blocked[u] or blocked[v]:
+                continue
+            fu, fv = mate_edge[u], mate_edge[v]
+            blocked[u] = blocked[v] = 1
+            if fu != e:
+                mate_edge[u] = mate_edge[v] = e
+                if fu != fv:  # fu == fv: a parallel edge joined u and v
+                    x, y = xor[fu] ^ u, xor[fv] ^ v
+                    mate_edge[x] = mate_edge[y] = -1
+                    if not self.augment(x):
+                        mate_edge[u] = mate_edge[x] = fu
+                        mate_edge[v] = mate_edge[y] = fv
+                        blocked[u] = blocked[v] = 0
+                        continue
+            chosen.append(e)
+        return chosen
+
+    def next_after(self, chosen: list[int]) -> list[int] | None:
+        """The perfect matching after ``chosen`` (the current, complete one)
+        in lexicographic order, or None when it is the last.
+
+        That matching keeps the longest prefix ``chosen[:j]`` whose free
+        vertices have a perfect matching on edges past ``chosen[j]``, and
+        extends it by the first such matching.  ``chosen[j + 1:]`` already
+        matches all free vertices but the ends of ``chosen[j]``, so one
+        search between those ends, barred from ``chosen[j]`` and the edges
+        before it, decides each prefix.
+        """
+        edges, mate_edge, blocked = self.edges, self.mate_edge, self.blocked
+        for j in range(len(chosen) - 1, -1, -1):
+            e = chosen[j]
+            u, v = edges[e]
+            blocked[u] = blocked[v] = 0
+            mate_edge[u] = mate_edge[v] = -1
+            self.floor = e
+            if self.augment(u):
+                return self.extend(chosen[:j], e + 1)
+            mate_edge[u] = mate_edge[v] = e
+        return None
+
+    def only_five_cycles(self) -> bool:
+        """Whether every cycle of the complement of the current, complete
+        matching of a cubic graph has length 5."""
+        adj, mate_edge = self.adj, self.mate_edge
+        seen = bytearray(len(adj))
+        for start in range(len(adj)):
+            if seen[start]:
+                continue
+            v, came, length = start, mate_edge[start], 0
+            while True:
+                seen[v] = 1
+                length += 1
+                for e, w in adj[v]:
+                    if e != came and e != mate_edge[v]:
+                        break
+                came, v = e, w
+                if v == start:
+                    break
+            if length != 5:
+                return False
+        return True
+
+    def augment(self, root: int) -> bool:
+        """Search for an alternating path from the exposed vertex ``root``
+        to another exposed free vertex and flip it; False when none exists
+        (then no perfect matching of the free vertices does either)."""
+        adj, xor, mate_edge, blocked, floor = self.adj, self.xor, self.mate_edge, self.blocked, self.floor
+        label, via, uf = self.label, self.via, self.uf
+        label[root] = _EVEN
+        queue = [root]  # even vertices, in the order they were labelled
+        touched = [root]
+        end = -1
+        for v in queue:  # grows while it is read
+            mv = mate_edge[v]
+            for e, w in adj[v]:
+                if e == mv or e <= floor or blocked[w]:
+                    continue
+                lw = label[w]
+                if lw == _EVEN:
+                    if _find(uf, v) != _find(uf, w):
+                        self._shrink(v, w, e, queue)
+                elif not lw:
+                    via[w] = e
+                    mw = mate_edge[w]
+                    if mw < 0:
+                        end = w
+                        break
+                    x = xor[mw] ^ w
+                    label[w], label[x] = _ODD, _EVEN
+                    touched += (w, x)
+                    queue.append(x)
+            if end >= 0:
+                break
+        x = end
+        while x >= 0:  # flip the path from its far end back to the root
+            e = via[x]
+            y = xor[e] ^ x
+            f = mate_edge[y]
+            mate_edge[x] = mate_edge[y] = e
+            x = xor[f] ^ y if f >= 0 else -1
+        for v in touched:
+            label[v] = 0
+            uf[v] = v
+        return end >= 0
+
+    def _shrink(self, v: int, w: int, e: int, queue: list[int]) -> None:
+        """Shrink the blossom closed by edge ``e`` between the even vertices
+        ``v`` and ``w`` into the base where their tree paths meet."""
+        xor, mate_edge, label, via, uf, seen = self.xor, self.mate_edge, self.label, self.via, self.uf, self.seen
+        self.clock += 1
+        clock = self.clock
+        x = v
+        while True:  # mark the bases from v up to the root
+            x = _find(uf, x)
+            seen[x] = clock
+            if mate_edge[x] < 0:
+                break
+            y = xor[mate_edge[x]] ^ x
+            x = xor[via[y]] ^ y
+        x = w
+        while True:  # the first marked base from w up is the new base
+            x = _find(uf, x)
+            if seen[x] == clock:
+                break
+            y = xor[mate_edge[x]] ^ x
+            x = xor[via[y]] ^ y
+        base = x
+        merged = []
+        for x, link in ((v, e), (w, e)):
+            while _find(uf, x) != base:
+                y = xor[mate_edge[x]] ^ x
+                merged += (_find(uf, x), _find(uf, y))
+                if label[y] == _ODD:
+                    label[y] = _EVEN
+                    queue.append(y)
+                via[x] = link
+                link = via[y]
+                x = xor[link] ^ y
+        for x in merged:
+            uf[x] = base

@@ -1,0 +1,34 @@
+"""The benchmark's seeded graph families as ``MultiGraph`` objects.
+
+``bench/generators.py`` is loaded by path, as ``tests/test_bench_hooks.py``
+loads ``bench/tracing.py``, so the tests build the same graphs as the
+benchmark without making ``bench`` a package.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import random
+from pathlib import Path
+
+from nearnormal.graph import MultiGraph, build_graph
+
+_PATH = Path(__file__).resolve().parent.parent / "bench" / "generators.py"
+_spec = importlib.util.spec_from_file_location("bench_generators", _PATH)
+generators = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(generators)
+
+
+def flower_snark(k: int) -> MultiGraph:
+    return build_graph(*generators.flower_snark(k))
+
+
+def petersen_inflation(base_order: int, seed: int) -> MultiGraph:
+    """Inflate a seeded random cubic graph on ``base_order`` vertices, so
+    the result has ``9 * base_order``."""
+    rng = random.Random(seed)
+    return build_graph(*generators.petersen_inflation(generators.random_cubic(base_order, rng), rng))
+
+
+def random_cubic(n: int, seed: int, triangle_free: bool = False) -> MultiGraph:
+    return build_graph(*generators.random_cubic(n, random.Random(seed), triangle_free))

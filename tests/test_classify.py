@@ -75,6 +75,14 @@ def test_improper_raises_in_both(name):
     assert_same_classes(g, c)
 
 
+@pytest.mark.parametrize("name", ["too-short", "too-long"])
+def test_classify_edge_rejects_a_list_of_the_wrong_length(name):
+    g, c = IMPROPER[name]
+    for e in range(g.m):
+        with pytest.raises(ColouringError, match="colours for"):
+            classify_edge(g, c, e)
+
+
 def test_lift_check_uses_the_same_rule():
     """``reductions._local_mediums`` counts what ``classify_all`` counts."""
     for g in load_cubic_corpus(8):

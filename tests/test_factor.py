@@ -5,6 +5,8 @@ import itertools
 
 import pytest
 
+import bench_families
+import reference_factor as ref
 from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, prism
 from nearnormal.factor import (
     choose_two_factor,
@@ -168,3 +170,80 @@ class TestChooseTwoFactor:
         tf2 = choose_two_factor(petersen)
         assert tf1.matching == tf2.matching
         assert tf1.cycles == tf2.cycles
+
+    def test_no_perfect_matching(self):
+        star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+        odd = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+        for g in (star, odd):
+            with pytest.raises(GraphError, match="no perfect matching"):
+                choose_two_factor(g)
+
+
+def assert_same_choice(g):
+    """The augmenting-path search picks what sorting every perfect matching
+    picks (``tests/reference_factor.py``)."""
+    got, want = choose_two_factor(g), ref.choose_two_factor(g)
+    assert got.matching == want.matching
+    assert got.cycles == want.cycles
+
+
+def has_non_five_cycle(tf):
+    return any(len(c) != 5 for c in tf.cycles)
+
+
+class TestChooseTwoFactorAgainstEnumeration:
+    @pytest.mark.parametrize("n", CORPUS_ORDERS)
+    def test_corpus(self, n):
+        for g in load_cubic_corpus(n):
+            assert_same_choice(g)
+
+    def test_corpus_reaches_past_the_first_matching(self):
+        # three graphs at n = 10, the Petersen graph among them, make the
+        # search go on after a first matching whose 2-factor is all 5-cycles
+        firsts = [two_factor_from_matching(g, enumerate_perfect_matchings(g)[0]) for g in load_cubic_corpus(10)]
+        assert sum(not has_non_five_cycle(tf) for tf in firsts) == 3
+
+    @pytest.mark.parametrize("fixture", ["petersen", "k4", "k_3_3", "prism5", "triple"])
+    def test_named(self, fixture, request):
+        assert_same_choice(request.getfixturevalue(fixture))
+
+    @pytest.mark.parametrize("k", range(5, 16, 2))
+    def test_flower_snarks(self, k):
+        assert_same_choice(bench_families.flower_snark(k))
+
+    @pytest.mark.parametrize("base_order", [4, 6, 8])
+    def test_petersen_inflations(self, base_order):
+        g = bench_families.petersen_inflation(base_order, seed=base_order)
+        assert g.n == 9 * base_order
+        assert_same_choice(g)
+
+    @pytest.mark.parametrize("n", [n for n in CORPUS_ORDERS if n <= 10])
+    def test_lexicographically_least(self, n):
+        for g in load_cubic_corpus(n):
+            every = sorted(matchings_by_brute_force(g), key=sorted)
+            good = [m for m in every if has_non_five_cycle(two_factor_from_matching(g, m))]
+            assert choose_two_factor(g).matching == (good or every)[0]
+
+
+def assert_valid_choice(g):
+    tf = choose_two_factor(g)
+    assert is_perfect_matching(g, tf.matching)
+    assert sum(len(c) for c in tf.cycles) == g.n
+    assert has_non_five_cycle(tf)
+
+
+class TestChooseTwoFactorAtScale:
+    """Sizes the enumeration could not reach; no assertion on time."""
+
+    def test_flower_snarks_to_j101(self):
+        for k in range(5, 102, 2):
+            assert_valid_choice(bench_families.flower_snark(k))
+
+    def test_petersen_inflation_432(self):
+        g = bench_families.petersen_inflation(48, seed=48)
+        assert g.n == 432
+        assert_valid_choice(g)
+
+    def test_triangle_free_random_1000(self):
+        g = bench_families.random_cubic(1000, seed=3, triangle_free=True)
+        assert_valid_choice(g)

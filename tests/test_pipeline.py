@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+import bench_families
+from nearnormal import factor
 from nearnormal.colouring import is_proper, medium_count
-from nearnormal.corpus import load_cubic_corpus, prism
+from nearnormal.corpus import load_cubic_corpus, petersen_graph, prism
 from nearnormal.graph import GraphError, build_graph
 from nearnormal.pipeline import colour_graph
 from nearnormal.reductions import reduce_fully
@@ -150,3 +153,26 @@ class TestReportSchema:
             assert report.bound_ok and not report.bound_tight
             assert report.reductions
             assert report.audit_passed in (None, True)
+
+
+class TestTwoFactorWithoutEnumeration:
+    """The pipeline picks its 2-factor by augmenting paths; the matching
+    enumeration is left to the tests."""
+
+    @pytest.mark.parametrize("make", [
+        petersen_graph,
+        lambda: bench_families.flower_snark(15),
+        lambda: bench_families.petersen_inflation(8, seed=8),
+    ], ids=["petersen", "J15", "inflation72"])
+    def test_colour_graph_enumerates_no_matching(self, make, monkeypatch):
+        calls = Counter()
+        enumerate_perfect_matchings = factor.enumerate_perfect_matchings
+
+        def counted(*args, **kwargs):
+            calls["enumerate_perfect_matchings"] += 1
+            return enumerate_perfect_matchings(*args, **kwargs)
+
+        monkeypatch.setattr(factor, "enumerate_perfect_matchings", counted)
+        report = colour_graph(make())[1]
+        assert report.base_branch == "constructed"
+        assert calls["enumerate_perfect_matchings"] == 0
