@@ -119,20 +119,22 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
     matching = frozenset(m)
     if not is_perfect_matching(g, matching):
         raise GraphError("not a perfect matching of this graph")
-    edges = g.edges
     partner = [-1] * g.n
     matching_edge_of = [-1] * g.n
     for e in matching:
-        u, v = edges[e]
+        u, v = g.endpoints(e)
         partner[u], partner[v] = v, u
         matching_edge_of[u] = matching_edge_of[v] = e
     cycle_inc: list[list[int]] = [[] for _ in range(g.n)]
-    for e, (u, v) in enumerate(edges):
-        if e not in matching:
-            cycle_inc[u].append(e)
-            cycle_inc[v].append(e)
-    if any(len(inc) != 2 for inc in cycle_inc):
-        raise GraphError("graph minus matching is not 2-regular (input not cubic?)")
+    for e in range(g.m):
+        if e in matching:
+            continue
+        u, v = g.endpoints(e)
+        cycle_inc[u].append(e)
+        cycle_inc[v].append(e)
+    for v in range(g.n):
+        if len(cycle_inc[v]) != 2:
+            raise GraphError("graph minus matching is not 2-regular (input not cubic?)")
 
     cycles: list[tuple[int, ...]] = []
     cycle_edges: list[tuple[int, ...]] = []
@@ -144,19 +146,20 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
             continue
         idx = len(cycles)
         e1, e2 = cycle_inc[start]
-        # the far ends of e1 and e2 (u ^ v ^ start is the end that is not start)
-        w1, w2 = start ^ edges[e1][0] ^ edges[e1][1], start ^ edges[e2][0] ^ edges[e2][1]
-        first, v = (e1, w1) if (w1, e1) < (w2, e2) else (e2, w2)
+        first = min(
+            (e1, e2),
+            key=lambda e: (g.other_end(e, start), e),
+        )
         verts = [start]
         eids = [first]
+        v = g.other_end(first, start)
         prev_edge = first
         while v != start:
             verts.append(v)
             a, b = cycle_inc[v]
             nxt = b if a == prev_edge else a
             eids.append(nxt)
-            x, y = edges[nxt]
-            v ^= x ^ y
+            v = g.other_end(nxt, v)
             prev_edge = nxt
         cycles.append(tuple(verts))
         cycle_edges.append(tuple(eids))
@@ -203,8 +206,9 @@ def choose_two_factor(g: MultiGraph) -> TwoFactor:
     if any(len(cyc) != 5 for cyc in first.cycles):
         return first
     while (chosen := lex.next_after(chosen)) is not None:
-        if not lex.only_five_cycles():
-            return two_factor_from_matching(g, chosen)
+        tf = two_factor_from_matching(g, chosen)
+        if any(len(cyc) != 5 for cyc in tf.cycles):
+            return tf
     return first
 
 
@@ -322,28 +326,6 @@ class _LexMatcher:
                 return self.extend(chosen[:j], e + 1)
             mate_edge[u] = mate_edge[v] = e
         return None
-
-    def only_five_cycles(self) -> bool:
-        """Whether every cycle of the complement of the current, complete
-        matching of a cubic graph has length 5."""
-        adj, mate_edge = self.adj, self.mate_edge
-        seen = bytearray(len(adj))
-        for start in range(len(adj)):
-            if seen[start]:
-                continue
-            v, came, length = start, mate_edge[start], 0
-            while True:
-                seen[v] = 1
-                length += 1
-                for e, w in adj[v]:
-                    if e != came and e != mate_edge[v]:
-                        break
-                came, v = e, w
-                if v == start:
-                    break
-            if length != 5:
-                return False
-        return True
 
     def augment(self, root: int) -> bool:
         """Search for an alternating path from the exposed vertex ``root``
