@@ -42,16 +42,6 @@ class EdgeColouring:
                 raise ColouringError(f"colour {col} outside palette 1..{self.k}")
 
 
-def is_proper(g: MultiGraph, c: EdgeColouring) -> bool:
-    if len(c.colour_of) != g.m:
-        return False
-    for v in range(g.n):
-        cols = [c.colour_of[e] for e in g.incident_edges(v)]
-        if len(set(cols)) != len(cols):
-            return False
-    return True
-
-
 def _edge_class(colour_of, e: int, nbrs) -> str:
     """The class of edge ``e`` from the colours on ``nbrs``, the edges
     around it (``e`` itself is skipped): medium iff they show exactly three

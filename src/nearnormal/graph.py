@@ -132,61 +132,35 @@ def adjacent_edges(g: MultiGraph, e: int) -> EdgeNeighbourhood:
     return EdgeNeighbourhood(e, frozenset(ids))
 
 
-def connected_components(g: MultiGraph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for e in g.incident_edges(v):
-                w = g.other_end(e, v)
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(comp)
-    return comps
-
-
-def is_connected(g: MultiGraph) -> bool:
-    # The empty graph counts as connected; validation rejects it as non-cubic.
-    return g.n == 0 or len(connected_components(g)) == 1
-
-
-def find_bridges(g: MultiGraph) -> set[int]:
-    """Cut edges of a connected multigraph (iterative lowpoint search).
+def _lowpoint_search(g: MultiGraph) -> tuple[int, set[int]]:
+    """One iterative lowpoint search from vertex 0: the number of vertices
+    it reaches and the cut edges among them.
 
     Parallel edges are never bridges: the twin edge acts as a back edge
     because the traversal skips only the tree edge *id*, not the endpoint.
     """
-    if not is_connected(g):
-        raise GraphError("bridge search requires a connected graph")
+    bridges: set[int] = set()
+    if g.n == 0:
+        return 0, bridges
+    edges, incident = g.edges, g._incident
     disc = [-1] * g.n
     low = [0] * g.n
-    bridges: set[int] = set()
-    counter = 0
-    if g.n == 0:
-        return bridges
+    disc[0] = low[0] = 0
+    counter = 1
     # stack entries: (vertex, incoming edge id, iterator over incident edges)
-    stack = [(0, -1, iter(g.incident_edges(0)))]
-    disc[0] = low[0] = counter
-    counter += 1
+    stack = [(0, -1, iter(incident[0]))]
     while stack:
         v, in_edge, it = stack[-1]
         advanced = False
         for e in it:
             if e == in_edge:
                 continue
-            w = g.other_end(e, v)
+            a, b = edges[e]
+            w = b if a == v else a
             if disc[w] == -1:
                 disc[w] = low[w] = counter
                 counter += 1
-                stack.append((w, e, iter(g.incident_edges(w))))
+                stack.append((w, e, iter(incident[w])))
                 advanced = True
                 break
             low[v] = min(low[v], disc[w])
@@ -198,12 +172,26 @@ def find_bridges(g: MultiGraph) -> set[int]:
             low[parent] = min(low[parent], low[v])
             if low[v] > disc[parent]:
                 bridges.add(in_edge)
+    return counter, bridges
+
+
+def find_bridges(g: MultiGraph) -> set[int]:
+    """Cut edges of a connected multigraph (iterative lowpoint search)."""
+    reached, bridges = _lowpoint_search(g)
+    if reached != g.n:
+        raise GraphError("bridge search requires a connected graph")
     return bridges
 
 
 def validate_input(g: MultiGraph) -> Diagnosis:
-    """Accept exactly the connected bridgeless cubic loopless multigraphs."""
-    if not is_connected(g):
+    """Accept exactly the connected bridgeless cubic loopless multigraphs.
+
+    One lowpoint search answers both connectivity and bridgelessness; the
+    diagnosis still names connectivity first, then cubicness, then bridges.
+    """
+    reached, bridges = _lowpoint_search(g)
+    # The empty graph counts as connected; it is rejected as non-cubic.
+    if reached != g.n:
         return Diagnosis(False, "connected", "graph is disconnected")
     if g.n == 0:
         return Diagnosis(False, "cubic", "graph has no vertices")
@@ -211,7 +199,6 @@ def validate_input(g: MultiGraph) -> Diagnosis:
         if g.degree(v) != 3:
             return Diagnosis(False, "cubic", f"vertex {v} has degree {g.degree(v)}")
     # loops are unrepresentable (MultiGraph rejects them at build time)
-    bridges = find_bridges(g)
     if bridges:
         e = min(bridges)
         return Diagnosis(False, "bridge", f"edge {e} = {g.endpoints(e)} is a bridge")

@@ -14,13 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .colouring import MEDIUM, EdgeColouring, classify_all
-from .graph import (
-    GraphError,
-    MultiGraph,
-    build_graph,
-    girth,
-    graphs_isomorphic,
-)
+from .graph import GraphError, MultiGraph, build_graph, girth
 
 TRIVIAL = "trivial"
 SURJECTIVE = "surjective"
@@ -178,10 +172,6 @@ def classify_petersen_colouring(pc: PetersenColouring) -> PetersenClassification
 
 
 def is_petersen_graph(g: MultiGraph) -> bool:
-    """Exact recognition at n = 10: degree and girth prefilters, then
-    backtracking isomorphism against the Kneser model."""
-    if g.n != 10 or g.m != 15 or not g.is_simple() or not g.is_cubic():
-        return False
-    if girth(g) != 5:
-        return False
-    return graphs_isomorphic(g, build_kneser_petersen().graph())
+    """Exact recognition: the Petersen graph is the only cubic graph on 10
+    vertices with girth 5 (the unique (3,5)-cage)."""
+    return g.n == 10 and g.m == 15 and g.is_simple() and g.is_cubic() and girth(g) == 5

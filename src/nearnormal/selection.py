@@ -3,8 +3,8 @@ cycles, at most two per cycle and consecutive when two.
 
 The search returns a globally optimal selection (maximum size, then maximum
 number of degree-2 cycles, then lexicographically smallest edge-id set).
-Global optimality matters: the charge audit leans on swap-maximality facts
-that only hold for optimal selections.
+The exact optimum is kept so that colourings stay identical; whether the
+charge audit needs more than a maximal selection is an open question.
 """
 
 from __future__ import annotations
@@ -104,91 +104,55 @@ def _degrees(tf: TwoFactor, selected) -> tuple[int, ...]:
 
 
 def find_optimal_selection(tf: TwoFactor) -> EdgeSelection:
-    """Exact branch-and-bound over the eligible edges.
+    """Exact iterative branch-and-bound over the eligible edges.
 
-    Pass one maximises the selection size; pass two, restricted to that
-    size, maximises the number of degree-2 cycles.  Edges are branched in
-    increasing id order with the include-branch first, so the first
-    selection reaching the best score is the lexicographically smallest.
+    Selections score (size, number of degree-2 cycles), compared
+    lexicographically.  Edges are branched in increasing id order with the
+    include-branch first, and only a leaf that strictly beats the best so
+    far replaces it, so the result is the lexicographically smallest
+    optimum.  A node is pruned when the ``left`` undecided edges cannot
+    lift it past the best: each adds one to the size and at most two
+    degree-2 cycles, and the degree-2 count never falls as edges are added.
     """
     edges = sorted(eligible_edges(tf))
-    g = tf.graph
-    ncyc = len(tf.cycles)
-    side: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for e in edges:
-        u, v = g.endpoints(e)
-        side.append(((tf.cycle_of_vertex[u], u), (tf.cycle_of_vertex[v], v)))
-
-    deg = [0] * ncyc
-    ends: list[list[int]] = [[] for _ in range(ncyc)]  # attachment vertices
-    chosen: list[int] = []
-
-    def fits(i: int) -> bool:
-        for c, vertex in side[i]:
-            if deg[c] == 2:
-                return False
-            if deg[c] == 1:
-                p1 = tf.position_on_cycle(c, ends[c][0])
-                p2 = tf.position_on_cycle(c, vertex)
-                ell = tf.cycle_length(c)
-                if (p1 - p2) % ell not in (1, ell - 1):
-                    return False
-        return True
-
-    def push(i: int) -> None:
-        chosen.append(edges[i])
-        for c, vertex in side[i]:
-            deg[c] += 1
-            ends[c].append(vertex)
-
-    def pop(i: int) -> None:
-        chosen.pop()
-        for c, _vertex in side[i]:
+    k = len(edges)
+    # per edge, the (cycle, position on it) of both endpoints
+    ends = [[(tf.cycle_of_vertex[x], tf.position[x]) for x in tf.graph.endpoints(e)] for e in edges]
+    length = [len(cyc) for cyc in tf.cycles]
+    deg = [0] * len(tf.cycles)
+    first = [0] * len(tf.cycles)  # where a cycle's first selected edge attaches
+    taken: list[bool] = []  # the decision on each edge of the current branch
+    size = deg2 = 0
+    best_size, best_deg2, selected = -1, -1, frozenset()
+    while True:
+        i = len(taken)
+        left = k - i
+        can_beat = size + left > best_size or (size + left == best_size and deg2 + 2 * left > best_deg2)
+        if can_beat and i == k:
+            best_size, best_deg2 = size, deg2
+            selected = frozenset(e for e, t in zip(edges, taken) if t)
+        elif can_beat:
+            fits = all(deg[c] == 0 or (deg[c] == 1 and (first[c] - p) % length[c] in (1, length[c] - 1))
+                       for c, p in ends[i])
+            if fits:
+                for c, p in ends[i]:
+                    deg[c] += 1
+                    if deg[c] == 1:
+                        first[c] = p
+                    deg2 += deg[c] == 2
+                size += 1
+            taken.append(fits)
+            continue
+        # backtrack to the deepest include decision and exclude that edge
+        while taken and not taken[-1]:
+            taken.pop()
+        if not taken:
+            break
+        for c, _p in ends[len(taken) - 1]:
+            deg2 -= deg[c] == 2
             deg[c] -= 1
-            ends[c].pop()
-
-    best_size = 0
-
-    def max_size(i: int) -> None:
-        nonlocal best_size
-        best_size = max(best_size, len(chosen))
-        if i == len(edges) or len(chosen) + (len(edges) - i) <= best_size:
-            return
-        if fits(i):
-            push(i)
-            max_size(i + 1)
-            pop(i)
-        max_size(i + 1)
-
-    max_size(0)
-
-    best: tuple[int, frozenset[int]] | None = None
-
-    def max_deg2(i: int) -> None:
-        nonlocal best
-        remaining = len(edges) - i
-        needed = best_size - len(chosen)
-        if needed > remaining:
-            return
-        if needed == 0:
-            score = sum(1 for d in deg if d == 2)
-            if best is None or score > best[0]:
-                best = (score, frozenset(chosen))
-            return
-        # each extra edge can raise at most two cycles to degree 2
-        if best is not None:
-            bound = sum(1 for d in deg if d == 2) + 2 * needed
-            if bound < best[0]:
-                return
-        if fits(i):
-            push(i)
-            max_deg2(i + 1)
-            pop(i)
-        max_deg2(i + 1)
-
-    max_deg2(0)
-    assert best is not None
-    selected = best[1]
+        size -= 1
+        taken[-1] = False
     violation = selection_violation(tf, selected)
     if violation is not None:
         raise GraphError(f"search produced an invalid selection: {violation}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from nearnormal.colouring import EdgeColouring, medium_count
-from nearnormal.graph import GraphError, MultiGraph, adjacent_edges, find_bridges, is_connected
+from nearnormal.graph import GraphError, MultiGraph, adjacent_edges, find_bridges
 from nearnormal.pipeline import colour_graph
 from nearnormal import reductions
 from reference_classify import check_proper
@@ -42,6 +42,22 @@ class ReductionRecord:
     # triangle fields
     x_edges: tuple[int, ...] = ()        # reduced ids of the star at x, i-aligned
     triangle_edges: tuple[int, ...] = () # original ids v0v1, v1v2, v2v0
+
+
+def is_connected(g: MultiGraph) -> bool:
+    """Search from vertex 0; the empty graph counts as connected."""
+    if g.n == 0:
+        return True
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for e in g.incident_edges(v):
+            w = g.other_end(e, v)
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
 
 
 def _assert_still_valid(g: MultiGraph, what: str) -> None:

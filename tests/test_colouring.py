@@ -12,7 +12,6 @@ from nearnormal.colouring import (
     classify_edge,
     construct_colouring,
     construction_violations,
-    is_proper,
     medium_count,
     place_colour_3,
     solve_path_phases,
@@ -35,6 +34,7 @@ from witnesses import (
     r4_chain,
     two_factor_of,
 )
+from reference_classify import is_proper
 
 
 def known_eight_medium_colouring():

@@ -16,11 +16,11 @@ from nearnormal.corpus import (
 from nearnormal.graph import (
     find_bridges,
     graphs_isomorphic,
-    is_connected,
     validate_input,
 )
 from nearnormal.graphio import write_graph6
 from nearnormal.petersen import is_petersen_graph
+from reference_reductions import is_connected
 
 # bridgeless subsets of the packaged corpus, frozen from find_bridges (which
 # is itself checked against the edge-deletion oracle in test_graph)

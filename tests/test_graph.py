@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus
 from nearnormal.graph import (
+    Diagnosis,
     GraphError,
     MultiGraph,
     adjacent_edges,
     build_graph,
-    connected_components,
     find_bridges,
     girth,
     graphs_isomorphic,
-    is_connected,
     validate_input,
 )
+from reference_reductions import is_connected
 
 
 def bridges_by_deletion(g: MultiGraph) -> set[int]:
@@ -25,9 +26,49 @@ def bridges_by_deletion(g: MultiGraph) -> set[int]:
     out = set()
     for e in range(g.m):
         rest = [g.edges[i] for i in range(g.m) if i != e]
-        if len(connected_components(MultiGraph(g.n, rest))) > 1:
+        if not is_connected(MultiGraph(g.n, rest)):
             out.add(e)
     return out
+
+
+def validate_by_definition(g: MultiGraph) -> Diagnosis:
+    """Independent oracle for validate_input: connectivity by search,
+    degrees, then the smallest bridge by deletion."""
+    if not is_connected(g):
+        return Diagnosis(False, "connected", "graph is disconnected")
+    if g.n == 0:
+        return Diagnosis(False, "cubic", "graph has no vertices")
+    for v in range(g.n):
+        if g.degree(v) != 3:
+            return Diagnosis(False, "cubic", f"vertex {v} has degree {g.degree(v)}")
+    bridges = bridges_by_deletion(g)
+    if bridges:
+        e = min(bridges)
+        return Diagnosis(False, "bridge", f"edge {e} = {g.endpoints(e)} is a bridge")
+    return Diagnosis(True)
+
+
+def two_copies(g: MultiGraph) -> MultiGraph:
+    """``g`` and a relabelled copy side by side: a disconnected graph."""
+    return build_graph(2 * g.n, list(g.edges) + [(u + g.n, v + g.n) for u, v in g.edges])
+
+
+@st.composite
+def connected_multigraphs(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    # random tree keeps it connected, then extra (possibly parallel) edges
+    tree = [
+        (draw(st.integers(0, v - 1)), v) for v in range(1, n)
+    ]
+    extra = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda p: p[0] != p[1]
+            ),
+            max_size=8,
+        )
+    )
+    return build_graph(n, tree + extra)
 
 
 class TestBuildGraph:
@@ -104,28 +145,12 @@ class TestFindBridges:
 
     def test_matches_deletion_oracle_on_corpus(self):
         # includes the bridged cubic graphs that validation later rejects
-        from nearnormal.corpus import load_cubic_corpus
-
         for g in load_cubic_corpus(12, bridgeless_only=False):
             assert find_bridges(g) == bridges_by_deletion(g)
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_matches_deletion_oracle_on_random_multigraphs(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=9))
-        # random tree keeps it connected, then extra (possibly parallel) edges
-        tree = [
-            (data.draw(st.integers(0, v - 1)), v) for v in range(1, n)
-        ]
-        extra = data.draw(
-            st.lists(
-                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-                    lambda p: p[0] != p[1]
-                ),
-                max_size=8,
-            )
-        )
-        g = build_graph(n, tree + extra)
+    @given(g=connected_multigraphs())
+    def test_matches_deletion_oracle_on_random_multigraphs(self, g):
         assert find_bridges(g) == bridges_by_deletion(g)
 
 
@@ -160,6 +185,21 @@ class TestValidateInput:
         diag = validate_input(build_graph(0, []))
         assert not diag.ok and diag.reason == "cubic"
 
+    @pytest.mark.parametrize("n", CORPUS_ORDERS)
+    def test_matches_definition_on_corpus(self, n):
+        graphs = load_cubic_corpus(n, bridgeless_only=False)
+        for g in graphs:
+            assert validate_input(g) == validate_by_definition(g)
+        twice = two_copies(graphs[-1])
+        assert validate_input(twice) == validate_by_definition(twice)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=connected_multigraphs(), split=st.booleans())
+    def test_matches_definition_on_random_multigraphs(self, g, split):
+        if split:
+            g = two_copies(g)
+        assert validate_input(g) == validate_by_definition(g)
+
     def test_cubic_inputs_have_matching_counts(self, petersen, k4, k_3_3):
         for g in (petersen, k4, k_3_3):
             assert g.n % 2 == 0
@@ -189,7 +229,3 @@ class TestGirthAndIsomorphism:
         for perm in itertools.permutations(range(4)):
             g2 = build_graph(4, [(perm[u], perm[v]) for u, v in k4.edges])
             assert graphs_isomorphic(k4, g2)
-
-    def test_connectivity_helpers(self):
-        assert is_connected(build_graph(0, []))
-        assert not is_connected(build_graph(2, []))

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from nearnormal.colouring import POOR, classify_all, try_3_edge_colouring
 from nearnormal.corpus import load_cubic_corpus
-from nearnormal.graph import GraphError, build_graph, girth
+from nearnormal.graph import GraphError, build_graph, girth, graphs_isomorphic
 from nearnormal.oracle import exists_normal
 from nearnormal.petersen import (
     NEITHER,
@@ -154,3 +156,22 @@ class TestIsPetersenGraph:
 
     def test_multigraph(self, triple):
         assert not is_petersen_graph(triple)
+
+    def test_agrees_with_isomorphism_on_corpus(self):
+        # n = 10 with the bridged graphs: the girth-5 rule against backtracking
+        model = build_kneser_petersen().graph()
+        graphs = load_cubic_corpus(10, bridgeless_only=False)
+        assert sum(is_petersen_graph(g) for g in graphs) == 1
+        for g in graphs:
+            assert is_petersen_graph(g) == graphs_isomorphic(g, model)
+
+    def test_agrees_with_isomorphism_on_relabellings(self, petersen):
+        model = build_kneser_petersen().graph()
+        rng = random.Random(10)
+        for _ in range(20):
+            perm = list(range(10))
+            rng.shuffle(perm)
+            edges = [(perm[u], perm[v]) for u, v in petersen.edges]
+            rng.shuffle(edges)
+            g = build_graph(10, edges)
+            assert is_petersen_graph(g) and graphs_isomorphic(g, model)

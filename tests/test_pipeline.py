@@ -7,11 +7,12 @@ import pytest
 
 import bench_families
 from nearnormal import factor
-from nearnormal.colouring import is_proper, medium_count
+from nearnormal.colouring import medium_count
 from nearnormal.corpus import load_cubic_corpus, petersen_graph, prism
 from nearnormal.graph import GraphError, build_graph
 from nearnormal.pipeline import colour_graph
 from nearnormal.reductions import reduce_fully
+from reference_classify import is_proper
 
 
 def expand_vertex_to_triangle(g, v):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import reference_reductions as ref
-from nearnormal.colouring import EdgeColouring, is_proper, medium_count
+from nearnormal.colouring import EdgeColouring, medium_count
 from nearnormal.corpus import CORPUS_ORDERS, complete_graph_k4, k33, load_cubic_corpus, petersen_graph, prism
 from nearnormal.graph import GraphError, adjacent_edges, build_graph, validate_input
 from nearnormal.pipeline import colour_graph
@@ -17,6 +17,7 @@ from nearnormal.reductions import (
     lift_triangle,
     reduce_fully,
 )
+from reference_classify import is_proper
 
 
 def double_double():

@@ -7,10 +7,11 @@ from __future__ import annotations
 import pytest
 
 import reference_search as ref
-from nearnormal.colouring import is_proper, try_3_edge_colouring
+from nearnormal.colouring import try_3_edge_colouring
 from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, moebius_ladder, prism
 from nearnormal.graph import GraphError
 from nearnormal.oracle import exists_normal, min_medium_exact
+from reference_classify import is_proper
 
 
 def _colours(c):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
-from nearnormal.corpus import load_cubic_corpus
-from nearnormal.factor import enumerate_perfect_matchings, two_factor_from_matching
+import bench_families
+import reference_selection as ref
+from nearnormal import selection
+from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus
+from nearnormal.factor import choose_two_factor, enumerate_perfect_matchings, two_factor_from_matching
 from nearnormal.graph import GraphError
 from nearnormal.selection import (
     CYCLE,
@@ -165,6 +169,57 @@ class TestFindOptimalSelection:
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
         assert sel.selected == frozenset({0, 1})
+
+
+def assert_same_selection(tf):
+    got, want = find_optimal_selection(tf), ref.find_optimal_selection(tf)
+    assert got.selected == want.selected
+    assert got.degree_of_cycle == want.degree_of_cycle
+
+
+class TestAgainstTwoPassReference:
+    """The one-pass search returns the two-pass search's selection."""
+
+    @pytest.mark.parametrize("n", CORPUS_ORDERS)
+    def test_every_corpus_two_factor(self, n):
+        for g in load_cubic_corpus(n):
+            for m in enumerate_perfect_matchings(g):
+                assert_same_selection(two_factor_from_matching(g, m))
+
+    @pytest.mark.parametrize("k", range(5, 32, 2))
+    def test_flower_snarks(self, k):
+        assert_same_selection(choose_two_factor(bench_families.flower_snark(k)))
+
+    @pytest.mark.parametrize("base_order", [4, 6, 8, 16])
+    def test_petersen_inflations(self, base_order):
+        g = bench_families.petersen_inflation(base_order, seed=base_order)
+        assert g.n == 9 * base_order
+        assert_same_selection(choose_two_factor(g))
+
+
+class TestSearchDepth:
+    def test_j1001_without_recursion(self):
+        # 1,001 eligible edges: the two-pass search recursed once per edge
+        tf = choose_two_factor(bench_families.flower_snark(1001))
+        assert len(eligible_edges(tf)) == 1001
+        start = time.perf_counter()
+        sel = find_optimal_selection(tf)
+        assert time.perf_counter() - start < 2.0
+        assert selection_violation(tf, sel.selected) is None
+        assert len(sel.selected) >= 1
+
+    def test_eligible_edges_called_once(self, petersen, monkeypatch):
+        # bench/tracing.py counts selection.eligible_edges through this name
+        calls = []
+        original = selection.eligible_edges
+
+        def counted(tf):
+            calls.append(tf)
+            return original(tf)
+
+        monkeypatch.setattr(selection, "eligible_edges", counted)
+        find_optimal_selection(petersen_tf(petersen))
+        assert len(calls) == 1
 
 
 class TestSComponents:
