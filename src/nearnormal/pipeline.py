@@ -1,12 +1,14 @@
 """End-to-end colouring pipeline.
 
 Reduce parallel pairs and triangles until the graph is simple and
-triangle-free (or the 2-vertex base case), take the 3-colouring shortcut
-when one exists, otherwise run the selection-driven construction, then lift
-the colouring back through the reduction stack, one working colour list
-indexed by the reductions' edge ids.  The final medium count is
-checked against the 4/5-per-vertex bound, strictly so off the Petersen
-graph.
+triangle-free (or the 2-vertex base case), then choose the 2-factor.  A
+2-factor with no odd cycle is a 3-edge-colouring, and the base is reported
+3-colourable with no search.  Otherwise the exhaustive 3-colour search runs:
+a colouring it finds is taken, and when it refutes one the selection-driven
+construction starts from the same 2-factor.  The colouring is lifted back
+through the reduction stack, one working colour list indexed by the
+reductions' edge ids, and the final medium count is checked against the
+4/5-per-vertex bound, strictly so off the Petersen graph.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from .colouring import (
     EdgeColouring,
     class_counts,
     construct_colouring,
+    even_two_factor_colouring,
     medium_count,  # noqa: F401  (bench/tracing.py wraps pipeline.medium_count by name)
     try_3_edge_colouring,
 )
@@ -45,15 +48,15 @@ def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, Colourin
     shapes = None
     audit_report = None
 
-    colouring = try_3_edge_colouring(base)
+    tf = choose_two_factor(base)
+    if tf.odd_cycles():
+        colouring = try_3_edge_colouring(base)
+    else:
+        colouring = even_two_factor_colouring(tf)
     if colouring is not None:
         base_branch = "3-colourable"
     else:
         base_branch = "constructed"
-        tf = choose_two_factor(base)
-        if len(tf.odd_cycles()) < 2:
-            raise GraphError("graph is not 3-edge-colourable yet its 2-factor has "
-                             "fewer than two odd cycles (bug)")
         sel = find_optimal_selection(tf)
         colouring = construct_colouring(base, tf, sel)
         cycle_lengths = tuple(len(cyc) for cyc in tf.cycles)

@@ -219,7 +219,8 @@ class TestAuditBuildsOnce:
         assert main(["audit", str(path)]) == want_code
         assert capsys.readouterr().out == want
         constructed = "vacuous" not in want
-        assert calls == Counter({"reduce_fully": 1} | {
+        # the 2-factor is chosen on every base, before the 3-colour search
+        assert calls == Counter({"reduce_fully": 1, "choose_two_factor": 1} | {
             attr: 1 for _module, attr in STAGES if constructed
         })
 

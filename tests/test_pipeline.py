@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import json
+import time
 from collections import Counter
 
 import pytest
 
 import bench_families
-from nearnormal import factor
+from nearnormal import factor, pipeline
 from nearnormal.colouring import medium_count
-from nearnormal.corpus import load_cubic_corpus, petersen_graph, prism
+from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, petersen_graph, prism
 from nearnormal.graph import GraphError, build_graph
 from nearnormal.pipeline import colour_graph
 from nearnormal.reductions import reduce_fully
@@ -177,3 +178,52 @@ class TestTwoFactorWithoutEnumeration:
         report = colour_graph(make())[1]
         assert report.base_branch == "constructed"
         assert calls["enumerate_perfect_matchings"] == 0
+
+
+class TestTwoFactorFirst:
+    """The pipeline chooses the 2-factor before any search: an even one is
+    the 3-colouring, and an odd one feeds the construction when the 3-colour
+    search refutes."""
+
+    def test_even_two_factor_is_the_colouring(self):
+        even = 0
+        for n in CORPUS_ORDERS:
+            for g in load_cubic_corpus(n):
+                base = reduce_fully(g)[0]
+                tf = factor.choose_two_factor(base)
+                if tf.odd_cycles():
+                    continue
+                even += 1
+                assert colour_graph(g)[1].base_branch == "3-colourable"
+                colouring, report = colour_graph(base)
+                assert report.base_branch == "3-colourable" and report.medium == 0
+                assert colouring.k == 3 and is_proper(base, colouring)
+                assert {e for e, col in enumerate(colouring.colour_of) if col == 3} == tf.matching
+        assert even > 500
+
+    def test_no_search_on_an_even_two_factor(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("3-colour search ran on an even 2-factor")
+
+        monkeypatch.setattr(pipeline, "try_3_edge_colouring", refuse)
+        assert colour_graph(prism(400))[1].base_branch == "3-colourable"
+
+    @pytest.mark.parametrize("k", [21, 31, 51])
+    def test_large_flower_snarks_construct(self, k, monkeypatch):
+        calls = Counter()
+        choose = pipeline.choose_two_factor
+
+        def counted(g):
+            calls["choose_two_factor"] += 1
+            return choose(g)
+
+        monkeypatch.setattr(pipeline, "choose_two_factor", counted)
+        g = bench_families.flower_snark(k)
+        start = time.perf_counter()
+        colouring, report = colour_graph(g)
+        assert time.perf_counter() - start < 10.0
+        assert report.base_branch == "constructed" and not report.reductions
+        assert calls["choose_two_factor"] == 1
+        assert report.bound_ok and not report.bound_tight and 5 * report.medium < 4 * g.n
+        assert report.audit_passed is True and report.audit_failures == ()
+        assert is_proper(g, colouring) and medium_count(g, colouring) == report.medium

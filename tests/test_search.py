@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import pytest
 
+import bench_families
 import reference_search as ref
+from nearnormal import colouring
 from nearnormal.colouring import try_3_edge_colouring
 from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, moebius_ladder, prism
 from nearnormal.graph import GraphError
@@ -67,3 +69,50 @@ def test_oracles_have_no_depth_limit():
     count, witness = min_medium_exact(g, 4)
     assert count == 0 and is_proper(g, witness)
     assert is_proper(g, exists_normal(g, 5))
+
+
+@pytest.fixture()
+def eager_table(monkeypatch):
+    """The 3-colour failure table from the first dead end, recording every
+    refuted position, so that small graphs exercise it."""
+    monkeypatch.setattr(colouring, "_TABLE_AFTER", 1)
+    monkeypatch.setattr(colouring, "_MIN_SUBTREE", -1)
+
+
+def _table_graphs():
+    yield from ((f"J{k}", bench_families.flower_snark(k)) for k in range(5, 15, 2))
+    for n in range(20, 46, 4):
+        for seed in range(3):
+            yield f"random{n}#{seed}", bench_families.random_cubic(n, seed, triangle_free=True)
+
+
+TABLE_GRAPHS = dict(_table_graphs())
+
+
+class TestFailureTable:
+    """The k = 3 search with its failure table finds the same colouring as
+    the recursive reference, or refutes where it refutes."""
+
+    @pytest.mark.parametrize("n", CORPUS_ORDERS)
+    def test_corpus(self, n, eager_table):
+        for g in load_cubic_corpus(n):
+            assert _colours(try_3_edge_colouring(g)) == _colours(ref.try_3_edge_colouring(g))
+
+    @pytest.mark.parametrize("name", TABLE_GRAPHS)
+    def test_snarks_and_random_graphs(self, name, eager_table):
+        g = TABLE_GRAPHS[name]
+        assert _colours(try_3_edge_colouring(g)) == _colours(ref.try_3_edge_colouring(g))
+
+    @pytest.mark.parametrize("name", TABLE_GRAPHS)
+    def test_with_the_default_thresholds(self, name):
+        g = TABLE_GRAPHS[name]
+        assert _colours(try_3_edge_colouring(g)) == _colours(ref.try_3_edge_colouring(g))
+
+    @pytest.mark.parametrize("limit, value", [("_REFUTED_CAP", 3), ("_MISSES_PER_EDGE", 0)])
+    @pytest.mark.parametrize("name", ["J9", "J13", "random44#0", "random44#2"])
+    def test_emptied_or_dropped_table(self, name, limit, value, eager_table, monkeypatch):
+        """A tiny cap empties the table again and again; no allowance for
+        misses drops it at the first one."""
+        monkeypatch.setattr(colouring, limit, value)
+        g = TABLE_GRAPHS[name]
+        assert _colours(try_3_edge_colouring(g)) == _colours(ref.try_3_edge_colouring(g))
