@@ -137,9 +137,9 @@ def _min_medium_search(
     subtree of more than ``_MIN_SUBTREE`` nodes, records that key as
     refuted, and a later visit with the same key backtracks at once.  A
     pruned subtree holds no colouring, so the witness is unchanged.  The
-    table holds at most ``_REFUTED_CAP`` keys and is emptied when full, and
-    it is dropped after ``_MISSES_PER_EDGE * m`` lookups in a row that
-    miss; both cost time, never soundness.
+    table holds at most ``_REFUTED_CAP`` keys.  When full it is emptied,
+    or dropped for the rest of the search if no visit has hit it since it
+    was last empty; both cost time, never soundness.
     """
     order = _bfs_edge_order(g)
     m = len(order)
@@ -167,12 +167,13 @@ def _min_medium_search(
         options = todo[i]
         if not options:
             colours[e] = 0
-            if wait:  # k = 3: dead ends left before the table; -1 while it is on
+            if wait:  # k = 3: dead ends left before the table; -1 once it is set up
+                if refuted and size >= _REFUTED_CAP:
+                    # full: emptied, or dropped for good if no visit hit it
+                    refuted = [None] * m if hit else None
+                    size = hit = 0
                 if refuted:
                     if nodes - since[i] > _MIN_SUBTREE:
-                        if size >= _REFUTED_CAP:
-                            refuted = [None] * m
-                            size = 0
                         known = refuted[i]
                         if known is None:
                             known = refuted[i] = set()
@@ -181,11 +182,11 @@ def _min_medium_search(
                     if i:
                         for p in dies[i - 1]:
                             live[p] = colours[order[p]]
-                else:
+                elif wait > 0:
                     wait -= 1
                     if not wait and i:
                         refuted, live, dies, lowest = _failure_table(order, pos, nbrs, colours, i - 1)
-                        size = nodes = misses = 0
+                        size = hit = nodes = 0
                         since = [0] * m
                         wait = -1
             i -= 1
@@ -220,31 +221,24 @@ def _min_medium_search(
             nodes += 1
             since[i] = nodes
             known = refuted[i]
-            if known:
-                if bytes(live[lowest[i]:i]) in known:
-                    todo[i] = 0
-                    misses = 0
-                else:
-                    misses += 1
-                    if misses > _MISSES_PER_EDGE * m:
-                        refuted = None
-                        wait = 0
+            if known and bytes(live[lowest[i]:i]) in known:
+                todo[i] = 0
+                hit = 1
     return best
 
 
 # The 3-colour failure table is set up after _TABLE_AFTER dead ends, so
 # that searches which hardly backtrack do not pay for it.  It records a
-# position only when its subtree took more than _MIN_SUBTREE nodes (smaller
-# ones are cheaper to search again), and holds at most _REFUTED_CAP keys
-# before it is emptied.  After _MISSES_PER_EDGE lookups per edge in a row
-# that find nothing it is dropped for the rest of the search: on wide
-# frontiers, as in random graphs, states do not repeat (no hit in 1.5
-# million lookups on a random graph with n = 120), while on the flower
-# snarks J101, J301 and J1001 no run of misses reaches 3.2 lookups per edge.
+# position only when its subtree took more than _MIN_SUBTREE nodes: a
+# table that records every dead end fills with leaf states, and emptying
+# it then throws away the few states that matter (the flower snark J301
+# takes more than a minute instead of 0.7 s).  A full table is emptied,
+# or dropped if it served no hit: on wide frontiers, as in random graphs,
+# no state comes back, and a table kept on there makes the search on a
+# random graph with n = 120 about twice as slow.
 _TABLE_AFTER = 5000
 _MIN_SUBTREE = 32
 _REFUTED_CAP = 1 << 16
-_MISSES_PER_EDGE = 32
 
 
 def _failure_table(order, pos, nbrs, colours, i):

@@ -108,11 +108,17 @@ class TestFailureTable:
         g = TABLE_GRAPHS[name]
         assert _colours(try_3_edge_colouring(g)) == _colours(ref.try_3_edge_colouring(g))
 
-    @pytest.mark.parametrize("limit, value", [("_REFUTED_CAP", 3), ("_MISSES_PER_EDGE", 0)])
+    @pytest.mark.parametrize("cap", [3, 256, 512])
     @pytest.mark.parametrize("name", ["J9", "J13", "random44#0", "random44#2"])
-    def test_emptied_or_dropped_table(self, name, limit, value, eager_table, monkeypatch):
-        """A tiny cap empties the table again and again; no allowance for
-        misses drops it at the first one."""
-        monkeypatch.setattr(colouring, limit, value)
+    def test_tiny_cap(self, name, cap, eager_table, monkeypatch):
+        """A tiny cap fills the table again and again: it is emptied when a
+        visit has hit it, and dropped for good when none has."""
+        monkeypatch.setattr(colouring, "_REFUTED_CAP", cap)
         g = TABLE_GRAPHS[name]
         assert _colours(try_3_edge_colouring(g)) == _colours(ref.try_3_edge_colouring(g))
+
+    def test_large_flower_snark(self):
+        """J301 (n = 1,204) is refuted with the default thresholds.  A table
+        that recorded every dead end would fill with leaf states, and
+        emptying it would throw the costly ones away again and again."""
+        assert try_3_edge_colouring(bench_families.flower_snark(301)) is None
