@@ -198,9 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact brute-force searches")
     p.add_argument("graph")
     p.add_argument("--k", type=int, required=True, choices=(3, 4, 5, 6))
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--min-medium", action="store_true", default=True)
-    mode.add_argument("--exists-normal", dest="exists_normal", action="store_true")
+    p.add_argument("--exists-normal", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("audit", help="pipeline plus full discharging audit")

@@ -112,16 +112,16 @@ def _bfs_edge_order(g: MultiGraph) -> list[int]:
 
 
 def _min_medium_search(
-    g: MultiGraph, k: int, bound: float = math.inf, symmetry_break: bool = True
+    g: MultiGraph, k: int, bound: float = math.inf
 ) -> tuple[int, tuple[int, ...]] | None:
     """Branch and bound over the proper k-edge-colourings of ``g``.
 
     Returns the fewest medium edges below ``bound`` together with the first
     colouring in search order that has that many, or ``None`` when every
     proper k-edge-colouring has at least ``bound``.  Edges are coloured in
-    :func:`_bfs_edge_order`, colours are tried from low to high, and with
-    ``symmetry_break`` the edges at vertex 0 are pinned to 1, 2, 3 in
-    edge-id order (sound: classes do not change when colours are renamed).
+    :func:`_bfs_edge_order`, colours are tried from low to high, and the
+    edges at vertex 0 are pinned to 1, 2, 3 in edge-id order (sound:
+    classes do not change when colours are renamed).
     An edge's class is frozen when its last neighbour is coloured; a branch
     dies once its frozen mediums reach the bound, each complete colouring
     lowers the bound to its own count, and the search stops at 0.  The stack
@@ -154,7 +154,7 @@ def _min_medium_search(
     wait = _TABLE_AFTER if k == 3 else 0
     refuted = None  # the failure table, per position
     palette = [(1 << (k + 1)) - 2] * m
-    if symmetry_break and g.n and g.degree(0) == 3:
+    if g.n and g.degree(0) == 3:
         for col, e in enumerate(sorted(g.incident_edges(0)), start=1):
             palette[pos[e]] = 1 << col
     colours = [0] * g.m
@@ -432,6 +432,11 @@ def construct_colouring(g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> Edg
     * every selected edge is adjacent to two colour-3 edges;
     * a selected edge is medium only in a component whose quotient is an
       odd cycle, and then it is the unique one there.
+
+    Only the input is checked here (same graph, simple, triangle-free; the
+    selection in :func:`place_colour_3`).  The output's properties are
+    checked by :func:`discharging.run_discharging`, whose rules rely on
+    them, on the classes it computes anyway.
     """
     if tf.graph != g:
         raise ColouringError("two-factor belongs to a different graph")
@@ -454,18 +459,14 @@ def construct_colouring(g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> Edg
         cols[e] = col
     if any(col == 0 for col in cols):
         raise ColouringError("construction left an edge uncoloured")
-    colouring = EdgeColouring(4, tuple(cols))
-    problems = construction_violations(g, tf, sel, colouring)
-    if problems:
-        raise ColouringError("constructed colouring violates: " + "; ".join(problems))
-    return colouring
+    return EdgeColouring(4, tuple(cols))
 
 
 def bullet_violations(
-    g: MultiGraph, tf: TwoFactor, sel: EdgeSelection, c: EdgeColouring, classes: tuple[str, ...]
+    g: MultiGraph, tf: TwoFactor, sel: EdgeSelection, c: EdgeColouring, mediums: frozenset[int]
 ) -> list[str]:
     """Audit the five structural properties of the construction;
-    ``classes`` is ``classify_all(g, c)``."""
+    ``mediums`` is the set of ``c``'s medium edges."""
     out: list[str] = []
     for e in range(g.m):
         if (e in tf.matching) != (c.colour_of[e] == 4):
@@ -485,7 +486,7 @@ def bullet_violations(
         )
         if adj3 != 2:
             out.append(f"selected edge {e}: adjacent to {adj3} colour-3 edges")
-    medium_sel = {e for e in sel.selected if classes[e] == MEDIUM}
+    medium_sel = sel.selected & mediums
     for comp in s_components(tf, sel):
         inside = medium_sel & comp.associated_edges
         odd_quotient = comp.shape == CYCLE and len(comp.cycles) % 2 == 1
@@ -498,22 +499,13 @@ def bullet_violations(
     return out
 
 
-def fact_one_violations(tf: TwoFactor, classes: tuple[str, ...]) -> list[str]:
-    """Per-cycle medium counts: 0 on even cycles, exactly 3 on odd ones,
-    from the classes of the colouring's edges."""
+def fact_one_violations(tf: TwoFactor, mediums: frozenset[int]) -> list[str]:
+    """Per-cycle medium counts: 0 on even cycles, exactly 3 on odd ones;
+    ``mediums`` is the set of the colouring's medium edges."""
     out: list[str] = []
     for cyc, eids in enumerate(tf.cycle_edges):
-        mediums = sum(1 for e in eids if classes[e] == MEDIUM)
+        count = sum(1 for e in eids if e in mediums)
         want = 3 if len(eids) % 2 else 0
-        if mediums != want:
-            out.append(f"cycle {cyc}: {mediums} medium cycle edges, expected {want}")
+        if count != want:
+            out.append(f"cycle {cyc}: {count} medium cycle edges, expected {want}")
     return out
-
-
-def construction_violations(
-    g: MultiGraph, tf: TwoFactor, sel: EdgeSelection, c: EdgeColouring
-) -> list[str]:
-    """Five-bullet audit plus the per-cycle medium counts; empty means clean.
-    Raises :class:`ColouringError` when ``c`` is not proper."""
-    classes = classify_all(g, c)
-    return bullet_violations(g, tf, sel, c, classes) + fact_one_violations(tf, classes)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .colouring import MEDIUM, EdgeColouring, _attachments, classify_all
+from .colouring import MEDIUM, ColouringError, EdgeColouring, _attachments, classify_all
+from .colouring import bullet_violations, fact_one_violations
 from .factor import TwoFactor
 from .graph import GraphError, MultiGraph
 from .selection import CYCLE, EdgeSelection, s_components
@@ -42,7 +43,7 @@ class ChargeLedger:
     snapshots: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=dict)
     log: list[Transfer] = field(default_factory=list)
 
-    def move_from_edge(self, rule: str, e: int, target: int, tenths: int, via: int | None = None) -> None:
+    def move_from_edge(self, rule: str, e: int, target: int, tenths: int) -> None:
         if self.edge_tenths[e] < tenths:
             raise DischargingError(f"edge {e} cannot send {tenths} tenths")
         self.edge_tenths[e] -= tenths
@@ -84,7 +85,7 @@ def _three_edges(tf: TwoFactor, c: EdgeColouring) -> dict[int, int]:
     return out
 
 
-def apply_r0(ledger: ChargeLedger, g: MultiGraph, tf: TwoFactor, c: EdgeColouring) -> ChargeLedger:
+def apply_r0(ledger: ChargeLedger, tf: TwoFactor) -> ChargeLedger:
     """Every medium edge on a cycle sends its whole unit to that cycle."""
     for e in sorted(ledger.medium_edges):
         if tf.cycle_of_edge[e] >= 0:
@@ -143,13 +144,7 @@ def _cyclic_distance(tf: TwoFactor, c: int, a: int, b: int) -> int:
     return min(d, ell - d)
 
 
-def apply_r2_r3_r4(
-    ledger: ChargeLedger,
-    g: MultiGraph,
-    tf: TwoFactor,
-    sel: EdgeSelection,
-    c: EdgeColouring,
-) -> ChargeLedger:
+def apply_r2_r3_r4(ledger: ChargeLedger, tf: TwoFactor, sel: EdgeSelection) -> ChargeLedger:
     """The cycle-to-cycle rules, all firing out of length-5 cycles.
 
     The guards depend only on the structure (cycle lengths, selection
@@ -191,10 +186,21 @@ def apply_r2_r3_r4(
 def run_discharging(
     g: MultiGraph, tf: TwoFactor, sel: EdgeSelection, c: EdgeColouring
 ) -> ChargeLedger:
+    """The ledger after rules R0-R4 on the constructed colouring ``c``.
+
+    The rules assume the construction's structural properties (see
+    :func:`colouring.construct_colouring`), so they are checked here, on
+    the ledger's medium edges, before any rule fires; a violation raises
+    :class:`ColouringError`.
+    """
     ledger = initial_ledger(g, tf, c)
-    apply_r0(ledger, g, tf, c)
+    mediums = ledger.medium_edges
+    problems = bullet_violations(g, tf, sel, c, mediums) + fact_one_violations(tf, mediums)
+    if problems:
+        raise ColouringError("constructed colouring violates: " + "; ".join(problems))
+    apply_r0(ledger, tf)
     apply_r1(ledger, g, tf, c)
-    apply_r2_r3_r4(ledger, g, tf, sel, c)
+    apply_r2_r3_r4(ledger, tf, sel)
     return ledger
 
 
@@ -218,13 +224,7 @@ class AuditReport:
         return next((chk for chk in self.checks if not chk.ok), None)
 
 
-def audit(
-    ledger: ChargeLedger,
-    g: MultiGraph,
-    tf: TwoFactor,
-    sel: EdgeSelection,
-    c: EdgeColouring,
-) -> AuditReport:
+def audit(ledger: ChargeLedger, g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> AuditReport:
     """Replay every charge bound the counting argument asserts.
 
     Conservation at each snapshot; all edges discharged after R1; the
@@ -336,4 +336,4 @@ def audit(
 def run_audit(
     g: MultiGraph, tf: TwoFactor, sel: EdgeSelection, c: EdgeColouring
 ) -> AuditReport:
-    return audit(run_discharging(g, tf, sel, c), g, tf, sel, c)
+    return audit(run_discharging(g, tf, sel, c), g, tf, sel)

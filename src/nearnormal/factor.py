@@ -29,8 +29,7 @@ class TwoFactor:
     ``cycle_edges[c][i]`` is the edge joining ``cycles[c][i]`` to
     ``cycles[c][(i+1) % len]``.  ``position[v]`` is the index of ``v`` in
     its cycle, and ``cycle_of_edge[e]`` the cycle of edge ``e`` (-1 on
-    matching edges).  ``partner[v]`` is the matched neighbour of ``v`` and
-    ``matching_edge_of[v]`` the matching edge at ``v``.
+    matching edges).  ``partner[v]`` is the matched neighbour of ``v``.
     """
 
     graph: MultiGraph
@@ -41,7 +40,6 @@ class TwoFactor:
     position: tuple[int, ...]
     cycle_of_edge: tuple[int, ...]
     partner: tuple[int, ...]
-    matching_edge_of: tuple[int, ...]
 
     def cycle_length(self, c: int) -> int:
         return len(self.cycles[c])
@@ -120,11 +118,9 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
     if not is_perfect_matching(g, matching):
         raise GraphError("not a perfect matching of this graph")
     partner = [-1] * g.n
-    matching_edge_of = [-1] * g.n
     for e in matching:
         u, v = g.endpoints(e)
         partner[u], partner[v] = v, u
-        matching_edge_of[u] = matching_edge_of[v] = e
     cycle_inc: list[list[int]] = [[] for _ in range(g.n)]
     for e in range(g.m):
         if e in matching:
@@ -175,7 +171,6 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
         position=tuple(position),
         cycle_of_edge=tuple(cycle_of_edge),
         partner=tuple(partner),
-        matching_edge_of=tuple(matching_edge_of),
     )
 
 

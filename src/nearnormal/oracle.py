@@ -23,18 +23,15 @@ def _check_oracle_input(g: MultiGraph, k: int) -> None:
         raise GraphError(f"oracle requires a validated input: {diag.reason}")
 
 
-def min_medium_exact(
-    g: MultiGraph, k: int, symmetry_break: bool = True
-) -> tuple[int, EdgeColouring]:
+def min_medium_exact(g: MultiGraph, k: int) -> tuple[int, EdgeColouring]:
     """Exact minimum of medium edges over all proper k-edge-colourings,
     with the lexicographically first optimal witness in search order.
 
     Colour symmetry is broken by pinning the three colours at vertex 0
-    (classes are invariant under colour renaming, so the count is exact);
-    disable it only to cross-check that very fact.
+    (classes are invariant under colour renaming, so the count is exact).
     """
     _check_oracle_input(g, k)
-    found = _min_medium_search(g, k, symmetry_break=symmetry_break)
+    found = _min_medium_search(g, k)
     if found is None:
         raise GraphError(f"graph admits no proper {k}-edge-colouring")
     return found[0], EdgeColouring(k, found[1])

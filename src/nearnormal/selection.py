@@ -70,8 +70,8 @@ def consecutive(tf: TwoFactor, e1: int, e2: int, c: int) -> bool:
 def selection_violation(tf: TwoFactor, selected) -> str | None:
     """Name the first violated defining property, or None if valid.
 
-    This re-checks the three properties directly from the definitions; the
-    optimiser never uses it, so tests can play it against the search.
+    This re-checks the three properties directly from the definitions;
+    :func:`colouring.place_colour_3` runs it on every selection it uses.
     """
     odd = set(tf.odd_cycles())
     per_cycle: dict[int, list[int]] = {}
@@ -113,6 +113,8 @@ def find_optimal_selection(tf: TwoFactor) -> EdgeSelection:
     optimum.  A node is pruned when the ``left`` undecided edges cannot
     lift it past the best: each adds one to the size and at most two
     degree-2 cycles, and the degree-2 count never falls as edges are added.
+    The result is not checked here: :func:`colouring.place_colour_3` checks
+    every selection it is handed with :func:`selection_violation`.
     """
     edges = sorted(eligible_edges(tf))
     k = len(edges)
@@ -153,9 +155,6 @@ def find_optimal_selection(tf: TwoFactor) -> EdgeSelection:
             deg[c] -= 1
         size -= 1
         taken[-1] = False
-    violation = selection_violation(tf, selected)
-    if violation is not None:
-        raise GraphError(f"search produced an invalid selection: {violation}")
     return EdgeSelection(selected=selected, degree_of_cycle=_degrees(tf, selected))
 
 

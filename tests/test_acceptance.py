@@ -20,7 +20,7 @@ from nearnormal.colouring import (
     try_3_edge_colouring,
 )
 from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, petersen_graph
-from nearnormal.discharging import run_audit
+from nearnormal.discharging import initial_ledger, run_audit
 from nearnormal.factor import choose_two_factor
 from nearnormal.graph import adjacent_edges
 from nearnormal.oracle import exists_normal, min_medium_exact
@@ -154,7 +154,7 @@ def test_criterion_3_discharging_audit(constructed_instances):
 def test_criterion_4_fact_one_replay(constructed_instances):
     failures = []
     for name, g, tf, _sel, col in constructed_instances:
-        problems = fact_one_violations(tf, classify_all(g, col))
+        problems = fact_one_violations(tf, initial_ledger(g, tf, col).medium_edges)
         if problems:
             failures.append((name, problems))
     _report(
@@ -169,7 +169,7 @@ def test_criterion_4_fact_one_replay(constructed_instances):
 def test_criterion_5_five_bullet_audit(constructed_instances):
     failures = []
     for name, g, tf, sel, col in constructed_instances:
-        problems = bullet_violations(g, tf, sel, col, classify_all(g, col))
+        problems = bullet_violations(g, tf, sel, col, initial_ledger(g, tf, col).medium_edges)
         if problems:
             failures.append((name, problems))
     _report(

@@ -144,7 +144,7 @@ def reference_audit(path: str) -> int:
     sel = find_optimal_selection(tf)
     constructed = construct_colouring(base, tf, sel)
     ledger = run_discharging(base, tf, sel, constructed)
-    audit_report = audit(ledger, base, tf, sel, constructed)
+    audit_report = audit(ledger, base, tf, sel)
     for chk in audit_report.checks:
         status = "ok " if chk.ok else "FAIL"
         detail = f" ({chk.detail})" if chk.detail else ""

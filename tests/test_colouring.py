@@ -8,16 +8,18 @@ from nearnormal.colouring import (
     RICH,
     ColouringError,
     EdgeColouring,
+    bullet_violations,
     classify_all,
     classify_edge,
     construct_colouring,
-    construction_violations,
+    fact_one_violations,
     medium_count,
     place_colour_3,
     solve_path_phases,
     try_3_edge_colouring,
 )
 from nearnormal.corpus import load_cubic_corpus
+from nearnormal.discharging import initial_ledger
 from nearnormal.factor import (
     enumerate_perfect_matchings,
     two_factor_from_matching,
@@ -35,6 +37,13 @@ from witnesses import (
     two_factor_of,
 )
 from reference_classify import is_proper
+
+
+def construction_violations(g, tf, sel, col):
+    """The structural check ``discharging.run_discharging`` runs before its
+    rules; empty means clean."""
+    mediums = initial_ledger(g, tf, col).medium_edges
+    return bullet_violations(g, tf, sel, col, mediums) + fact_one_violations(tf, mediums)
 
 
 def known_eight_medium_colouring():

@@ -44,14 +44,14 @@ class TestR0:
     def test_cycle_charges_after_r0(self, petersen):
         g, tf, sel, col = petersen_setup(petersen)
         ledger = initial_ledger(g, tf, col)
-        apply_r0(ledger, g, tf, col)
+        apply_r0(ledger, tf)
         # both cycles are odd: exactly 3 medium cycle edges = 30 tenths each
         assert ledger.cycle_tenths == [30, 30]
 
     def test_even_cycles_receive_nothing(self):
         g, tf, sel, col = constructed(r3_pair())
         ledger = initial_ledger(g, tf, col)
-        apply_r0(ledger, g, tf, col)
+        apply_r0(ledger, tf)
         for c in range(len(tf.cycles)):
             expected = 30 if len(tf.cycles[c]) % 2 else 0
             assert ledger.cycle_tenths[c] == expected
@@ -60,7 +60,7 @@ class TestR0:
         g, tf, sel, col = petersen_setup(petersen)
         ledger = initial_ledger(g, tf, col)
         before = {e: ledger.edge_tenths[e] for e in tf.matching}
-        apply_r0(ledger, g, tf, col)
+        apply_r0(ledger, tf)
         assert {e: ledger.edge_tenths[e] for e in tf.matching} == before
 
 
@@ -68,7 +68,7 @@ class TestR1:
     def test_every_edge_discharged(self, petersen):
         g, tf, sel, col = petersen_setup(petersen)
         ledger = initial_ledger(g, tf, col)
-        apply_r0(ledger, g, tf, col)
+        apply_r0(ledger, tf)
         apply_r1(ledger, g, tf, col)
         assert all(t == 0 for t in ledger.edge_tenths)
 
@@ -214,7 +214,7 @@ class TestAudit:
         g, tf, sel, col = petersen_setup(petersen)
         ledger = run_discharging(g, tf, sel, col)
         assert ledger.total_tenths() == 80
-        report = audit(ledger, g, tf, sel, col)
+        report = audit(ledger, g, tf, sel)
         assert report.passed
 
     def test_odd_quotient_inequality_instantiated(self):
@@ -230,7 +230,7 @@ class TestAudit:
         g, tf, sel, col = petersen_setup(petersen)
         ledger = run_discharging(g, tf, sel, col)
         ledger.cycle_tenths[0] += 10  # break conservation after the fact
-        report = audit(ledger, g, tf, sel, col)
+        report = audit(ledger, g, tf, sel)
         assert not report.passed
         assert report.first_failure() is not None
 

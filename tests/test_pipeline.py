@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 
 import pytest
 
 import bench_families
 from nearnormal import factor, pipeline
-from nearnormal.colouring import medium_count
+from nearnormal.colouring import ColouringError, EdgeColouring, classify_all, medium_count
 from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, petersen_graph, prism
 from nearnormal.graph import GraphError, build_graph
 from nearnormal.pipeline import colour_graph
 from nearnormal.reductions import reduce_fully
+from nearnormal.selection import EdgeSelection, selection_violation
 from reference_classify import is_proper
 
 
@@ -224,3 +226,69 @@ class TestTwoFactorFirst:
         assert report.bound_ok and not report.bound_tight and 5 * report.medium < 4 * g.n
         assert report.audit_passed is True and report.audit_failures == ()
         assert is_proper(g, colouring) and medium_count(g, colouring) == report.medium
+
+
+def kempe_swap(g, colour_of, e, a, b):
+    """Swap colours ``a`` and ``b`` along the {a, b} chain through edge ``e``."""
+    cols = list(colour_of)
+    chain, stack = {e}, [e]
+    while stack:
+        for v in g.endpoints(stack.pop()):
+            for f in g.incident_edges(v):
+                if cols[f] in (a, b) and f not in chain:
+                    chain.add(f)
+                    stack.append(f)
+    for f in chain:
+        cols[f] = b if cols[f] == a else a
+    return tuple(cols)
+
+
+class TestEachCheckOnce:
+    """The constructed colouring is classified once for the charge rules and
+    once after the lift; the selection is checked once, where the
+    construction uses it.  Both checks still run on the pipeline path."""
+
+    @pytest.mark.parametrize("make", [
+        petersen_graph,
+        lambda: bench_families.flower_snark(15),
+        lambda: expand_vertex_to_triangle(petersen_graph(), 0),
+    ], ids=["petersen", "J15", "truncated-petersen"])
+    def test_classify_twice_and_check_the_selection_once(self, make, monkeypatch):
+        calls = Counter()
+        for original in (classify_all, selection_violation):
+            def counted(*args, _f=original, **kwargs):
+                calls[_f.__name__] += 1
+                return _f(*args, **kwargs)
+
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("nearnormal") and getattr(mod, original.__name__, None) is original:
+                    monkeypatch.setattr(mod, original.__name__, counted)
+        report = colour_graph(make())[1]
+        assert report.base_branch == "constructed" and report.audit_passed is True
+        assert calls == {"classify_all": 2, "selection_violation": 1}
+
+    def test_structural_violation_is_caught(self, petersen, monkeypatch):
+        construct = pipeline.construct_colouring
+
+        def swapped(g, tf, sel):
+            col = construct(g, tf, sel)
+            three = col.colour_of.index(3)
+            return EdgeColouring(4, kempe_swap(g, col.colour_of, three, 3, 4))
+
+        monkeypatch.setattr(pipeline, "construct_colouring", swapped)
+        tf = factor.choose_two_factor(petersen)
+        bad = swapped(petersen, tf, pipeline.find_optimal_selection(tf))
+        assert is_proper(petersen, bad)
+        with pytest.raises(ColouringError, match="^constructed colouring violates: "):
+            colour_graph(petersen)
+
+    def test_invalid_selection_is_caught(self, petersen, monkeypatch):
+        def two_spokes(tf):
+            # any two matching edges of Petersen's 2-factor are consecutive
+            # on at most one of its two 5-cycles
+            pair = frozenset(sorted(tf.matching)[:2])
+            return EdgeSelection(selected=pair, degree_of_cycle=(2, 2))
+
+        monkeypatch.setattr(pipeline, "find_optimal_selection", two_spokes)
+        with pytest.raises(ColouringError, match="^invalid selection: selected edges at cycle"):
+            colour_graph(petersen)

@@ -20,9 +20,9 @@ def _colours(c):
     return None if c is None else (c.k, c.colour_of)
 
 
-def _minimum(search, g, k, symmetry_break=True):
+def _minimum(search, g, k):
     try:
-        count, witness = search(g, k, symmetry_break)
+        count, witness = search(g, k)
     except GraphError as exc:
         return str(exc)
     return count, _colours(witness)
@@ -40,15 +40,6 @@ def test_three_colouring_matches_reference(n):
 def test_minimum_matches_reference(n, k):
     for g in load_cubic_corpus(n):
         assert _minimum(min_medium_exact, g, k) == _minimum(ref.min_medium_exact, g, k)
-
-
-@pytest.mark.parametrize("n", [n for n in CORPUS_ORDERS if n <= 8])
-def test_minimum_without_symmetry_break_matches_reference(n):
-    for g in load_cubic_corpus(n):
-        for k in (4, 5):
-            assert _minimum(min_medium_exact, g, k, False) == _minimum(
-                ref.min_medium_exact, g, k, False
-            )
 
 
 @pytest.mark.parametrize("n", [n for n in CORPUS_ORDERS if n <= 10])

@@ -31,6 +31,10 @@ def petersen_tf(petersen):
     return two_factor_from_matching(petersen, frozenset(range(10, 15)))
 
 
+def matching_edge_at(tf, v):
+    return next(e for e in tf.graph.incident_edges(v) if e in tf.matching)
+
+
 def brute_force_optimum(tf):
     """Independent oracle: score every subset of the eligible edges."""
     pool = sorted(eligible_edges(tf))
@@ -79,8 +83,8 @@ class TestConsecutive:
     def test_outer_cycle_adjacent_spokes(self, petersen):
         tf = petersen_tf(petersen)
         outer = tf.cycle_of_vertex[0]
-        e01 = tf.matching_edge_of[0]
-        e11 = tf.matching_edge_of[1]
+        e01 = matching_edge_at(tf, 0)
+        e11 = matching_edge_at(tf, 1)
         assert consecutive(tf, e01, e11, outer)
 
     def test_inner_pentagram_not_adjacent(self, petersen):
@@ -88,8 +92,8 @@ class TestConsecutive:
         # pentagram's cyclic order 5,7,9,6,8
         tf = petersen_tf(petersen)
         inner = tf.cycle_of_vertex[5]
-        e01 = tf.matching_edge_of[5]
-        e11 = tf.matching_edge_of[6]
+        e01 = matching_edge_at(tf, 5)
+        e11 = matching_edge_at(tf, 6)
         assert not consecutive(tf, e01, e11, inner)
 
     def test_same_edge_rejected(self, petersen):
@@ -102,7 +106,7 @@ class TestConsecutive:
         outer = tf.cycle_of_vertex[0]
         inner_edge = tf.cycle_edges[tf.cycle_of_vertex[5]][0]
         with pytest.raises(GraphError, match="endpoint"):
-            consecutive(tf, inner_edge, tf.matching_edge_of[0], outer)
+            consecutive(tf, inner_edge, matching_edge_at(tf, 0), outer)
 
 
 class TestFindOptimalSelection:
