@@ -6,21 +6,24 @@ Colours are integers 1..k.  An edge is poor/medium/rich according to how many
 distinct colours its adjacent edges carry (2/3/4); a colouring with no medium
 edge is normal.
 
-One search, :func:`_min_medium_search`, serves both the 3-colour attempt
-:func:`try_3_edge_colouring` and the oracles in :mod:`nearnormal.oracle`;
-at k = 3 it caches refuted frontier states in a bounded failure table.  A
-2-factor with no odd cycle needs no search: :func:`even_two_factor_colouring`
-reads the 3-colouring off it.
+A 3-edge-colouring is first sought without search:
+:func:`kempe_3_colouring` reads it off a 2-factor with no odd cycle, and
+repairs one with odd cycles by a budgeted run of Kempe chain swaps.  One
+exhaustive search, :func:`_min_medium_search`, serves both the exact
+3-colour attempt :func:`try_3_edge_colouring`, which decides when the
+repair gives up, and the oracles in :mod:`nearnormal.oracle`; at k = 3 it
+caches refuted frontier states in a bounded failure table.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from dataclasses import dataclass
 
 from .factor import TwoFactor
-from .graph import GraphError, MultiGraph, adjacent_edges, triangles_through
+from .graph import GraphError, MultiGraph, adjacent_edges, find_triangles
 from .selection import CYCLE, EdgeSelection, s_components, selection_violation
 
 POOR = "poor"
@@ -267,16 +270,146 @@ def _failure_table(order, pos, nbrs, colours, i):
     return [None] * m, live, dies, lowest
 
 
-def even_two_factor_colouring(tf: TwoFactor) -> EdgeColouring:
-    """The proper 3-edge-colouring that a 2-factor with no odd cycle is:
-    colours 1 and 2 alternate along every cycle, and the matching takes 3."""
-    if tf.odd_cycles():
-        raise ColouringError("the 2-factor has odd cycles")
-    cols = [3] * tf.graph.m
+# The perturbing chain swaps kempe_3_colouring may make before it gives
+# up, and the seed of the generator that picks them.  A base with no
+# 3-colouring pays all of them before the exact search refutes it.  With 16,
+# the repair colours 158 of the 169 class1_random bases (seed 47) whose
+# 2-factor is odd; scripts/kempe_budget.py prints this and the moves that
+# seeded random graphs need without a cap.
+_KEMPE_MOVES = 16
+_KEMPE_SEED = 0
+
+
+def kempe_3_colouring(tf: TwoFactor) -> EdgeColouring | None:
+    """A proper 3-edge-colouring repaired from the 2-factor ``tf`` by Kempe
+    chain swaps, or ``None`` when the repair gives up.
+
+    Colours 1 and 2 alternate along every cycle and the matching takes 3;
+    the last edge of each odd cycle stays uncoloured, a *defect*.  A defect
+    uv whose ends miss colours a and b is coloured a: at once if a = b,
+    else after swapping the (a, b) chain from v, unless that chain ends at
+    u.  By the parity lemma every colour is missing at an even number of
+    vertices, so a lone last defect always has a = b.  When every defect's
+    chain ends at its own edge, one move perturbs the colouring: it swaps
+    the (p, q) chain through an end x of a defect, a path or a cycle.
+    Mostly p is a or b and q the colour missing at neither end, which links
+    the defect to the rest of the graph; one move in seven takes the
+    defect's own (a, b), without which the moves can cycle among a few
+    colourings.
+    A generator seeded with ``_KEMPE_SEED``, not the global one, picks the
+    defect, the pair and x, so reruns are identical.  After
+    ``_KEMPE_MOVES`` moves the repair gives up.
+
+    A 2-factor with no odd cycle has no defect: it is the colouring.  The
+    result is checked to show 1, 2 and 3 at every vertex.  ``None`` decides
+    nothing about 3-colourability.
+    """
+    g = tf.graph
+    edges = g.edges
+    cols = [3] * g.m
+    at = [-1] * (4 * g.n)  # at[4 * v + c]: the edge of colour c at v, -1 when v misses c
+    for e in tf.matching:
+        u, v = edges[e]
+        at[4 * u + 3] = at[4 * v + 3] = e
+    defects = []
     for eids in tf.cycle_edges:
         for t, e in enumerate(eids):
-            cols[e] = 1 + (t & 1)
+            if t == len(eids) - 1 and t % 2 == 0:
+                cols[e] = 0
+                defects.append(e)
+                continue
+            col = cols[e] = 1 + (t & 1)
+            u, v = edges[e]
+            at[4 * u + col] = at[4 * v + col] = e
+    rng = None
+    moves = 0
+    while defects:
+        stuck = []
+        for e in defects:
+            u, v = edges[e]
+            a, b = _missing(at, u), _missing(at, v)
+            if a != b:
+                if _chain_end(at, edges, v, b, a) == u:
+                    stuck.append(e)
+                    continue
+                _swap(at, cols, *_kempe_chain(at, edges, v, b, a), a, b)
+            cols[e] = a
+            at[4 * u + a] = at[4 * v + a] = e
+        if len(stuck) == len(defects):
+            if moves == _KEMPE_MOVES:
+                return None
+            moves += 1
+            rng = rng or random.Random(_KEMPE_SEED)
+            ends = edges[stuck[rng.randrange(len(stuck))]]
+            a, b = _missing(at, ends[0]), _missing(at, ends[1])
+            p, q = (a, b) if rng.randrange(7) == 0 else (rng.choice((a, b)), 6 - a - b)
+            x = ends[rng.randrange(2)]
+            _swap(at, cols, *_component(at, edges, x, p, q), p, q)
+        defects = stuck
+    seen = [0] * g.n
+    for e, (u, v) in enumerate(edges):
+        seen[u] |= 1 << cols[e]
+        seen[v] |= 1 << cols[e]
+    if any(s != 0b1110 for s in seen):
+        raise ColouringError("Kempe repair left a vertex without all of 1, 2, 3")
     return EdgeColouring(3, tuple(cols))
+
+
+def _missing(at: list[int], x: int) -> int:
+    """The colour missing at ``x``, a vertex with an uncoloured edge."""
+    return 1 if at[4 * x + 1] < 0 else 2 if at[4 * x + 2] < 0 else 3
+
+
+def _chain_end(at, edges, x: int, p: int, q: int) -> int:
+    """The last vertex of :func:`_kempe_chain` from ``x``, which misses p."""
+    col = q
+    e = at[4 * x + q]
+    while e >= 0:
+        a, b = edges[e]
+        x = a ^ b ^ x
+        col ^= p ^ q
+        e = at[4 * x + col]
+    return x
+
+
+def _kempe_chain(at, edges, x: int, p: int, q: int) -> tuple[list[int], list[int]]:
+    """The vertices (from ``x``) and edges of the chain of colours p and q
+    that leaves ``x`` by its q edge, up to a vertex that misses the next
+    colour or back at ``x``, which then is not listed twice."""
+    start = x
+    verts, path = [x], []
+    col = q
+    e = at[4 * x + q]
+    while e >= 0:
+        path.append(e)
+        a, b = edges[e]
+        x = a ^ b ^ x
+        if x == start:
+            break
+        verts.append(x)
+        col ^= p ^ q
+        e = at[4 * x + col]
+    return verts, path
+
+
+def _component(at, edges, x: int, p: int, q: int) -> tuple[list[int], list[int]]:
+    """The vertices and edges of the (p, q) Kempe chain through ``x``: a
+    path or a cycle of edges coloured p and q alternately."""
+    verts, path = _kempe_chain(at, edges, x, p, q)
+    back = at[4 * x + p]
+    if back >= 0 and (not path or path[-1] != back):  # else a cycle closed by back
+        more, rest = _kempe_chain(at, edges, x, q, p)
+        verts += more[1:]
+        path += rest
+    return verts, path
+
+
+def _swap(at, cols, verts, path, p: int, q: int) -> None:
+    """Exchange colours p and q along a chain from :func:`_kempe_chain`."""
+    for e in path:
+        cols[e] ^= p ^ q
+    for x in verts:
+        at[4 * x + p], at[4 * x + q] = at[4 * x + q], at[4 * x + p]
 
 
 def try_3_edge_colouring(g: MultiGraph) -> EdgeColouring | None:
@@ -442,7 +575,7 @@ def construct_colouring(g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> Edg
         raise ColouringError("two-factor belongs to a different graph")
     if not g.is_simple():
         raise ColouringError("construction requires a simple graph")
-    if any(triangles_through(g, e) for e in range(g.m)):
+    if find_triangles(g):
         raise ColouringError("construction requires a triangle-free graph")
     cols = [0] * g.m
     for e in tf.matching:

@@ -2,13 +2,16 @@
 
 Reduce parallel pairs and triangles until the graph is simple and
 triangle-free (or the 2-vertex base case), then choose the 2-factor.  A
-2-factor with no odd cycle is a 3-edge-colouring, and the base is reported
-3-colourable with no search.  Otherwise the exhaustive 3-colour search runs:
-a colouring it finds is taken, and when it refutes one the selection-driven
-construction starts from the same 2-factor.  The colouring is lifted back
-through the reduction stack, one working colour list indexed by the
-reductions' edge ids, and the final medium count is checked against the
-4/5-per-vertex bound, strictly so off the Petersen graph.
+2-factor with no odd cycle is a 3-edge-colouring; one with odd cycles is
+repaired into one by Kempe chain swaps, which may give up after a fixed
+number of moves.  Either way the base is reported 3-colourable with no
+search.  Only when the repair gives up does the exhaustive 3-colour search
+run: a colouring it finds is taken, and when it refutes one the
+selection-driven construction starts from the same 2-factor.  The
+colouring is lifted back through the reduction stack, one working colour
+list indexed by the reductions' edge ids, and the final medium count is
+checked against the 4/5-per-vertex bound, strictly so off the Petersen
+graph.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .colouring import (
     EdgeColouring,
     class_counts,
     construct_colouring,
-    even_two_factor_colouring,
+    kempe_3_colouring,
     medium_count,  # noqa: F401  (bench/tracing.py wraps pipeline.medium_count by name)
     try_3_edge_colouring,
 )
@@ -49,10 +52,7 @@ def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, Colourin
     audit_report = None
 
     tf = choose_two_factor(base)
-    if tf.odd_cycles():
-        colouring = try_3_edge_colouring(base)
-    else:
-        colouring = even_two_factor_colouring(tf)
+    colouring = kempe_3_colouring(tf) or try_3_edge_colouring(base)
     if colouring is not None:
         base_branch = "3-colourable"
     else:

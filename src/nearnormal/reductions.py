@@ -50,7 +50,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .colouring import MEDIUM, _edge_class
-from .graph import GraphError, MultiGraph, triangles_through, validate_input
+from .graph import GraphError, MultiGraph, find_triangles, triangles_through, validate_input
 
 MULTI_EDGE = "multi_edge"
 TRIANGLE = "triangle"
@@ -199,11 +199,17 @@ def reduce_fully(g: MultiGraph) -> tuple[MultiGraph, list[ReductionRecord], tupl
     contraction can create new parallel pairs, so the loop interleaves).
 
     Returns the base, one record per rewrite, and the working id of each
-    base edge; ids below ``g.m`` are the input's own edges.
+    base edge; ids below ``g.m`` are the input's own edges.  An input with
+    no parallel pair and no triangle, or with two vertices, is its own
+    base: it comes back as the same object, with no records, and no working
+    graph is built.  The one scan that decides this also seeds the
+    candidate heaps.
     """
-    wg = _WorkingGraph(g)
     pairs = sorted(p for p, count in Counter(g.edges).items() if count > 1)  # a sorted list is a heap
-    triangles = sorted({t for e in range(g.m) for t in triangles_through(g, e)})
+    triangles = find_triangles(g)
+    if g.n <= 2 or not (pairs or triangles):
+        return g, [], tuple(range(g.m))
+    wg = _WorkingGraph(g)
     records: list[ReductionRecord] = []
     while wg.n > 2:
         site = _next_site(pairs, wg.doubled)
@@ -220,8 +226,6 @@ def reduce_fully(g: MultiGraph) -> tuple[MultiGraph, list[ReductionRecord], tupl
                 heapq.heappush(pairs, wg.edges[e])
             for t in triangles_through(wg, e):
                 heapq.heappush(triangles, t)
-    if not records:
-        return g, records, tuple(range(g.m))
     base, base_edges = wg.compact()
     diag = validate_input(base)
     if not diag.ok:  # the rewrites preserve validity; failing here is a bug

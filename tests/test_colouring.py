@@ -21,6 +21,7 @@ from nearnormal.colouring import (
 from nearnormal.corpus import load_cubic_corpus
 from nearnormal.discharging import initial_ledger
 from nearnormal.factor import (
+    choose_two_factor,
     enumerate_perfect_matchings,
     two_factor_from_matching,
 )
@@ -288,6 +289,16 @@ class TestConstructColouring:
         sel = find_optimal_selection(tf)
         with pytest.raises(ColouringError, match="triangle"):
             construct_colouring(k4, tf, sel)
+
+    def test_rejects_a_triangle_far_from_edge_zero(self, petersen):
+        # Petersen with vertex 9 truncated: simple, with one triangle, on
+        # the three edges with the highest ids
+        corners = iter((9, 10, 11))
+        edges = [(u, next(corners)) if v == 9 else (u, v) for u, v in petersen.edges]
+        g = build_graph(12, edges + [(9, 10), (10, 11), (9, 11)])
+        tf = choose_two_factor(g)
+        with pytest.raises(ColouringError, match="^construction requires a triangle-free graph$"):
+            construct_colouring(g, tf, find_optimal_selection(tf))
 
     def test_exactly_one_medium_per_odd_quotient_component(self):
         g, mids = odd_triangle_component()

@@ -14,8 +14,10 @@ from nearnormal.graph import (
     adjacent_edges,
     build_graph,
     find_bridges,
+    find_triangles,
     girth,
     graphs_isomorphic,
+    triangles_through,
     validate_input,
 )
 from reference_reductions import is_connected
@@ -229,3 +231,23 @@ class TestGirthAndIsomorphism:
         for perm in itertools.permutations(range(4)):
             g2 = build_graph(4, [(perm[u], perm[v]) for u, v in k4.edges])
             assert graphs_isomorphic(k4, g2)
+
+
+class TestFindTriangles:
+    def by_edge(self, g):
+        return sorted({t for e in range(g.m) for t in triangles_through(g, e)})
+
+    def test_small_graphs(self, petersen, k4, triple):
+        assert find_triangles(petersen) == [] == find_triangles(triple)
+        assert find_triangles(k4) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        assert find_triangles(build_graph(4, [(0, 1), (0, 1), (0, 2), (1, 2), (2, 3), (3, 1)])) == [(0, 1, 2), (1, 2, 3)]
+
+    def test_matches_the_per_edge_scan_on_corpus(self):
+        for n in CORPUS_ORDERS:
+            for g in load_cubic_corpus(n):
+                assert find_triangles(g) == self.by_edge(g)
+
+    @given(connected_multigraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_edge_scan_on_random_multigraphs(self, g):
+        assert find_triangles(g) == self.by_edge(g)

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import bench_families
 import reference_reductions as ref
+from nearnormal import reductions
 from nearnormal.colouring import EdgeColouring, medium_count
 from nearnormal.corpus import CORPUS_ORDERS, complete_graph_k4, k33, load_cubic_corpus, petersen_graph, prism
 from nearnormal.graph import GraphError, adjacent_edges, build_graph, validate_input
@@ -230,6 +232,20 @@ class TestReduceFully:
         assert base == petersen and records == []
         assert base_edges == tuple(range(petersen.m))
 
+    @pytest.mark.parametrize("make", [
+        petersen_graph,
+        lambda: bench_families.flower_snark(7),
+        lambda: bench_families.random_cubic(200, 3, triangle_free=True),
+    ], ids=["petersen", "J7", "random200"])
+    def test_irreducible_input_builds_no_working_graph(self, make, monkeypatch):
+        def refuse(g):
+            raise AssertionError("working graph built for an irreducible input")
+
+        monkeypatch.setattr(reductions, "_WorkingGraph", refuse)
+        g = make()
+        base, records, base_edges = reduce_fully(g)
+        assert base is g and records == [] and base_edges == tuple(range(g.m))
+
     def test_records_chain_consistently(self):
         g = prism(3)
         base, records, base_edges = reduce_fully(g)
@@ -268,6 +284,13 @@ class TestAgainstReference:
             for old, _rec, _before, _after in steps:
                 assert validate_input(old.original).ok
                 assert validate_input(old.reduced).ok
+
+    def test_reduce_lift_workload(self):
+        graphs = bench_families.reduce_lift_graphs(47)
+        assert len(graphs) == 42 and max(g.n for g in graphs) == 400
+        for g in graphs:
+            _base, _ids, steps = ref.aligned_steps(g)
+            assert steps
 
     def test_identical_colourings(self, reference_runs):
         for g, (_base, _ids, steps) in reference_runs:
