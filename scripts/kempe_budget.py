@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""How far the Kempe repair's move budget goes, family by family.
+"""How far the Kempe repair's move budget goes, family by family, and how
+far the 3-colour search's backtrack budget goes after it.
 
     python3 scripts/kempe_budget.py
 
@@ -8,16 +9,20 @@ For the reduced bases whose chosen 2-factor has odd cycles, prints how many
 (``_KEMPE_MOVES``), the most moves any of them needs when the budget is
 lifted to ``UNCAPPED`` (the least budget that would do, found by bisection:
 with a larger budget the repair makes the same moves first), and the time
-the repair spends on the bases where it gives up.  Where the exact search is
-cheap (``class1_random`` and ``snarks``), it also says whether the exact
-search then finds a 3-colouring or refutes one.
+the repair spends on the bases where it gives up.  Where the 3-colour search
+is cheap (``class1_random`` and ``snarks``), it also says how many bases
+``try_3_edge_colouring`` then finds a 3-colouring for, refutes, or leaves
+open within its backtrack budget (``_BACKTRACKS``), and the most backtracks
+any find needs (again the least budget that would do, by bisection).  The
+``class1_random`` line for seeds 0-39 is the margin of that budget.
 
 The families are the ``class1_random`` and ``snarks`` workloads of the
-benchmark at seed 47, seeded triangle-free random graphs with n = 120, 400
-and 1,000, and two random graphs on which the exact search alone takes
-seconds.  ``bench/generators.py`` and ``bench/workloads.py`` are loaded by
-path and only read.  The package is imported from this checkout's ``src``.
-Standard library only.
+benchmark at seed 47 (``class1_random`` also at seeds 0-39), seeded
+triangle-free random graphs with n = 120, 400 and 1,000, and two random
+graphs on which the exact search alone takes seconds.
+``bench/generators.py`` and ``bench/workloads.py`` are loaded by path and
+only read.  The package is imported from this checkout's ``src``.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -76,12 +81,36 @@ def moves_needed(tf) -> int | None:
     return lo
 
 
+def _decides(g, budget: int) -> bool:
+    try:
+        colouring._min_medium_search(g, 3, backtracks=budget)
+    except colouring._SearchOpen:
+        return False
+    return True
+
+
+def backtracks_needed(g, known: int) -> int:
+    """The least backtrack budget with which the 3-colour search decides
+    ``g``, or ``known`` when that one does; the search must decide within
+    ``_BACKTRACKS``."""
+    if _decides(g, known):
+        return known
+    lo, hi = known + 1, colouring._BACKTRACKS
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _decides(g, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def report(name: str, graphs, exact: bool, needs: bool = True) -> None:
-    """One line per family; ``exact`` runs the exact search where the
+    """One line per family; ``exact`` runs the 3-colour search where the
     repair gives up, ``needs`` bisects the moves each base needs."""
     bases = odd = decided = 0
     given_up_s = exact_s = 0.0
-    found = refuted = 0
+    found = refuted = left_open = most_backtracks = 0
     most, never = 0, 0
     for g in graphs:
         bases += 1
@@ -99,11 +128,17 @@ def report(name: str, graphs, exact: bool, needs: bool = True) -> None:
             given_up_s += spent
             if exact:
                 start = time.perf_counter()
-                if colouring.try_3_edge_colouring(base) is None:
-                    refuted += 1
-                else:
-                    found += 1
+                try:
+                    result = colouring.try_3_edge_colouring(base)
+                except colouring._SearchOpen:
+                    left_open += 1
+                    result = "open"
                 exact_s += time.perf_counter() - start
+                if result is None:
+                    refuted += 1
+                elif result != "open":
+                    found += 1
+                    most_backtracks = backtracks_needed(base, most_backtracks)
         if needs:
             need = moves_needed(tf)
             if need is None:
@@ -114,7 +149,9 @@ def report(name: str, graphs, exact: bool, needs: bool = True) -> None:
             f"within {colouring._KEMPE_MOVES} moves; {odd - decided} given up "
             f"after {given_up_s * 1e3:.1f} ms in the repair")
     if exact:
-        line += f"; exact search then finds {found} and refutes {refuted} in {exact_s:.3f} s"
+        line += (f"; within {colouring._BACKTRACKS} backtracks the 3-colour search then finds "
+                 f"{found} (at most {most_backtracks} backtracks), refutes {refuted} and leaves "
+                 f"{left_open} open in {exact_s:.3f} s")
     if needs:
         line += f"; uncapped, at most {most} moves"
         if never:
@@ -124,6 +161,8 @@ def report(name: str, graphs, exact: bool, needs: bool = True) -> None:
 
 def main() -> int:
     report(f"class1_random (seed {SEED})", (c.graph for c in workloads.class1_random(SEED)), exact=True)
+    report("class1_random (seeds 0-39)",
+           (c.graph for s in range(40) for c in workloads.class1_random(s)), exact=True, needs=False)
     report(f"snarks (seed {SEED})", (c.graph for c in workloads.snarks(SEED)), exact=True, needs=False)
     for n, seeds in RANDOM_FAMILIES:
         graphs = (build_graph(*generators.random_cubic(n, random.Random(s), True)) for s in seeds)

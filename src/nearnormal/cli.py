@@ -31,10 +31,18 @@ from .petersen import (
 from .pipeline import BoundViolation, colour_graph
 
 
+def _read_text(path: str) -> str:
+    """The file's text; :class:`FormatError` when it is not valid UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def load_graph(path: str) -> MultiGraph:
     """Sniff the format: an ``n <count>`` header means edge list, anything
     else is treated as graph6."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("n ") or stripped.startswith("#"):
         return parse_edge_list(text)
@@ -59,7 +67,7 @@ def _cmd_colour(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = load_graph(args.graph)
-    colouring = parse_colouring(Path(args.colouring).read_text(), g)
+    colouring = parse_colouring(_read_text(args.colouring), g)
     counts = class_counts(g, colouring)
     normal = counts[MEDIUM] == 0
     print(
@@ -105,7 +113,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    text = Path(args.graphs).read_text()
+    text = _read_text(args.graphs)
     worst_ratio = (0, 1)  # medium * 1 vs n, compared as fractions
     worst_name = ""
     petersen_hits = []
@@ -154,7 +162,7 @@ def _cmd_batch(args) -> int:
 
 def _cmd_petersen_map(args) -> int:
     g = load_graph(args.graph)
-    colouring = parse_colouring(Path(args.colouring).read_text(), g)
+    colouring = parse_colouring(_read_text(args.colouring), g)
     pc = normal_to_petersen(g, colouring)
     kp = build_kneser_petersen()
     for eid, (u, v) in enumerate(g.edges):

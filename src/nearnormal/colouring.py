@@ -9,10 +9,10 @@ edge is normal.
 A 3-edge-colouring is first sought without search:
 :func:`kempe_3_colouring` reads it off a 2-factor with no odd cycle, and
 repairs one with odd cycles by a budgeted run of Kempe chain swaps.  One
-exhaustive search, :func:`_min_medium_search`, serves both the exact
-3-colour attempt :func:`try_3_edge_colouring`, which decides when the
-repair gives up, and the oracles in :mod:`nearnormal.oracle`; at k = 3 it
-caches refuted frontier states in a bounded failure table.
+exhaustive search, :func:`_min_medium_search`, serves both the 3-colour
+attempt :func:`try_3_edge_colouring`, which runs when the repair gives up
+and may itself stop undecided after a fixed number of backtracks, and the
+oracles in :mod:`nearnormal.oracle`, which run it with no budget.
 """
 
 from __future__ import annotations
@@ -114,8 +114,12 @@ def _bfs_edge_order(g: MultiGraph) -> list[int]:
     return order
 
 
+class _SearchOpen(Exception):
+    """The budgeted 3-colour search ran out of backtracks undecided."""
+
+
 def _min_medium_search(
-    g: MultiGraph, k: int, bound: float = math.inf
+    g: MultiGraph, k: int, bound: float = math.inf, backtracks: float = math.inf
 ) -> tuple[int, tuple[int, ...]] | None:
     """Branch and bound over the proper k-edge-colourings of ``g``.
 
@@ -129,20 +133,9 @@ def _min_medium_search(
     dies once its frozen mediums reach the bound, each complete colouring
     lowers the bound to its own count, and the search stops at 0.  The stack
     is explicit, with a bitmask of the colours still to try per position, so
-    no graph is too large for Python's recursion limit.
-
-    At k = 3 no class is frozen: in a proper 3-edge-colouring of a cubic
-    graph every edge is poor.  The search is then a pure existence search,
-    and after its first ``_TABLE_AFTER`` dead ends it keeps a failure
-    table.  Below position i, what can still be coloured depends only on i
-    and the colours of the *live* edges, the coloured ones with an
-    uncoloured neighbour.  So a position that runs out of colours, after a
-    subtree of more than ``_MIN_SUBTREE`` nodes, records that key as
-    refuted, and a later visit with the same key backtracks at once.  A
-    pruned subtree holds no colouring, so the witness is unchanged.  The
-    table holds at most ``_REFUTED_CAP`` keys.  When full it is emptied,
-    or dropped for the rest of the search if no visit has hit it since it
-    was last empty; both cost time, never soundness.
+    no graph is too large for Python's recursion limit.  A backtrack is a
+    position that runs out of colours; after more than ``backtracks`` of
+    them the search raises :class:`_SearchOpen`.
     """
     order = _bfs_edge_order(g)
     m = len(order)
@@ -154,8 +147,6 @@ def _min_medium_search(
     if k > 3:
         for f in range(g.m):
             freeze[max(pos[x] for x in nbrs[f])].append(f)
-    wait = _TABLE_AFTER if k == 3 else 0
-    refuted = None  # the failure table, per position
     palette = [(1 << (k + 1)) - 2] * m
     if g.n and g.degree(0) == 3:
         for col, e in enumerate(sorted(g.incident_edges(0)), start=1):
@@ -169,29 +160,10 @@ def _min_medium_search(
         e = order[i]
         options = todo[i]
         if not options:
+            backtracks -= 1
+            if backtracks < 0:
+                raise _SearchOpen
             colours[e] = 0
-            if wait:  # k = 3: dead ends left before the table; -1 once it is set up
-                if refuted and size >= _REFUTED_CAP:
-                    # full: emptied, or dropped for good if no visit hit it
-                    refuted = [None] * m if hit else None
-                    size = hit = 0
-                if refuted:
-                    if nodes - since[i] > _MIN_SUBTREE:
-                        known = refuted[i]
-                        if known is None:
-                            known = refuted[i] = set()
-                        known.add(bytes(live[lowest[i]:i]))
-                        size += 1
-                    if i:
-                        for p in dies[i - 1]:
-                            live[p] = colours[order[p]]
-                elif wait > 0:
-                    wait -= 1
-                    if not wait and i:
-                        refuted, live, dies, lowest = _failure_table(order, pos, nbrs, colours, i - 1)
-                        size = hit = nodes = 0
-                        since = [0] * m
-                        wait = -1
             i -= 1
             continue
         low = options & -options
@@ -217,67 +189,22 @@ def _min_medium_search(
             blocked |= 1 << colours[x]
         todo[i] = palette[i] & ~blocked
         frozen[i] = mediums
-        if refuted:
-            live[i - 1] = colours[e]
-            for p in dies[i - 1]:
-                live[p] = 0
-            nodes += 1
-            since[i] = nodes
-            known = refuted[i]
-            if known and bytes(live[lowest[i]:i]) in known:
-                todo[i] = 0
-                hit = 1
     return best
-
-
-# The 3-colour failure table is set up after _TABLE_AFTER dead ends, so
-# that searches which hardly backtrack do not pay for it.  It records a
-# position only when its subtree took more than _MIN_SUBTREE nodes: a
-# table that records every dead end fills with leaf states, and emptying
-# it then throws away the few states that matter (the flower snark J301
-# takes more than a minute instead of 0.7 s).  A full table is emptied,
-# or dropped if it served no hit: on wide frontiers, as in random graphs,
-# no state comes back, and a table kept on there makes the search on a
-# random graph with n = 120 about twice as slow.
-_TABLE_AFTER = 5000
-_MIN_SUBTREE = 32
-_REFUTED_CAP = 1 << 16
-
-
-def _failure_table(order, pos, nbrs, colours, i):
-    """An empty failure table for :func:`_min_medium_search` at k = 3, and
-    what it needs, set up while the search stands at position ``i``.
-
-    Everything is indexed by search position.  The edge at ``p`` is live
-    from position ``p + 1`` up to ``last[p]``, the position of its last
-    neighbour: then it is coloured and a neighbour is not.  Returned: the
-    table (per position, its refuted keys or ``None``), the colour of each
-    live edge (0 while it is not), the positions whose edges die once a
-    position is coloured, and the lowest position live at each position.
-    """
-    m = len(order)
-    last = [max(pos[x] for x in nbrs[e]) for e in order]
-    dies: list[list[int]] = [[] for _ in range(m)]
-    for p, d in enumerate(last):
-        dies[max(p, d)].append(p)
-    lowest = [0] * m
-    p = 0
-    for j in range(m):
-        while p < j and last[p] < j:
-            p += 1
-        lowest[j] = p
-    live = bytearray(colours[e] if last[p] >= i else 0 for p, e in enumerate(order))
-    return [None] * m, live, dies, lowest
 
 
 # The perturbing chain swaps kempe_3_colouring may make before it gives
 # up, and the seed of the generator that picks them.  A base with no
-# 3-colouring pays all of them before the exact search refutes it.  With 16,
+# 3-colouring pays all of them before the 3-colour search runs.  With 16,
 # the repair colours 158 of the 169 class1_random bases (seed 47) whose
 # 2-factor is odd; scripts/kempe_budget.py prints this and the moves that
 # seeded random graphs need without a cap.
 _KEMPE_MOVES = 16
 _KEMPE_SEED = 0
+
+# The backtracks try_3_edge_colouring may make before it leaves a graph
+# open: class1_random finds (seeds 0-39) need up to 29,904, as
+# scripts/kempe_budget.py prints; J9 is refuted, J11 (62,195) left open.
+_BACKTRACKS = 1 << 15
 
 
 def kempe_3_colouring(tf: TwoFactor) -> EdgeColouring | None:
@@ -417,8 +344,11 @@ def try_3_edge_colouring(g: MultiGraph) -> EdgeColouring | None:
 
     Exhaustive, through :func:`_min_medium_search` with colours 1, 2, 3
     pinned at vertex 0; the colouring returned is the first in search order.
+    After ``_BACKTRACKS`` backtracks the search stops undecided and raises
+    :class:`_SearchOpen`; the oracles in :mod:`nearnormal.oracle` run the
+    same search with no budget.
     """
-    found = _min_medium_search(g, 3)
+    found = _min_medium_search(g, 3, backtracks=_BACKTRACKS)
     return None if found is None else EdgeColouring(3, found[1])
 
 

@@ -120,6 +120,8 @@ def parse_edge_list(text: str) -> MultiGraph:
         n = int(head[1])
     except ValueError as exc:
         raise FormatError(f"bad vertex count {head[1]!r}") from exc
+    if n > 2 * (len(lines) - 1):  # some vertex is isolated; refused before any allocation
+        raise FormatError(f"header 'n {n}' is more than twice the {len(lines) - 1} edge lines")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()

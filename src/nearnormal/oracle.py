@@ -4,7 +4,8 @@ k-colourings.
 
 Both are ``colouring._min_medium_search``, the branch and bound behind the
 3-colour shortcut: :func:`min_medium_exact` runs it with no bound and
-:func:`exists_normal` with a bound of one medium edge.
+:func:`exists_normal` with a bound of one medium edge.  Neither passes a
+backtrack budget, so both always decide.
 """
 
 from __future__ import annotations

@@ -5,19 +5,20 @@ triangle-free (or the 2-vertex base case), then choose the 2-factor.  A
 2-factor with no odd cycle is a 3-edge-colouring; one with odd cycles is
 repaired into one by Kempe chain swaps, which may give up after a fixed
 number of moves.  Either way the base is reported 3-colourable with no
-search.  Only when the repair gives up does the exhaustive 3-colour search
-run: a colouring it finds is taken, and when it refutes one the
-selection-driven construction starts from the same 2-factor.  The
-colouring is lifted back through the reduction stack, one working colour
-list indexed by the reductions' edge ids, and the final medium count is
-checked against the 4/5-per-vertex bound, strictly so off the Petersen
-graph.
+search.  Only when the repair gives up does the 3-colour search run, with a
+fixed backtrack budget: a colouring it finds is taken, and when it refutes
+one or runs out of budget (the report says which) the selection-driven
+construction starts from the same 2-factor.  The colouring is lifted back
+through the reduction stack, one working colour list indexed by the
+reductions' edge ids, and the final medium count is checked against the
+4/5-per-vertex bound, strictly so off the Petersen graph.
 """
 
 from __future__ import annotations
 
 from .colouring import (
     EdgeColouring,
+    _SearchOpen,
     class_counts,
     construct_colouring,
     kempe_3_colouring,
@@ -52,7 +53,11 @@ def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, Colourin
     audit_report = None
 
     tf = choose_two_factor(base)
-    colouring = kempe_3_colouring(tf) or try_3_edge_colouring(base)
+    try:
+        colouring = kempe_3_colouring(tf) or try_3_edge_colouring(base)
+        three_colouring = "refuted" if colouring is None else "found"
+    except _SearchOpen:
+        colouring, three_colouring = None, "open"
     if colouring is not None:
         base_branch = "3-colourable"
     else:
@@ -92,6 +97,7 @@ def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, Colourin
         branch="reduced" if records else base_branch,
         reductions=tuple(r.kind for r in records),
         base_branch=base_branch,
+        three_colouring=three_colouring,
         base_order=base.n,
         cycle_lengths=cycle_lengths,
         selection_size=selection_size,

@@ -26,6 +26,7 @@ class ColouringReport:
     branch: str                      # 3-colourable | reduced | constructed
     reductions: tuple[str, ...]      # rewrite kinds, outermost first
     base_branch: str                 # branch taken on the fully reduced graph
+    three_colouring: str             # found | refuted | open (search out of budget)
     base_order: int
     cycle_lengths: tuple[int, ...] | None
     selection_size: int | None
@@ -52,6 +53,7 @@ class ColouringReport:
             + (f" (reductions: {', '.join(self.reductions)}; base: {self.base_branch} "
                f"on {self.base_order} vertices)" if self.reductions else ""),
         ]
+        lines.append(f"  3-edge-colouring: {self.three_colouring}")
         if self.cycle_lengths is not None:
             lines.append(f"  2-factor cycle lengths: {list(self.cycle_lengths)}")
             lines.append(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nearnormal import cli, discharging, pipeline, reductions
+from nearnormal import cli, discharging, graphio, pipeline, reductions
 from nearnormal.cli import load_graph, main
 from nearnormal.colouring import construct_colouring
 from nearnormal.corpus import CORPUS_ORDERS, complete_graph_k4, load_cubic_corpus, petersen_graph, prism
@@ -268,3 +268,27 @@ class TestExitCodes:
         path = tmp_path / "bad.g6"
         path.write_text("I?\n")
         assert main(["colour", str(path)]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["colour", "bad"], ["batch", "bad"],
+        ["verify", "bad", "colours"], ["verify", "graph", "bad"],
+        ["petersen-map", "bad", "colours"], ["petersen-map", "graph", "bad"],
+    ], ids=lambda args: "-".join(args))
+    def test_file_that_is_not_utf8(self, args, tmp_path, petersen_file, capsys):
+        g = petersen_graph()
+        files = {"bad": tmp_path / "bad.bin", "colours": tmp_path / "colours.txt", "graph": petersen_file}
+        files["bad"].write_bytes(b"\xff")
+        files["colours"].write_text(format_colouring(g, exists_normal(g, 5)))
+        assert main([args[0], *(str(files[a]) for a in args[1:])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err and "Traceback" not in err
+
+    def test_huge_vertex_count_is_refused_before_building(self, tmp_path, monkeypatch, capsys):
+        def build_graph(*args):
+            raise AssertionError("build_graph ran on an oversized header")
+
+        monkeypatch.setattr(graphio, "build_graph", build_graph)
+        path = tmp_path / "huge.txt"
+        path.write_text("n 4000000000\n0 1\n0 1\n0 1\n")
+        assert main(["colour", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: header 'n 4000000000'")

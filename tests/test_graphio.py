@@ -89,6 +89,11 @@ class TestEdgeList:
         with pytest.raises(FormatError, match="header"):
             parse_edge_list("0 1\n")
 
+    def test_vertex_count_above_twice_the_edges_rejected(self):
+        assert parse_edge_list("n 6\n0 1\n0 1\n0 1\n").n == 6  # checked by validate_input
+        with pytest.raises(FormatError, match="more than twice"):
+            parse_edge_list("n 7\n0 1\n0 1\n0 1\n")
+
     def test_comments_and_blanks_ignored(self):
         g = parse_edge_list("# a triangle-ish\nn 2\n\n0 1\n0 1\n0 1\n")
         assert g.m == 3

@@ -54,15 +54,21 @@ class TestRepair:
         assert len(tfs) == 119 + 46  # corpus graphs, reduced bases
         assert decided > len(tfs) * 3 // 4
 
-    @pytest.mark.parametrize("make", [
-        petersen_graph,
-        *(lambda k=k: bench_families.flower_snark(k) for k in range(5, 17, 2)),
-        lambda: bench_families.petersen_inflation(4, seed=4),
+    @pytest.mark.parametrize("make, refuted", [
+        (petersen_graph, True),
+        *((lambda k=k: bench_families.flower_snark(k), k < 11) for k in range(5, 17, 2)),
+        (lambda: bench_families.petersen_inflation(4, seed=4), True),
     ], ids=["petersen", *(f"J{k}" for k in range(5, 17, 2)), "inflation36"])
-    def test_none_where_the_exact_search_refutes(self, make):
+    def test_none_where_the_exact_search_refutes(self, make, refuted):
+        """The repair gives up on snarks.  Within its budget the 3-colour
+        search refutes the small ones and leaves J11 and up open."""
         g = make()
-        assert try_3_edge_colouring(g) is None
         assert kempe_3_colouring(choose_two_factor(g)) is None
+        if refuted:
+            assert try_3_edge_colouring(g) is None
+        else:
+            with pytest.raises(colouring._SearchOpen):
+                try_3_edge_colouring(g)
 
     def test_even_two_factor_needs_no_move(self, monkeypatch):
         monkeypatch.setattr(colouring, "_KEMPE_MOVES", 0)
@@ -108,9 +114,11 @@ class TestPipeline:
 
     def test_no_move_budget_is_the_exact_search(self, monkeypatch):
         """With no moves the repair closes no defect, so every odd base
-        goes to the exact search; branch and medium count agree with the
-        repair's on the two stalls and every fourth corpus graph."""
-        graphs = [bench_families.random_cubic(n, seed) for n, seed in STALLS] + corpus()[::4]
+        goes to the 3-colour search.  On every fourth corpus graph branch
+        and medium count agree with the repair's.  The two stalls run out
+        of backtracks: they are left open and constructed, with the bound
+        strict and the audit passing."""
+        graphs = corpus()[::4]
         with_moves = [colour_graph(g)[1] for g in graphs]
         monkeypatch.setattr(colouring, "_KEMPE_MOVES", 0)
         for tf in odd_two_factors()[::4]:
@@ -118,6 +126,10 @@ class TestPipeline:
         for g, report in zip(graphs, with_moves):
             exact = colour_graph(g)[1]
             assert (exact.base_branch, exact.medium) == (report.base_branch, report.medium)
+        for n, seed in STALLS:
+            report = colour_graph(bench_families.random_cubic(n, seed))[1]
+            assert (report.three_colouring, report.base_branch) == ("open", "constructed")
+            assert report.bound_ok and not report.bound_tight and report.audit_passed
 
     def test_most_random_graphs_at_1000_need_no_exact_search(self, monkeypatch):
         monkeypatch.setattr(pipeline, "try_3_edge_colouring", refuse)

@@ -228,6 +228,49 @@ class TestTwoFactorFirst:
         assert is_proper(g, colouring) and medium_count(g, colouring) == report.medium
 
 
+class TestThreeColouringOutcome:
+    """Every report says whether a 3-edge-colouring was found, refuted, or
+    left open when the 3-colour search ran out of backtracks; an open base
+    is constructed from its 2-factor and keeps every guarantee."""
+
+    KEYS = {
+        "name", "n", "m", "branch", "reductions", "base_branch", "three_colouring",
+        "base_order", "cycle_lengths", "selection_size", "component_shapes", "colours",
+        "poor", "medium", "rich", "bound_ok", "bound_tight", "is_petersen",
+        "audit_passed", "audit_failures", "audit", "oracle_minimum",
+    }
+
+    @pytest.mark.parametrize("make, moves, outcome, branch", [
+        (lambda: prism(6), 16, "found", "3-colourable"),
+        (lambda: bench_families.random_cubic(120, 1), 16, "found", "3-colourable"),
+        (lambda: bench_families.random_cubic(32, 0, triangle_free=True), 0, "found", "3-colourable"),
+        (petersen_graph, 16, "refuted", "constructed"),
+        (lambda: expand_vertex_to_triangle(petersen_graph(), 0), 16, "refuted", "constructed"),
+        (lambda: bench_families.flower_snark(11), 16, "open", "constructed"),
+    ], ids=["even", "repaired", "searched", "petersen", "reduced", "J11"])
+    def test_every_branch_reports_it(self, make, moves, outcome, branch, monkeypatch):
+        """With no Kempe moves, the odd 2-factor of random32#0 is left to
+        the 3-colour search."""
+        monkeypatch.setattr("nearnormal.colouring._KEMPE_MOVES", moves)
+        report = colour_graph(make())[1]
+        assert (report.three_colouring, report.base_branch) == (outcome, branch)
+        assert set(json.loads(report.to_json())) == self.KEYS
+        assert f"  3-edge-colouring: {outcome}" in report.render_text().splitlines()
+
+    @pytest.mark.parametrize("make", [
+        lambda: bench_families.flower_snark(301),
+        lambda: bench_families.flower_snark(1001),
+        lambda: bench_families.random_cubic(400, 6, triangle_free=True),
+    ], ids=["J301", "J1001", "random400#6"])
+    def test_open_runs_end_to_end(self, make):
+        g = make()
+        colouring_, report = colour_graph(g)
+        assert report.three_colouring == "open" and report.base_branch == "constructed"
+        assert report.bound_ok and not report.bound_tight
+        assert report.audit_passed is True and report.audit_failures == ()
+        assert is_proper(g, colouring_) and medium_count(g, colouring_) == report.medium
+
+
 def kempe_swap(g, colour_of, e, a, b):
     """Swap colours ``a`` and ``b`` along the {a, b} chain through edge ``e``."""
     cols = list(colour_of)

@@ -1,6 +1,8 @@
 """The one iterative colour search against the three recursive ones it
 replaced (``tests/reference_search.py``): equal results and equal witnesses,
-and no depth limit."""
+and no depth limit.  The pipeline's 3-colour attempt runs it with a budget
+of backtracks and gives the same answer or leaves the graph open; the
+oracles run it with none."""
 
 from __future__ import annotations
 
@@ -62,54 +64,90 @@ def test_oracles_have_no_depth_limit():
     assert is_proper(g, exists_normal(g, 5))
 
 
-@pytest.fixture()
-def eager_table(monkeypatch):
-    """The 3-colour failure table from the first dead end, recording every
-    refuted position, so that small graphs exercise it."""
-    monkeypatch.setattr(colouring, "_TABLE_AFTER", 1)
-    monkeypatch.setattr(colouring, "_MIN_SUBTREE", -1)
+def _attempt(g):
+    """What the budgeted ``try_3_edge_colouring`` decides: the colouring's
+    ``(k, colours)``, ``None`` for a refutation, or ``"open"``."""
+    try:
+        return _colours(try_3_edge_colouring(g))
+    except colouring._SearchOpen:
+        return "open"
 
 
-def _table_graphs():
+def _search_graphs():
     yield from ((f"J{k}", bench_families.flower_snark(k)) for k in range(5, 15, 2))
     for n in range(20, 46, 4):
         for seed in range(3):
             yield f"random{n}#{seed}", bench_families.random_cubic(n, seed, triangle_free=True)
 
 
-TABLE_GRAPHS = dict(_table_graphs())
+SEARCH_GRAPHS = dict(_search_graphs())
+
+# Backtracks the k = 3 search makes before it decides, each measured by
+# bisecting the budget
+BACKTRACKS_NEEDED = {"J5": 821, "J7": 3743, "J9": 15433, "J11": 62195, "J13": 249245,
+                     "random44#0": 6756, "random44#2": 2224}
 
 
 class TestFailureTable:
-    """The k = 3 search with its failure table finds the same colouring as
-    the recursive reference, or refutes where it refutes."""
+    """The 3-colour search on the snarks and random graphs that once tested
+    the failure table its backtrack budget replaced (the names are kept):
+    with the budget it gives the reference's answer or leaves the graph
+    open, and with none, as the oracles run it, it always decides."""
 
     @pytest.mark.parametrize("n", CORPUS_ORDERS)
-    def test_corpus(self, n, eager_table):
+    def test_corpus(self, n):
         for g in load_cubic_corpus(n):
-            assert _colours(try_3_edge_colouring(g)) == _colours(ref.try_3_edge_colouring(g))
+            assert _attempt(g) == _colours(ref.try_3_edge_colouring(g))
 
-    @pytest.mark.parametrize("name", TABLE_GRAPHS)
-    def test_snarks_and_random_graphs(self, name, eager_table):
-        g = TABLE_GRAPHS[name]
-        assert _colours(try_3_edge_colouring(g)) == _colours(ref.try_3_edge_colouring(g))
+    @pytest.mark.parametrize("name", SEARCH_GRAPHS)
+    def test_snarks_and_random_graphs(self, name):
+        """With no budget the search decides J11 and J13 too."""
+        g = SEARCH_GRAPHS[name]
+        found = colouring._min_medium_search(g, 3)
+        assert (None if found is None else (3, found[1])) == _colours(ref.try_3_edge_colouring(g))
 
-    @pytest.mark.parametrize("name", TABLE_GRAPHS)
+    @pytest.mark.parametrize("name", SEARCH_GRAPHS)
     def test_with_the_default_thresholds(self, name):
-        g = TABLE_GRAPHS[name]
-        assert _colours(try_3_edge_colouring(g)) == _colours(ref.try_3_edge_colouring(g))
+        """The default budget decides every graph here but J11 and J13."""
+        g = SEARCH_GRAPHS[name]
+        want = "open" if name in ("J11", "J13") else _colours(ref.try_3_edge_colouring(g))
+        assert _attempt(g) == want
 
     @pytest.mark.parametrize("cap", [3, 256, 512])
     @pytest.mark.parametrize("name", ["J9", "J13", "random44#0", "random44#2"])
-    def test_tiny_cap(self, name, cap, eager_table, monkeypatch):
-        """A tiny cap fills the table again and again: it is emptied when a
-        visit has hit it, and dropped for good when none has."""
-        monkeypatch.setattr(colouring, "_REFUTED_CAP", cap)
-        g = TABLE_GRAPHS[name]
-        assert _colours(try_3_edge_colouring(g)) == _colours(ref.try_3_edge_colouring(g))
+    def test_tiny_cap(self, name, cap, monkeypatch):
+        """Each of these needs more backtracks than the cap."""
+        monkeypatch.setattr(colouring, "_BACKTRACKS", cap)
+        assert _attempt(SEARCH_GRAPHS[name]) == "open"
 
     def test_large_flower_snark(self):
-        """J301 (n = 1,204) is refuted with the default thresholds.  A table
-        that recorded every dead end would fill with leaf states, and
-        emptying it would throw the costly ones away again and again."""
-        assert try_3_edge_colouring(bench_families.flower_snark(301)) is None
+        """J301 (n = 1,204) is left open, where a refutation would take
+        exponential time."""
+        with pytest.raises(colouring._SearchOpen):
+            try_3_edge_colouring(bench_families.flower_snark(301))
+
+
+@pytest.mark.parametrize("name", BACKTRACKS_NEEDED)
+def test_budget_counts_backtracks(name, monkeypatch):
+    """A search that needs b backtracks is open with a budget of b - 1 and
+    decides with b."""
+    g = SEARCH_GRAPHS[name]
+    need = BACKTRACKS_NEEDED[name]
+    monkeypatch.setattr(colouring, "_BACKTRACKS", need - 1)
+    assert _attempt(g) == "open"
+    monkeypatch.setattr(colouring, "_BACKTRACKS", need)
+    assert _attempt(g) == _colours(ref.try_3_edge_colouring(g))
+
+
+def test_no_backtrack_no_budget(monkeypatch):
+    """A search that never backtracks is never cut: prism(5000), m = 15,000,
+    is coloured with a budget of 0."""
+    monkeypatch.setattr(colouring, "_BACKTRACKS", 0)
+    g = prism(5000)
+    assert is_proper(g, try_3_edge_colouring(g))
+
+
+def test_the_oracle_has_no_budget(monkeypatch):
+    monkeypatch.setattr(colouring, "_BACKTRACKS", 0)
+    with pytest.raises(GraphError, match="admits no proper 3-edge-colouring"):
+        min_medium_exact(bench_families.flower_snark(11), 3)
