@@ -1,10 +1,10 @@
 """Edge selections: subsets of the perfect matching joining distinct odd
 cycles, at most two per cycle and consecutive when two.
 
-The search returns a globally optimal selection (maximum size, then maximum
-number of degree-2 cycles, then lexicographically smallest edge-id set).
-The exact optimum is kept so that colourings stay identical; whether the
-charge audit needs more than a maximal selection is an open question.
+The selection is maximal, from one greedy pass, and not proven optimal
+(maximum size, then most degree-2 cycles): the charge audit certifies the
+4n/5 bound on each run, and on every 2-factor tried it needed no more than
+a maximal selection.
 """
 
 from __future__ import annotations
@@ -94,68 +94,40 @@ def selection_violation(tf: TwoFactor, selected) -> str | None:
     return None
 
 
-def _degrees(tf: TwoFactor, selected) -> tuple[int, ...]:
-    deg = [0] * len(tf.cycles)
-    for e in selected:
-        u, v = tf.graph.endpoints(e)
-        deg[tf.cycle_of_vertex[u]] += 1
-        deg[tf.cycle_of_vertex[v]] += 1
-    return tuple(deg)
-
-
 def find_optimal_selection(tf: TwoFactor) -> EdgeSelection:
-    """Exact iterative branch-and-bound over the eligible edges.
+    """A maximal selection, by one greedy pass over the eligible edges.
 
-    Selections score (size, number of degree-2 cycles), compared
-    lexicographically.  Edges are branched in increasing id order with the
-    include-branch first, and only a leaf that strictly beats the best so
-    far replaces it, so the result is the lexicographically smallest
-    optimum.  A node is pruned when the ``left`` undecided edges cannot
-    lift it past the best: each adds one to the size and at most two
-    degree-2 cycles, and the degree-2 count never falls as edges are added.
+    An edge's load is the number of eligible edges at its two cycles, added
+    together.  Edges are taken in increasing (load, id) order, and each one
+    that still fits (its cycles have degree 0, or degree 1 with the new end
+    next to the first one) is kept.  So no eligible edge can be added to
+    the result, but it is not proven to be of maximum size or to have the
+    most degree-2 cycles: the charge audit, not this pass, certifies the
+    bound.  Taking low loads first matters: in plain id order an edge
+    joining two long cycles can block two edges that each join one of them
+    to a 5-cycle.
     The result is not checked here: :func:`colouring.place_colour_3` checks
     every selection it is handed with :func:`selection_violation`.
     """
-    edges = sorted(eligible_edges(tf))
-    k = len(edges)
+    edges = eligible_edges(tf)
     # per edge, the (cycle, position on it) of both endpoints
-    ends = [[(tf.cycle_of_vertex[x], tf.position[x]) for x in tf.graph.endpoints(e)] for e in edges]
+    ends = {e: [(tf.cycle_of_vertex[x], tf.position[x]) for x in tf.graph.endpoints(e)] for e in edges}
+    at = [0] * len(tf.cycles)  # eligible edges per cycle
+    for pair in ends.values():
+        for c, _p in pair:
+            at[c] += 1
     length = [len(cyc) for cyc in tf.cycles]
     deg = [0] * len(tf.cycles)
     first = [0] * len(tf.cycles)  # where a cycle's first selected edge attaches
-    taken: list[bool] = []  # the decision on each edge of the current branch
-    size = deg2 = 0
-    best_size, best_deg2, selected = -1, -1, frozenset()
-    while True:
-        i = len(taken)
-        left = k - i
-        can_beat = size + left > best_size or (size + left == best_size and deg2 + 2 * left > best_deg2)
-        if can_beat and i == k:
-            best_size, best_deg2 = size, deg2
-            selected = frozenset(e for e, t in zip(edges, taken) if t)
-        elif can_beat:
-            fits = all(deg[c] == 0 or (deg[c] == 1 and (first[c] - p) % length[c] in (1, length[c] - 1))
-                       for c, p in ends[i])
-            if fits:
-                for c, p in ends[i]:
-                    deg[c] += 1
-                    if deg[c] == 1:
-                        first[c] = p
-                    deg2 += deg[c] == 2
-                size += 1
-            taken.append(fits)
-            continue
-        # backtrack to the deepest include decision and exclude that edge
-        while taken and not taken[-1]:
-            taken.pop()
-        if not taken:
-            break
-        for c, _p in ends[len(taken) - 1]:
-            deg2 -= deg[c] == 2
-            deg[c] -= 1
-        size -= 1
-        taken[-1] = False
-    return EdgeSelection(selected=selected, degree_of_cycle=_degrees(tf, selected))
+    selected = []
+    for e in sorted(edges, key=lambda e: (sum(at[c] for c, _p in ends[e]), e)):
+        if all(deg[c] == 0 or (deg[c] == 1 and (first[c] - p) % length[c] in (1, length[c] - 1))
+               for c, p in ends[e]):
+            for c, p in ends[e]:
+                deg[c] += 1
+                first[c] = p  # read only while deg[c] == 1
+            selected.append(e)
+    return EdgeSelection(selected=frozenset(selected), degree_of_cycle=tuple(deg))
 
 
 def s_components(tf: TwoFactor, sel: EdgeSelection) -> list[SComponent]:

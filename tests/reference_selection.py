@@ -1,19 +1,20 @@
-"""The two-pass selection search that ``selection.find_optimal_selection``
-replaced, kept as a test oracle.
+"""The exact two-pass selection search, kept as a test oracle for the
+greedy ``selection.find_optimal_selection``.
 
 Pass one finds the maximum selection size and pass two, restricted to that
 size, the maximum number of degree-2 cycles.  Both passes are recursive
 closures that recurse once per eligible edge, so they raise
 ``RecursionError`` with about a thousand eligible edges; the tests run them
-on smaller 2-factors only and require the production search to return the
-same selection.
+on smaller 2-factors only.  The greedy pass never beats this optimum, and
+it returns the same selection on the 2-factors the pipeline constructs
+from (corpus bases, flower snarks and Petersen inflations).
 """
 
 from __future__ import annotations
 
 from nearnormal.factor import TwoFactor
 from nearnormal.graph import GraphError
-from nearnormal.selection import EdgeSelection, _degrees, eligible_edges, selection_violation
+from nearnormal.selection import EdgeSelection, eligible_edges, selection_violation
 
 
 def find_optimal_selection(tf: TwoFactor) -> EdgeSelection:
@@ -105,4 +106,8 @@ def find_optimal_selection(tf: TwoFactor) -> EdgeSelection:
     violation = selection_violation(tf, selected)
     if violation is not None:
         raise GraphError(f"search produced an invalid selection: {violation}")
-    return EdgeSelection(selected=selected, degree_of_cycle=_degrees(tf, selected))
+    degree = [0] * ncyc
+    for e in selected:
+        for x in g.endpoints(e):
+            degree[tf.cycle_of_vertex[x]] += 1
+    return EdgeSelection(selected=selected, degree_of_cycle=tuple(degree))

@@ -271,6 +271,25 @@ class TestThreeColouringOutcome:
         assert is_proper(g, colouring_) and medium_count(g, colouring_) == report.medium
 
 
+class TestConstructionAtScale:
+    """The construction branch at n in the thousands, where the selection is
+    one greedy pass and the audit certifies it (J1001 is in
+    ``TestThreeColouringOutcome``)."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: bench_families.flower_snark(5001),
+        lambda: bench_families.petersen_inflation(90, seed=90),
+        lambda: bench_families.petersen_inflation(360, seed=360),
+    ], ids=["J5001", "inflation810", "inflation3240"])
+    def test_constructed_strict_and_audited(self, make):
+        g = make()
+        colouring_, report = colour_graph(g)
+        assert report.base_branch == "constructed"
+        assert report.bound_ok and not report.bound_tight
+        assert report.audit_passed is True and report.audit_failures == ()
+        assert is_proper(g, colouring_) and medium_count(g, colouring_) == report.medium
+
+
 def kempe_swap(g, colour_of, e, a, b):
     """Swap colours ``a`` and ``b`` along the {a, b} chain through edge ``e``."""
     cols = list(colour_of)
