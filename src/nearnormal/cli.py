@@ -21,7 +21,7 @@ from .graphio import (
     parse_edge_list,
     parse_graph6,
 )
-from .oracle import exists_normal, min_medium_exact
+from .oracle import NoColouringError, exists_normal, min_medium_exact
 from .petersen import (
     build_kneser_petersen,
     classify_petersen_colouring,
@@ -87,7 +87,11 @@ def _cmd_oracle(args) -> int:
         print(f"normal {args.k}-edge-colouring found:")
         sys.stdout.write(format_colouring(g, witness))
         return 0
-    minimum, witness = min_medium_exact(g, args.k)
+    try:
+        minimum, witness = min_medium_exact(g, args.k)
+    except NoColouringError:
+        print(f"no proper {args.k}-edge-colouring exists")
+        return 0
     print(f"minimum medium edges over proper {args.k}-edge-colourings: {minimum}")
     sys.stdout.write(format_colouring(g, witness))
     return 0

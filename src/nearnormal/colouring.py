@@ -129,9 +129,19 @@ def _min_medium_search(
     :func:`_bfs_edge_order`, colours are tried from low to high, and the
     edges at vertex 0 are pinned to 1, 2, 3 in edge-id order (sound:
     classes do not change when colours are renamed).
-    An edge's class is frozen when its last neighbour is coloured; a branch
-    dies once its frozen mediums reach the bound, each complete colouring
-    lowers the bound to its own count, and the search stops at 0.  The stack
+    A branch dies once the mediums it has counted reach the bound, each
+    complete colouring lowers the bound to its own count, and the search
+    stops at 0.  When an edge is counted depends on ``k``:
+
+    * k = 3: never; every proper 3-edge-colouring has all edges poor;
+    * k = 4: as soon as its coloured neighbours show three colours.  No
+      edge can be rich, since its neighbours never show its own colour, so
+      it is medium in every completion;
+    * k >= 5: when its last neighbour is coloured, since a fourth colour
+      could still make it rich.
+
+    Each count is a lower bound on every completion, so a branch holding
+    the first optimal colouring is never cut, whatever the bound.  The stack
     is explicit, with a bitmask of the colours still to try per position, so
     no graph is too large for Python's recursion limit.  A backtrack is a
     position that runs out of colours; after more than ``backtracks`` of
@@ -143,17 +153,23 @@ def _min_medium_search(
         return 0, ()
     nbrs = [adjacent_edges(g, e).adjacent_ids for e in range(g.m)]
     pos = {e: i for i, e in enumerate(order)}
-    freeze: list[list[int]] = [[] for _ in range(m)]
+    # watch[i]: for each edge whose class may be decided when position i is
+    # coloured, its neighbours at earlier positions
+    watch: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
     if k > 3:
         for f in range(g.m):
-            freeze[max(pos[x] for x in nbrs[f])].append(f)
+            at = sorted(pos[x] for x in nbrs[f])
+            first = 2 if k == 4 else len(at) - 1
+            for j in range(first, len(at)):
+                watch[at[j]].append(tuple(order[p] for p in at[:j]))
+    early = k == 4
     palette = [(1 << (k + 1)) - 2] * m
     if g.n and g.degree(0) == 3:
         for col, e in enumerate(sorted(g.incident_edges(0)), start=1):
             palette[pos[e]] = 1 << col
     colours = [0] * g.m
     todo = palette[:]  # per position, the colours still to try
-    frozen = [0] * m  # per position, the frozen mediums before it
+    counted = [0] * m  # per position, the mediums counted before it
     best = None
     i = 0
     while i >= 0:
@@ -169,12 +185,14 @@ def _min_medium_search(
         low = options & -options
         todo[i] = options ^ low
         colours[e] = low.bit_length() - 1
-        mediums = frozen[i]
-        for f in freeze[i]:
+        mediums = counted[i]
+        for before in watch[i]:
             seen = 0
-            for x in nbrs[f]:
+            for x in before:
                 seen |= 1 << colours[x]
-            mediums += seen.bit_count() == 3
+            # k = 4: count the edge when this colour is a third one shown;
+            # k >= 5: when all its neighbours show three
+            mediums += ((seen ^ low) if early else (seen | low)).bit_count() == 3
         if mediums >= bound:
             continue
         if i + 1 == m:
@@ -188,7 +206,7 @@ def _min_medium_search(
         for x in nbrs[order[i]]:
             blocked |= 1 << colours[x]
         todo[i] = palette[i] & ~blocked
-        frozen[i] = mediums
+        counted[i] = mediums
     return best
 
 

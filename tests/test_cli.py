@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import nearnormal
 from nearnormal import cli, discharging, graphio, pipeline, reductions
 from nearnormal.cli import load_graph, main
 from nearnormal.colouring import construct_colouring
@@ -114,6 +118,33 @@ class TestOracleCommand:
     def test_exists_normal_negative(self, petersen_file, capsys):
         assert main(["oracle", petersen_file, "--k", "4", "--exists-normal"]) == 0
         assert "no normal" in capsys.readouterr().out
+
+    def test_no_3_colouring_is_an_answer(self, petersen_file, capsys):
+        """A decided search is not an input error: exit 0, as with
+        --exists-normal."""
+        assert main(["oracle", petersen_file, "--k", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "no proper 3-edge-colouring exists\n" and err == ""
+
+    def test_3_colourable(self, k4_edge_list, capsys):
+        assert main(["oracle", k4_edge_list, "--k", "3"]) == 0
+        assert "proper 3-edge-colourings: 0" in capsys.readouterr().out
+
+    def test_invalid_graph_is_still_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "c6.txt"
+        path.write_text("n 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+        assert main(["oracle", str(path), "--k", "3"]) == 2
+        assert "validated input" in capsys.readouterr().err
+
+    def test_python_dash_m(self, petersen_file):
+        """``python -m nearnormal`` runs the same command line."""
+        env = {**os.environ, "PYTHONPATH": str(Path(nearnormal.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "nearnormal", "oracle", petersen_file, "--k", "3"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "no proper 3-edge-colouring exists\n"
 
 
 class TestAuditCommand:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import reference_search
+from nearnormal import colouring
 from nearnormal.colouring import (
     POOR,
     RICH,
@@ -10,7 +11,7 @@ from nearnormal.colouring import (
     medium_count,
     try_3_edge_colouring,
 )
-from nearnormal.corpus import load_cubic_corpus
+from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus
 from nearnormal.graph import GraphError, build_graph
 from nearnormal.oracle import exists_normal, min_medium_exact, verify_conjecture_on
 
@@ -118,3 +119,16 @@ class TestThreeColouringConsistency:
             except GraphError:
                 slow = False
             assert fast == slow
+
+    @pytest.mark.parametrize("n", CORPUS_ORDERS)
+    def test_zero_at_k4_is_a_3_colouring(self, n):
+        """With no medium edge every edge of a 4-colouring is poor, so every
+        vertex of a connected cubic graph misses the same colour: the
+        minimum over 4-colourings is 0 exactly when a 3-colouring exists,
+        and the first such colouring in search order is the same one."""
+        for g in load_cubic_corpus(n):
+            minimum, witness = min_medium_exact(g, 4)
+            three = colouring._min_medium_search(g, 3)
+            assert (minimum == 0) == (three is not None)
+            if three is not None:
+                assert witness.colour_of == three[1]

@@ -6,13 +6,22 @@ oracles run it with none."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import bench_families
 import reference_search as ref
-from nearnormal import colouring
+from nearnormal import colouring, oracle
 from nearnormal.colouring import try_3_edge_colouring
-from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, moebius_ladder, prism
+from nearnormal.corpus import (
+    CORPUS_ORDERS,
+    complete_graph_k4,
+    load_cubic_corpus,
+    moebius_ladder,
+    petersen_graph,
+    prism,
+)
 from nearnormal.graph import GraphError
 from nearnormal.oracle import exists_normal, min_medium_exact
 from reference_classify import is_proper
@@ -42,6 +51,45 @@ def test_three_colouring_matches_reference(n):
 def test_minimum_matches_reference(n, k):
     for g in load_cubic_corpus(n):
         assert _minimum(min_medium_exact, g, k) == _minimum(ref.min_medium_exact, g, k)
+
+
+def test_minimum_without_a_3_colouring_matches_reference():
+    """The five corpus graphs at n = 14 with no 3-colouring: their minimum
+    is above 0, so the unbounded k = 4 search runs, and there counting
+    mediums early cuts the most."""
+    graphs = [g for g in load_cubic_corpus(14) if ref.try_3_edge_colouring(g) is None]
+    assert len(graphs) == 5
+    for g in graphs:
+        assert _minimum(min_medium_exact, g, 4) == _minimum(ref.min_medium_exact, g, 4)
+
+
+@pytest.mark.parametrize("n", [n for n in CORPUS_ORDERS if n <= 10])
+def test_minimum_matches_reference_with_six_colours(n):
+    for g in load_cubic_corpus(n):
+        assert _minimum(min_medium_exact, g, 6) == _minimum(ref.min_medium_exact, g, 6)
+
+
+@pytest.mark.parametrize("graph, k, bounds", [
+    ("petersen", 3, [1]),
+    ("petersen", 4, [1, math.inf]),
+    ("k4", 4, [1]),
+])
+def test_minimum_runs_the_zero_case_first(graph, k, bounds, monkeypatch):
+    """The bound-1 pass runs first and settles a minimum of 0; for k = 3 it
+    settles every graph, so the search runs once."""
+    seen = []
+
+    def search(g, k, bound=math.inf, backtracks=math.inf):
+        seen.append(bound)
+        return colouring._min_medium_search(g, k, bound, backtracks)
+
+    monkeypatch.setattr(oracle, "_min_medium_search", search)
+    g = {"petersen": petersen_graph(), "k4": complete_graph_k4()}[graph]
+    try:
+        min_medium_exact(g, k)
+    except GraphError:
+        assert (graph, k) == ("petersen", 3)
+    assert seen == bounds
 
 
 @pytest.mark.parametrize("n", [n for n in CORPUS_ORDERS if n <= 10])
