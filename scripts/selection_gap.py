@@ -15,7 +15,10 @@ Prints three parts.
   medium edges of the colouring built from each selection, and how many of
   the charge audits pass.
 * Time.  ``find_optimal_selection`` on the chosen 2-factor of the flower
-  snark J5001 (n = 20,004), and ``colour_graph`` on it end to end.
+  snark J5001 (n = 20,004), and ``colour_graph`` on it end to end; then
+  ``choose_two_factor`` and ``colour_graph`` on the seeded Petersen
+  inflation with n = 9,900 and on a seeded triangle-free random graph with
+  n = 10,000.
 
 ``bench/generators.py`` and ``bench/workloads.py`` are loaded by path and
 only read.  The package is imported from this checkout's ``src``.  Standard
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import random
 import sys
 import time
 from pathlib import Path
@@ -136,6 +140,26 @@ def j5001() -> None:
           f"(bound {4 * g.n / 5:g}), audit passed: {report.audit_passed}", flush=True)
 
 
+def two_factor_time() -> None:
+    """The graphs are ``tests/bench_families.py``'s
+    ``petersen_inflation(1100, seed=1100)`` and
+    ``random_cubic(10000, 0, triangle_free=True)``."""
+    rng = random.Random(1100)
+    inflation = generators.petersen_inflation(generators.random_cubic(1100, rng), rng)
+    triangle_free = generators.random_cubic(10000, random.Random(0), True)
+    for name, edges in (("inflation", inflation), ("triangle-free random", triangle_free)):
+        g = build_graph(*edges)
+        start = time.perf_counter()
+        tf = choose_two_factor(g)
+        choose_s = time.perf_counter() - start
+        start = time.perf_counter()
+        _colouring, report = pipeline.colour_graph(g)
+        total_s = time.perf_counter() - start
+        print(f"{name} (n = {g.n}): choose_two_factor {choose_s:.3f} s, {len(tf.odd_cycles())} odd "
+              f"cycles; colour_graph {total_s:.2f} s, {report.base_branch}, {report.medium} medium "
+              f"edges (bound {4 * g.n / 5:g}), audit passed: {report.audit_passed}", flush=True)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=_seeds, default=_seeds("0-59"), help="A-B or one seed (default 0-59)")
@@ -146,6 +170,7 @@ def main() -> int:
         identity(name, args.seeds)
     gap()
     j5001()
+    two_factor_time()
     return 0
 
 

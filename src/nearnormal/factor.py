@@ -4,12 +4,10 @@ A perfect matching M of a cubic graph leaves a 2-regular remainder whose
 cycles form the 2-factor F; the construction downstream consumes the cycle
 decomposition together with a fixed cyclic ordering of each cycle.
 
-:func:`choose_two_factor` picks M as the globally lexicographically first
-perfect matching whose 2-factor has a cycle of length other than 5, in
-polynomial time: Edmonds' augmenting-path search decides, edge by edge in
-id order, whether the edges chosen so far still extend to a perfect
-matching.  :func:`enumerate_perfect_matchings` lists matchings up to a cap;
-the pipeline does not use it, the tests do.
+:func:`choose_two_factor` takes M from Edmonds' augmenting-path search, in
+polynomial time, and looks further only when every cycle of F has length 5.
+:func:`enumerate_perfect_matchings` lists matchings up to a cap; the
+pipeline does not use it, the tests do.
 """
 
 from __future__ import annotations
@@ -177,33 +175,41 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
 def choose_two_factor(g: MultiGraph) -> TwoFactor:
     """Pick the 2-factor the construction starts from.
 
-    Take the lexicographically first perfect matching (by sorted edge-id
-    list) whose 2-factor contains a cycle of length other than 5; such a
-    2-factor exists for every connected bridgeless cubic graph except the
-    Petersen graph, and it makes the final medium bound strict.  When every
-    2-factor is made of 5-cycles, take the first perfect matching.  The
-    order is global: no matching is skipped and no cap applies.
-
-    The first matching is built edge by edge in id order with one
-    augmenting-path search per edge that it does not already hold; later
-    matchings are reached by backtracking with the same test (see
-    :class:`_LexMatcher`), which only runs while every 2-factor so far is
-    all 5-cycles.  Raises :class:`GraphError` when there is no perfect
-    matching.
+    Take the perfect matching that :meth:`_Matcher.match_all` builds
+    (greedy in edge-id order, then augmenting paths).  The construction
+    needs a cycle of length other than 5, which makes the final medium
+    bound strict; such a 2-factor exists for every connected bridgeless
+    cubic graph except the Petersen graph.  When every cycle of the first
+    2-factor has length 5, force each edge outside its matching in id order
+    and take the first forced matching whose 2-factor has such a cycle; when
+    none has, keep the first one.  Raises :class:`GraphError` when there is
+    no perfect matching.
     """
     if g.n % 2:
         raise GraphError("graph has no perfect matching")
-    lex = _LexMatcher(g)
-    if not lex.match_all():
+    matcher = _Matcher(g)
+    if not matcher.match_all():
         raise GraphError("graph has no perfect matching")
-    chosen = lex.extend([], 0)
-    first = two_factor_from_matching(g, chosen)
+    first = two_factor_from_matching(g, matcher.mate_edge)
     if any(len(cyc) != 5 for cyc in first.cycles):
         return first
-    while (chosen := lex.next_after(chosen)) is not None:
-        tf = two_factor_from_matching(g, chosen)
-        if any(len(cyc) != 5 for cyc in tf.cycles):
-            return tf
+    mate_edge, blocked, xor = matcher.mate_edge, matcher.blocked, matcher.xor
+    saved = mate_edge[:]
+    for e, (u, v) in enumerate(g.edges):
+        fu, fv = saved[u], saved[v]
+        if fu == fv:  # e or an edge parallel to it is matched: the same cycles
+            continue
+        mate_edge[:] = saved
+        x, y = xor[fu] ^ u, xor[fv] ^ v
+        mate_edge[u] = mate_edge[v] = e
+        mate_edge[x] = mate_edge[y] = -1
+        blocked[u] = blocked[v] = 1
+        found = matcher.augment(x)
+        blocked[u] = blocked[v] = 0
+        if found:
+            tf = two_factor_from_matching(g, mate_edge)
+            if any(len(cyc) != 5 for cyc in tf.cycles):
+                return tf
     return first
 
 
@@ -218,15 +224,11 @@ def _find(uf: list[int], v: int) -> int:
     return v
 
 
-class _LexMatcher:
-    """Perfect matchings of one graph in lexicographic order of their sorted
-    edge-id lists.
+class _Matcher:
+    """A perfect matching of one graph, grown by augmenting paths.
 
     ``mate_edge[v]`` is the matching edge at ``v`` (-1 while ``v`` is
-    exposed).  Vertices marked in ``blocked`` are covered by the chosen
-    prefix; searches never enter them.  Outside the matching, edges with id
-    at most ``floor`` are unusable, so after a branch at edge ``b`` the
-    completion uses only edges past ``b``.
+    exposed).  Searches never enter the vertices marked in ``blocked``.
 
     The single-source search is Edmonds' blossom algorithm (Edmonds 1965,
     "Paths, trees, and flowers"): a breadth-first alternating tree whose odd
@@ -236,7 +238,7 @@ class _LexMatcher:
     resets only the entries it touched.
     """
 
-    __slots__ = ("edges", "xor", "adj", "mate_edge", "blocked", "floor",
+    __slots__ = ("edges", "xor", "adj", "mate_edge", "blocked",
                  "label", "via", "uf", "seen", "clock")
 
     def __init__(self, g: MultiGraph) -> None:
@@ -250,7 +252,6 @@ class _LexMatcher:
         self.adj = adj
         self.mate_edge = [-1] * n
         self.blocked = bytearray(n)
-        self.floor = -1
         self.label = bytearray(n)
         self.via = [-1] * n
         self.uf = list(range(n))
@@ -266,67 +267,12 @@ class _LexMatcher:
                 mate_edge[u] = mate_edge[v] = e
         return all(mate_edge[v] >= 0 or self.augment(v) for v in range(len(mate_edge)))
 
-    def extend(self, chosen: list[int], start: int) -> list[int]:
-        """Grow ``chosen`` to the lexicographically first perfect matching
-        that contains it and otherwise uses edges from ``start`` on.
-
-        Expects ``blocked`` to cover ``chosen`` and the free vertices to be
-        perfectly matched.  An edge of the matching is taken as it is; any
-        other edge uv with both ends free is taken exactly when the partners
-        of u and v, unmatched, can be joined by an augmenting path that
-        avoids u, v and the chosen ones.
-        """
-        edges, xor, mate_edge, blocked = self.edges, self.xor, self.mate_edge, self.blocked
-        half = len(blocked) // 2
-        for e in range(start, len(edges)):
-            if len(chosen) == half:
-                break
-            u, v = edges[e]
-            if blocked[u] or blocked[v]:
-                continue
-            fu, fv = mate_edge[u], mate_edge[v]
-            blocked[u] = blocked[v] = 1
-            if fu != e:
-                mate_edge[u] = mate_edge[v] = e
-                if fu != fv:  # fu == fv: a parallel edge joined u and v
-                    x, y = xor[fu] ^ u, xor[fv] ^ v
-                    mate_edge[x] = mate_edge[y] = -1
-                    if not self.augment(x):
-                        mate_edge[u] = mate_edge[x] = fu
-                        mate_edge[v] = mate_edge[y] = fv
-                        blocked[u] = blocked[v] = 0
-                        continue
-            chosen.append(e)
-        return chosen
-
-    def next_after(self, chosen: list[int]) -> list[int] | None:
-        """The perfect matching after ``chosen`` (the current, complete one)
-        in lexicographic order, or None when it is the last.
-
-        That matching keeps the longest prefix ``chosen[:j]`` whose free
-        vertices have a perfect matching on edges past ``chosen[j]``, and
-        extends it by the first such matching.  ``chosen[j + 1:]`` already
-        matches all free vertices but the ends of ``chosen[j]``, so one
-        search between those ends, barred from ``chosen[j]`` and the edges
-        before it, decides each prefix.
-        """
-        edges, mate_edge, blocked = self.edges, self.mate_edge, self.blocked
-        for j in range(len(chosen) - 1, -1, -1):
-            e = chosen[j]
-            u, v = edges[e]
-            blocked[u] = blocked[v] = 0
-            mate_edge[u] = mate_edge[v] = -1
-            self.floor = e
-            if self.augment(u):
-                return self.extend(chosen[:j], e + 1)
-            mate_edge[u] = mate_edge[v] = e
-        return None
-
     def augment(self, root: int) -> bool:
         """Search for an alternating path from the exposed vertex ``root``
-        to another exposed free vertex and flip it; False when none exists
-        (then no perfect matching of the free vertices does either)."""
-        adj, xor, mate_edge, blocked, floor = self.adj, self.xor, self.mate_edge, self.blocked, self.floor
+        to another exposed unblocked vertex and flip it; False when none
+        exists (then no perfect matching of the unblocked vertices does
+        either)."""
+        adj, xor, mate_edge, blocked = self.adj, self.xor, self.mate_edge, self.blocked
         label, via, uf = self.label, self.via, self.uf
         label[root] = _EVEN
         queue = [root]  # even vertices, in the order they were labelled
@@ -335,7 +281,7 @@ class _LexMatcher:
         for v in queue:  # grows while it is read
             mv = mate_edge[v]
             for e, w in adj[v]:
-                if e == mv or e <= floor or blocked[w]:
+                if e == mv or blocked[w]:
                     continue
                 lw = label[w]
                 if lw == _EVEN:

@@ -141,7 +141,10 @@ def parse_colouring(text: str, g: MultiGraph) -> EdgeColouring:
     The format is order-insensitive in both line order and endpoint order.
     Parallel edges are covered by repeating their endpoint pair; colours for
     a parallel class are assigned to its edge ids in ascending id order.
+    Colours run from 1 to ``max(m, 5)``: enough for one colour per edge and
+    for any normal 5-edge-colouring.
     """
+    top = max(g.m, 5)
     wanted: dict[tuple[int, int], list[int]] = {}
     for ln in text.splitlines():
         ln = ln.strip()
@@ -156,6 +159,8 @@ def parse_colouring(text: str, g: MultiGraph) -> EdgeColouring:
             raise FormatError(f"bad colouring line {ln!r}") from exc
         if col < 1:
             raise FormatError(f"colours must be positive, got {col}")
+        if col > top:
+            raise FormatError(f"colour {col} is above max(m, 5) = {top}")
         wanted.setdefault((min(u, v), max(u, v)), []).append(col)
     colours = [0] * g.m
     groups: dict[tuple[int, int], list[int]] = {}

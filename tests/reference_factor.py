@@ -1,8 +1,10 @@
 """The 2-factor choice as it was made by enumerating perfect matchings,
 kept as a test oracle for ``nearnormal.factor.choose_two_factor``.
 
-It sorts the first ``limit`` enumerated matchings, so it agrees with the
-polynomial search wherever a graph has at most ``limit`` perfect matchings.
+It sorts the first ``limit`` enumerated matchings, so wherever a graph has
+at most ``limit`` perfect matchings it is complete: its 2-factor has a cycle
+of length other than 5 exactly when some 2-factor of the graph has one.
+The tests check that ``choose_two_factor`` finds such a cycle exactly then.
 """
 
 from __future__ import annotations

@@ -105,6 +105,14 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "rich=15" in out and "normal=yes" in out
 
+    def test_huge_colour_is_a_format_error(self, tmp_path, capsys):
+        gpath, cpath = tmp_path / "k4.txt", tmp_path / "colours.txt"
+        gpath.write_text("n 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        cpath.write_text("0 1 40000000000\n0 2 2\n0 3 3\n1 2 3\n1 3 2\n2 3 1\n")
+        assert main(["verify", str(gpath), str(cpath)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: colour 40000000000 is above max(m, 5) = 6\n"
+
 
 class TestOracleCommand:
     def test_min_medium(self, petersen_file, capsys):

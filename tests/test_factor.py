@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 
 import pytest
 
 import bench_families
 import reference_factor as ref
+from nearnormal import factor
 from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, prism
 from nearnormal.factor import (
     choose_two_factor,
@@ -14,7 +16,9 @@ from nearnormal.factor import (
     is_perfect_matching,
     two_factor_from_matching,
 )
-from nearnormal.graph import GraphError, build_graph
+from nearnormal.graph import GraphError, build_graph, validate_input
+from nearnormal.petersen import is_petersen_graph
+from nearnormal.pipeline import colour_graph
 
 
 def matchings_by_brute_force(g):
@@ -178,57 +182,105 @@ class TestChooseTwoFactor:
                 choose_two_factor(g)
 
 
-def assert_same_choice(g):
-    """The augmenting-path search picks what sorting every perfect matching
-    picks (``tests/reference_factor.py``)."""
-    got, want = choose_two_factor(g), ref.choose_two_factor(g)
-    assert got.matching == want.matching
-    assert got.cycles == want.cycles
-
-
 def has_non_five_cycle(tf):
     return any(len(c) != 5 for c in tf.cycles)
+
+
+def assert_valid_choice(g):
+    tf = choose_two_factor(g)
+    assert is_perfect_matching(g, tf.matching)
+    assert sorted(v for cyc in tf.cycles for v in cyc) == list(range(g.n))
+    return tf
+
+
+def assert_same_property(g):
+    """The chosen 2-factor has a cycle of length other than 5 exactly when
+    the complete enumeration finds one (``tests/reference_factor.py``)."""
+    assert has_non_five_cycle(assert_valid_choice(g)) == has_non_five_cycle(ref.choose_two_factor(g))
+
+
+def first_two_factor(g):
+    """The 2-factor of the matching ``choose_two_factor`` starts from."""
+    matcher = factor._Matcher(g)
+    assert matcher.match_all()
+    return two_factor_from_matching(g, matcher.mate_edge)
 
 
 class TestChooseTwoFactorAgainstEnumeration:
     @pytest.mark.parametrize("n", CORPUS_ORDERS)
     def test_corpus(self, n):
         for g in load_cubic_corpus(n):
-            assert_same_choice(g)
+            assert_same_property(g)
 
     def test_corpus_reaches_past_the_first_matching(self):
-        # three graphs at n = 10, the Petersen graph among them, make the
-        # search go on after a first matching whose 2-factor is all 5-cycles
-        firsts = [two_factor_from_matching(g, enumerate_perfect_matchings(g)[0]) for g in load_cubic_corpus(10)]
-        assert sum(not has_non_five_cycle(tf) for tf in firsts) == 3
+        # three graphs at n = 10, the Petersen graph among them, start from
+        # a 2-factor of 5-cycles; forcing one edge gets the other two out
+        stuck = [g for g in load_cubic_corpus(10) if not has_non_five_cycle(first_two_factor(g))]
+        assert len(stuck) == 3
+        assert [has_non_five_cycle(choose_two_factor(g)) for g in stuck].count(False) == 1
 
     @pytest.mark.parametrize("fixture", ["petersen", "k4", "k_3_3", "prism5", "triple"])
     def test_named(self, fixture, request):
-        assert_same_choice(request.getfixturevalue(fixture))
+        assert_same_property(request.getfixturevalue(fixture))
 
     @pytest.mark.parametrize("k", range(5, 16, 2))
     def test_flower_snarks(self, k):
-        assert_same_choice(bench_families.flower_snark(k))
+        assert_same_property(bench_families.flower_snark(k))
 
     @pytest.mark.parametrize("base_order", [4, 6, 8])
     def test_petersen_inflations(self, base_order):
         g = bench_families.petersen_inflation(base_order, seed=base_order)
         assert g.n == 9 * base_order
-        assert_same_choice(g)
+        assert_same_property(g)
 
     @pytest.mark.parametrize("n", [n for n in CORPUS_ORDERS if n <= 10])
     def test_lexicographically_least(self, n):
+        """The reference picks the first perfect matching by sorted edge ids
+        whose 2-factor has a cycle of length other than 5."""
         for g in load_cubic_corpus(n):
             every = sorted(matchings_by_brute_force(g), key=sorted)
             good = [m for m in every if has_non_five_cycle(two_factor_from_matching(g, m))]
-            assert choose_two_factor(g).matching == (good or every)[0]
+            assert ref.choose_two_factor(g).matching == (good or every)[0]
+
+    @pytest.mark.parametrize("n", [n for n in CORPUS_ORDERS if n <= 10])
+    def test_non_five_cycle_against_brute_force(self, n):
+        for g in load_cubic_corpus(n):
+            every = matchings_by_brute_force(g)
+            tf = assert_valid_choice(g)
+            assert tf.matching in every
+            assert has_non_five_cycle(tf) == any(
+                has_non_five_cycle(two_factor_from_matching(g, m)) for m in every)
 
 
-def assert_valid_choice(g):
-    tf = choose_two_factor(g)
-    assert is_perfect_matching(g, tf.matching)
-    assert sum(len(c) for c in tf.cycles) == g.n
-    assert has_non_five_cycle(tf)
+def five_cycles_plus_matching(k, rng):
+    """``k`` disjoint 5-cycles joined by a random perfect matching whose
+    edges are listed first, so that the first 2-factor is the 5-cycles;
+    None when the graph has a parallel edge or a bridge, or is
+    disconnected."""
+    n = 5 * k
+    ends = list(range(n))
+    rng.shuffle(ends)
+    edges = [(ends[i], ends[i + 1]) for i in range(0, n, 2)]
+    edges += [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(k) for i in range(5)]
+    g = build_graph(n, edges)
+    return g if g.is_simple() and validate_input(g).ok else None
+
+
+class TestAllFiveCycleStart:
+    def test_forcing_finds_a_non_five_cycle(self):
+        """Off the Petersen graph, forcing one edge leaves the all-5-cycle
+        start, and the bound is strict."""
+        rng = random.Random(15)
+        graphs = 0
+        while graphs < 100:
+            g = five_cycles_plus_matching(2 * rng.randint(1, 20), rng)
+            if g is None or is_petersen_graph(g):
+                continue
+            graphs += 1
+            assert not has_non_five_cycle(first_two_factor(g))
+            assert has_non_five_cycle(assert_valid_choice(g))
+            report = colour_graph(g)[1]
+            assert report.bound_ok and not report.bound_tight
 
 
 class TestChooseTwoFactorAtScale:
@@ -236,13 +288,13 @@ class TestChooseTwoFactorAtScale:
 
     def test_flower_snarks_to_j101(self):
         for k in range(5, 102, 2):
-            assert_valid_choice(bench_families.flower_snark(k))
+            assert has_non_five_cycle(assert_valid_choice(bench_families.flower_snark(k)))
 
     def test_petersen_inflation_432(self):
         g = bench_families.petersen_inflation(48, seed=48)
         assert g.n == 432
-        assert_valid_choice(g)
+        assert has_non_five_cycle(assert_valid_choice(g))
 
     def test_triangle_free_random_1000(self):
         g = bench_families.random_cubic(1000, seed=3, triangle_free=True)
-        assert_valid_choice(g)
+        assert has_non_five_cycle(assert_valid_choice(g))

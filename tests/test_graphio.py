@@ -129,3 +129,15 @@ class TestColouringFiles:
     def test_bad_colour_rejected(self, k4):
         with pytest.raises(FormatError, match="positive"):
             parse_colouring("0 1 0\n", k4)
+
+    def test_colour_above_the_cap_rejected(self, k4, triple):
+        # a colour that large would make the class bitmasks huge integers
+        with pytest.raises(FormatError, match="above max"):
+            parse_colouring("0 1 40000000000\n", k4)
+        rows = [f"{u} {v} {c}" for (u, v), c in zip(k4.edges, (1, 2, 3, 4, 5, 6))]
+        assert parse_colouring("\n".join(rows), k4).colour_of == (1, 2, 3, 4, 5, 6)
+        with pytest.raises(FormatError, match="above max"):
+            parse_colouring("\n".join(rows[:-1] + [rows[-1][:-1] + "7"]), k4)
+        assert parse_colouring("0 1 5\n0 1 4\n0 1 3\n", triple).k == 5
+        with pytest.raises(FormatError, match="above max"):
+            parse_colouring("0 1 6\n0 1 4\n0 1 3\n", triple)

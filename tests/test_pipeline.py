@@ -260,8 +260,8 @@ class TestThreeColouringOutcome:
     @pytest.mark.parametrize("make", [
         lambda: bench_families.flower_snark(301),
         lambda: bench_families.flower_snark(1001),
-        lambda: bench_families.random_cubic(400, 6, triangle_free=True),
-    ], ids=["J301", "J1001", "random400#6"])
+        lambda: bench_families.random_cubic(1000, 15, triangle_free=True),
+    ], ids=["J301", "J1001", "random1000#15"])
     def test_open_runs_end_to_end(self, make):
         g = make()
         colouring_, report = colour_graph(g)
