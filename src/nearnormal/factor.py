@@ -12,7 +12,7 @@ pipeline does not use it, the tests do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import GraphError, MultiGraph
 
@@ -38,12 +38,17 @@ class TwoFactor:
     position: tuple[int, ...]
     cycle_of_edge: tuple[int, ...]
     partner: tuple[int, ...]
+    _odd: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_odd", tuple(c for c, cyc in enumerate(self.cycles) if len(cyc) % 2))
 
     def cycle_length(self, c: int) -> int:
         return len(self.cycles[c])
 
-    def odd_cycles(self) -> list[int]:
-        return [c for c in range(len(self.cycles)) if len(self.cycles[c]) % 2]
+    def odd_cycles(self) -> tuple[int, ...]:
+        """The indices of the odd cycles, in increasing order."""
+        return self._odd
 
     def position_on_cycle(self, c: int, v: int) -> int:
         if self.cycle_of_vertex[v] != c:

@@ -205,15 +205,6 @@ def validate_input(g: MultiGraph) -> Diagnosis:
     return Diagnosis(True)
 
 
-def triangles_through(g, e: int) -> list[tuple[int, int, int]]:
-    """Sorted vertex triples of the triangles through edge ``e``, in O(1)
-    on a cubic graph.  ``g`` needs only ``edges`` and ``incident_edges``."""
-    a, b = g.edges[e]
-    near_a = {w for f in g.incident_edges(a) for w in g.edges[f]} - {a}
-    near_b = {w for f in g.incident_edges(b) for w in g.edges[f]} - {b}
-    return [tuple(sorted((a, b, w))) for w in near_a & near_b]
-
-
 def find_triangles(g: MultiGraph) -> list[tuple[int, int, int]]:
     """Every triangle of ``g`` as a sorted vertex triple, in sorted order:
     one pass over the edges with neighbour sets, O(m) on a cubic graph."""

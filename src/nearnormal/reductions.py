@@ -36,11 +36,21 @@ graph before it connected and bridgeless.
 
 Lifts.  A colouring is one list indexed by working edge id.  Removed and new
 edges have different ids, so once :func:`lift` has written the removed edges
-the list holds the colourings on both sides of the step.  Only edges at a
-touched vertex can change class (every other edge keeps its neighbours and
-their colours), so each record keeps those edges on both sides with their
-neighbour ids, reaching distance 2 from the site, and a lift re-checks
-properness and the medium count there only.
+the list holds the colourings on both sides of the step.  A record keeps the
+site's edges by role and the edges at each outside vertex (u1, u2 of a pair
+step, u0, u1, u2 of a triangle step) before and after the step; those give
+the neighbours of every removed and every new edge.  A lift classifies only
+these edges, which checks properness there, and checks that the removed
+edges hold no more medium edges than the new ones did.  It also checks that
+each spoke takes the colour of the edge it replaces: the new edge, or its
+star edge at x.  That is enough.  The lift leaves the colour of every
+surviving edge alone, so with the spoke check each outside vertex sees the
+same multiset of colours on both sides.  A surviving edge changes neighbours
+only if it ends at an outside vertex, and its other end then either keeps
+its edges or is an outside vertex too, so its class does not change.
+Adding these unchanged classes to both sides of the site inequality gives
+the inequality over the site and every edge at an outside vertex, which is
+what a lift re-checking all of those edges would establish.
 """
 
 from __future__ import annotations
@@ -48,57 +58,96 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .colouring import MEDIUM, _edge_class
-from .graph import GraphError, MultiGraph, find_triangles, triangles_through, validate_input
+from .graph import GraphError, MultiGraph, find_triangles, validate_input
 
 MULTI_EDGE = "multi_edge"
 TRIANGLE = "triangle"
 
-Local = tuple[tuple[int, tuple[int, ...]], ...]  # (edge, its neighbour ids)
+Site = tuple[tuple[int, tuple[int, ...]], ...]  # (edge, the edges at its ends, maybe itself)
 
 
 @dataclass(frozen=True, slots=True)
-class ReductionRecord:
-    """One rewrite step in working edge ids: the site's edges by role, and
-    the edges at the touched vertices of the graph before and after the
-    step, each with its neighbour ids there."""
+class MultiEdgeRecord:
+    """A pair step in working edge ids: the pair v1v2 and the spokes v1u1,
+    v2u2 gave way to the new edge u1u2.  ``outside_before`` and
+    ``outside_after`` hold the edges at u1 and at u2 on either side."""
 
-    kind: str
-    spokes: tuple[int, ...]              # v1u1, v2u2 (triangle: v_iu_i)
-    before: Local
-    after: Local
-    # multi_edge fields
-    new_edge: int = -1                   # the replacement edge u1u2
-    pair: tuple[int, int] = (-1, -1)     # the parallel pair
-    anchor_edges: tuple[int, int] = (-1, -1)  # the other edges at u1
-    # triangle fields
-    x_edges: tuple[int, ...] = ()        # the star at x, i-aligned
-    triangle_edges: tuple[int, ...] = () # v0v1, v1v2, v2v0
+    kind: ClassVar[str] = MULTI_EDGE
+    spokes: tuple[int, int]
+    pair: tuple[int, int]
+    new_edge: int
+    outside_before: tuple[tuple[int, ...], tuple[int, ...]]
+    outside_after: tuple[tuple[int, ...], tuple[int, ...]]
 
     @property
-    def added(self) -> tuple[int, ...]:
-        return (self.new_edge,) if self.kind == MULTI_EDGE else self.x_edges
+    def anchor_edges(self) -> tuple[int, ...]:
+        """The other edges at u1; the new edge comes last at u1."""
+        return self.outside_after[0][:-1]
+
+    @property
+    def replaced(self) -> tuple[int, int]:
+        """The edge of the reduced graph whose colour each spoke takes."""
+        return self.new_edge, self.new_edge
+
+    def site_before(self) -> Site:
+        """The removed edges, each with the edges around it before the step."""
+        (s1, s2), (e1, e2) = self.spokes, self.pair
+        at_u1, at_u2 = self.outside_before
+        return (e1, (e2, s1, s2)), (e2, (e1, s1, s2)), (s1, (e1, e2, *at_u1)), (s2, (e1, e2, *at_u2))
+
+    def site_after(self) -> Site:
+        """The new edge with the edges around it after the step."""
+        at_u1, at_u2 = self.outside_after
+        return ((self.new_edge, at_u1 + at_u2),)
+
+
+@dataclass(frozen=True, slots=True)
+class TriangleRecord:
+    """A triangle step in working edge ids: the triangle v0v1v2, with
+    ``triangle_edges[i]`` = v_iv_{i+1} and ``spokes[i]`` = v_iu_i, became
+    the vertex x with star edges ``x_edges[i]`` = xu_i.  ``outside_before``
+    and ``outside_after`` hold the edges at u0, u1 and u2 on either side
+    (the u_i need not be distinct)."""
+
+    kind: ClassVar[str] = TRIANGLE
+    spokes: tuple[int, int, int]
+    triangle_edges: tuple[int, int, int]
+    x_edges: tuple[int, int, int]
+    outside_before: tuple[tuple[int, ...], ...]
+    outside_after: tuple[tuple[int, ...], ...]
+
+    @property
+    def replaced(self) -> tuple[int, int, int]:
+        return self.x_edges
+
+    def site_before(self) -> Site:
+        (s0, s1, s2), (t0, t1, t2) = self.spokes, self.triangle_edges
+        at_u0, at_u1, at_u2 = self.outside_before
+        return (
+            (s0, (t2, t0, *at_u0)), (s1, (t0, t1, *at_u1)), (s2, (t1, t2, *at_u2)),
+            (t0, (s0, s1, t1, t2)), (t1, (s1, s2, t2, t0)), (t2, (s2, s0, t0, t1)),
+        )
+
+    def site_after(self) -> Site:
+        x = self.x_edges
+        return tuple((e, x + at_u) for e, at_u in zip(x, self.outside_after))
+
+
+ReductionRecord = MultiEdgeRecord | TriangleRecord
 
 
 class _WorkingGraph:
     """Multigraph with stable ids; a deleted vertex's incidence list and a
-    deleted edge's endpoint pair become None."""
+    deleted edge's endpoint pair become None.  Incidence lists stay sorted,
+    as edges are only deleted from them and new edges take the next id."""
 
     def __init__(self, g: MultiGraph) -> None:
         self.n = g.n
         self.edges: list[tuple[int, int] | None] = list(g.edges)
         self.incident: list[list[int] | None] = [list(g.incident_edges(v)) for v in range(g.n)]
-
-    def incident_edges(self, v: int) -> list[int]:
-        return self.incident[v]
-
-    def other_end(self, e: int, v: int) -> int:
-        a, b = self.edges[e]
-        return b if a == v else a
-
-    def between(self, u: int, v: int) -> list[int]:
-        return [e for e in self.incident[u] if self.other_end(e, u) == v]
 
     def alive(self, site: tuple[int, ...]) -> bool:
         return all(self.incident[v] is not None for v in site)
@@ -106,76 +155,89 @@ class _WorkingGraph:
     def doubled(self, pair: tuple[int, int]) -> bool:
         if not self.alive(pair):
             return False
-        if len(self.between(*pair)) > 2:
+        edges = self.edges
+        if sum(edges[e] == pair for e in self.incident[pair[0]]) > 2:
             raise GraphError("triple edge only occurs in the 2-vertex base case")
         return True
 
-    def local(self, ids) -> Local:
-        out = []
-        for e in ids:
-            a, b = self.edges[e]
-            out.append((e, tuple({*self.incident[a], *self.incident[b]} - {e})))
-        return tuple(out)
-
-    def _rewrite(self, doomed, removed, outside, new_ends) -> tuple[Local, tuple[int, ...], Local]:
-        """Delete the ``doomed`` vertices and add edges ``new_ends``; returns
-        the local edges before, the new edge ids and the local edges after."""
-        boundary = tuple(sorted({e for u in outside for e in self.incident[u]} - set(removed)))
-        before = self.local(removed + boundary)
+    def _rewrite(self, doomed, removed, spokes, outside, new_ends):
+        """Delete the ``doomed`` vertices with their ``removed`` edges, of
+        which ``spokes[i]`` ends at ``outside[i]``, and add an edge for each
+        (u, v) in ``new_ends``, u < v.  Returns the edges at the outside
+        vertices before, the new edge ids, and the edges there after."""
+        edges, incident = self.edges, self.incident
+        before = tuple(tuple(incident[u]) for u in outside)
+        for e, u in zip(spokes, outside):
+            incident[u].remove(e)
+        for e in removed:
+            edges[e] = None
         for v in doomed:
-            for e in self.incident[v]:
-                if self.edges[e] is not None:
-                    for w in self.edges[e]:
-                        if w not in doomed:
-                            self.incident[w].remove(e)
-                    self.edges[e] = None
-            self.incident[v] = None
+            incident[v] = None
         self.n -= len(doomed)
-        added = tuple(range(len(self.edges), len(self.edges) + len(new_ends)))
+        added = tuple(range(len(edges), len(edges) + len(new_ends)))
         for e, (u, v) in zip(added, new_ends):
-            self.edges.append((min(u, v), max(u, v)))
-            self.incident[u].append(e)
-            self.incident[v].append(e)
-        if any(len(self.incident[w]) != 3 for ends in new_ends for w in ends):
+            edges.append((u, v))
+            incident[u].append(e)
+            incident[v].append(e)
+        if any(len(incident[w]) != 3 for ends in new_ends for w in ends):
             raise GraphError("rewrite produced a non-cubic graph")
-        return before, added, self.local(added + boundary)
+        return before, added, tuple(tuple(incident[u]) for u in outside)
 
-    def remove_pair(self, v1: int, v2: int) -> ReductionRecord:
+    def remove_pair(self, v1: int, v2: int) -> MultiEdgeRecord:
         """Remove the doubled pair v1, v2 and splice their outside
         neighbours u1, u2 together with a new edge."""
-        e1, e2 = self.between(v1, v2)
-        (spoke1,) = (e for e in self.incident[v1] if e not in (e1, e2))
-        (spoke2,) = (e for e in self.incident[v2] if e not in (e1, e2))
-        u1, u2 = self.other_end(spoke1, v1), self.other_end(spoke2, v2)
+        edges, incident = self.edges, self.incident
+        e1, e2 = (e for e in incident[v1] if edges[e] == (v1, v2))
+        (spoke1,) = (e for e in incident[v1] if e != e1 and e != e2)
+        (spoke2,) = (e for e in incident[v2] if e != e1 and e != e2)
+        a, b = edges[spoke1]
+        u1 = b if a == v1 else a
+        a, b = edges[spoke2]
+        u2 = b if a == v2 else a
         if u1 == u2:
             raise GraphError("outside neighbours coincide; graph cannot be bridgeless")
         before, (new_edge,), after = self._rewrite(
-            (v1, v2), (e1, e2, spoke1, spoke2), (u1, u2), [(u1, u2)]
+            (v1, v2), (e1, e2, spoke1, spoke2), (spoke1, spoke2), (u1, u2), [(min(u1, u2), max(u1, u2))]
         )
-        anchors = tuple(e for e in self.incident[u1] if e != new_edge)
-        return ReductionRecord(
-            MULTI_EDGE, (spoke1, spoke2), before, after,
-            new_edge=new_edge, pair=(e1, e2), anchor_edges=anchors,
-        )
+        return MultiEdgeRecord((spoke1, spoke2), (e1, e2), new_edge, before, after)
 
-    def contract(self, v: tuple[int, int, int]) -> ReductionRecord:
+    def contract(self, v: tuple[int, int, int]) -> TriangleRecord:
         """Contract the triangle v into a new vertex x; this may create
-        parallel edges."""
-        spokes = tuple(
-            next(e for e in self.incident[v[i]] if self.other_end(e, v[i]) not in v)
-            for i in range(3)
-        )
-        outside = [self.other_end(spokes[i], v[i]) for i in range(3)]
-        triangle_edges = tuple(self.between(v[i], v[(i + 1) % 3])[0] for i in range(3))
-        x = len(self.incident)
-        self.incident.append([])
+        parallel edges.  The graph is simple here, as pair steps go first."""
+        edges, incident = self.edges, self.incident
+        spokes, outside, inner = [], [], {}
+        for w in v:
+            for e in incident[w]:
+                a, b = ends = edges[e]
+                u = b if a == w else a
+                if u in v:
+                    inner[ends] = e
+                else:
+                    spokes.append(e)
+                    outside.append(u)
+        v0, v1, v2 = v
+        triangle_edges = (inner[v0, v1], inner[v1, v2], inner[v0, v2])
+        x = len(incident)
+        incident.append([])
         self.n += 1
         before, x_edges, after = self._rewrite(
-            v, spokes + triangle_edges, outside, [(u, x) for u in outside]
+            v, spokes + list(triangle_edges), spokes, outside, [(u, x) for u in outside]
         )
-        return ReductionRecord(
-            TRIANGLE, spokes, before, after, x_edges=x_edges, triangle_edges=triangle_edges
-        )
+        return TriangleRecord(tuple(spokes), triangle_edges, x_edges, before, after)
+
+    def push_candidates(self, e: int, pairs: list, triangles: list) -> None:
+        """Push the parallel pair and the triangles that edge ``e`` is on."""
+        edges, incident = self.edges, self.incident
+        a, b = ends = edges[e]
+        at_a = [edges[f] for f in incident[a]]
+        if at_a.count(ends) > 1:
+            heapq.heappush(pairs, ends)
+        near_a = {w for f in at_a for w in f}
+        near_a.discard(a)
+        near_b = {w for f in incident[b] for w in edges[f]}
+        near_b.discard(b)
+        for w in near_a & near_b:
+            heapq.heappush(triangles, (w, a, b) if w < a else (a, w, b) if w < b else (a, b, w))
 
     def compact(self) -> tuple[MultiGraph, tuple[int, ...]]:
         """The live graph with ranks as ids, and the working id of each of
@@ -215,17 +277,15 @@ def reduce_fully(g: MultiGraph) -> tuple[MultiGraph, list[ReductionRecord], tupl
         site = _next_site(pairs, wg.doubled)
         if site is not None:
             rec = wg.remove_pair(*site)
+            wg.push_candidates(rec.new_edge, pairs, triangles)
         else:
             site = _next_site(triangles, wg.alive)
             if site is None:
                 break
             rec = wg.contract(site)
+            for e in rec.x_edges:
+                wg.push_candidates(e, pairs, triangles)
         records.append(rec)
-        for e in rec.added:
-            if len(wg.between(*wg.edges[e])) > 1:
-                heapq.heappush(pairs, wg.edges[e])
-            for t in triangles_through(wg, e):
-                heapq.heappush(triangles, t)
     base, base_edges = wg.compact()
     diag = validate_input(base)
     if not diag.ok:  # the rewrites preserve validity; failing here is a bug
@@ -233,25 +293,25 @@ def reduce_fully(g: MultiGraph) -> tuple[MultiGraph, list[ReductionRecord], tupl
     return base, records, base_edges
 
 
-def _local_mediums(local: Local, colours: list[int]) -> int:
-    return sum(_edge_class(colours, e, nbrs) == MEDIUM for e, nbrs in local)
+def _site_mediums(site: Site, colours: list[int]) -> int:
+    return sum(_edge_class(colours, e, nbrs) == MEDIUM for e, nbrs in site)
 
 
-def lift_multi_edge(record: ReductionRecord, colours: list[int]) -> None:
+def lift_multi_edge(record: MultiEdgeRecord, colours: list[int]) -> None:
     """Transfer a proper colouring across the splice: both spokes take the
     new edge's colour, the parallel pair takes the two other colours seen at
     the anchor endpoint (in increasing order)."""
-    if record.kind != MULTI_EDGE:
+    if not isinstance(record, MultiEdgeRecord):
         raise GraphError("record is not a multi-edge reduction")
     colours[record.spokes[0]] = colours[record.spokes[1]] = colours[record.new_edge]
     colours[record.pair[0]], colours[record.pair[1]] = sorted(colours[e] for e in record.anchor_edges)
 
 
-def lift_triangle(record: ReductionRecord, colours: list[int]) -> None:
+def lift_triangle(record: TriangleRecord, colours: list[int]) -> None:
     """Re-expand the contracted triangle: spoke i keeps the colour of the
     star edge at x it replaces, and triangle edge v_i v_{i+1} takes the
     colour of the opposite spoke (index i+2, modulo 3)."""
-    if record.kind != TRIANGLE:
+    if not isinstance(record, TriangleRecord):
         raise GraphError("record is not a triangle reduction")
     star = [colours[e] for e in record.x_edges]
     if len(set(star)) != 3:
@@ -263,8 +323,12 @@ def lift_triangle(record: ReductionRecord, colours: list[int]) -> None:
 
 def lift(record: ReductionRecord, colours: list[int]) -> None:
     """Lift ``colours``, a proper colouring of the graph after ``record``'s
-    step, in place to the graph before it, and re-check both locally."""
-    reduced_mediums = _local_mediums(record.after, colours)
-    (lift_multi_edge if record.kind == MULTI_EDGE else lift_triangle)(record, colours)
-    if _local_mediums(record.before, colours) > reduced_mediums:
+    step, in place to the graph before it, and check the step's own edges
+    on both sides (see the module docstring for why that suffices)."""
+    reduced_mediums = _site_mediums(record.site_after(), colours)
+    (lift_multi_edge if isinstance(record, MultiEdgeRecord) else lift_triangle)(record, colours)
+    for spoke, e in zip(record.spokes, record.replaced):
+        if colours[spoke] != colours[e]:
+            raise GraphError(f"spoke {spoke} did not take the colour of edge {e}")
+    if _site_mediums(record.site_before(), colours) > reduced_mediums:
         raise GraphError("lift increased the medium count")  # cannot happen

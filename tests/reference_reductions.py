@@ -283,6 +283,11 @@ def removed_edges(rec) -> tuple[int, ...]:
     return rec.spokes + rec.triangle_edges
 
 
+def added_edges(rec) -> tuple[int, ...]:
+    """The working ids a production record's step adds."""
+    return (rec.new_edge,) if rec.kind == MULTI_EDGE else rec.x_edges
+
+
 def live_ids(m: int, records) -> list[list[int]]:
     """Sorted working ids of the live edges before each production step and
     after the last one; asserts that each step removes live ids and adds
@@ -291,12 +296,12 @@ def live_ids(m: int, records) -> list[list[int]]:
     out = [live]
     fresh = m
     for rec in records:
-        removed = removed_edges(rec)
+        removed, added = removed_edges(rec), added_edges(rec)
         gone = set(removed)
         assert len(gone) == len(removed) and gone <= set(live)
-        assert rec.added == tuple(range(fresh, fresh + len(rec.added)))
-        fresh += len(rec.added)
-        live = [e for e in live if e not in gone] + list(rec.added)
+        assert added == tuple(range(fresh, fresh + len(added)))
+        fresh += len(added)
+        live = [e for e in live if e not in gone] + list(added)
         out.append(live)
     return out
 
@@ -305,12 +310,23 @@ def _neighbourhoods(g: MultiGraph, ids: list[int]) -> dict[int, set[int]]:
     return {ids[e]: {ids[f] for f in adjacent_edges(g, e).adjacent_ids} for e in range(g.m)}
 
 
-def aligned_steps(g: MultiGraph):
-    """Run the production reducer and this one on ``g`` and assert that
-    they agree: the same kinds and sites step by step (the production ids
-    are the reference's compact ids under the live-id ranking), every local
-    neighbourhood a record stores, the edges that change neighbourhood lying
-    inside the records' local sets, and an equal base.
+def outside_vertices(ref: ReductionRecord) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The far ends of the spokes (u1, u2 or u0, u1, u2) in the original
+    graph and in the reduced graph of a reference record."""
+    g = ref.original
+    site = {v for e in ref.pair + ref.triangle_edges if e >= 0 for v in g.endpoints(e)}
+    outside = []
+    for s in ref.spokes:
+        a, b = g.endpoints(s)
+        outside.append(b if a in site else a)
+    # the reduced graph numbers the survivors in order
+    return tuple(outside), tuple(u - sum(v < u for v in site) for u in outside)
+
+
+def paired_steps(g: MultiGraph):
+    """Run the production reducer and this one on ``g`` and pair their
+    steps: the same kinds and sites (the production ids are the reference's
+    compact ids under the live-id ranking) and an equal base.
 
     Returns ``(base, base_edges, steps)`` from the production reducer; each
     step is ``(reference record, record, before_ids, after_ids)`` with
@@ -331,19 +347,41 @@ def aligned_steps(g: MultiGraph):
             assert rec.pair == tuple(before[e] for e in ref.pair)
             assert rec.new_edge == after[ref.new_edge]
             assert rec.anchor_edges == tuple(after[e] for e in ref.anchor_edges)
+            assert rec.replaced == (rec.new_edge, rec.new_edge)
         else:
             assert rec.triangle_edges == tuple(before[e] for e in ref.triangle_edges)
             assert rec.x_edges == tuple(after[e] for e in ref.x_edges)
+            assert rec.replaced == rec.x_edges
+        steps.append((ref, rec, before, after))
+    return base, base_edges, steps
+
+
+def aligned_steps(g: MultiGraph):
+    """:func:`paired_steps`, asserting as well, on the reference's whole
+    graphs, the edges at the outside vertices and the neighbours of the
+    removed and new edges that each record stores, and that every edge that
+    changes neighbourhood lies at an outside vertex."""
+    base, base_edges, steps = paired_steps(g)
+    for ref, rec, before, after in steps:
+        # the stored incidences are the whole graphs' incidences at u_i,
+        # in the same order (working ids rank like the reference's ids)
+        outside_old, outside_new = outside_vertices(ref)
+        assert rec.outside_before == tuple(
+            tuple(before[e] for e in ref.original.incident_edges(u)) for u in outside_old
+        )
+        assert rec.outside_after == tuple(
+            tuple(after[e] for e in ref.reduced.incident_edges(u)) for u in outside_new
+        )
         nb_before = _neighbourhoods(ref.original, before)
         nb_after = _neighbourhoods(ref.reduced, after)
-        assert {e: set(nbrs) for e, nbrs in rec.before} == {e: nb_before[e] for e, _ in rec.before}
-        assert {e: set(nbrs) for e, nbrs in rec.after} == {e: nb_after[e] for e, _ in rec.after}
-        local_before = {e for e, _ in rec.before}
-        local_after = {e for e, _ in rec.after}
-        assert set(removed_edges(rec)) <= local_before and set(rec.added) <= local_after
-        assert local_before - set(removed_edges(rec)) == local_after - set(rec.added)
+        site_before = {e: set(nbrs) - {e} for e, nbrs in rec.site_before()}
+        site_after = {e: set(nbrs) - {e} for e, nbrs in rec.site_after()}
+        assert site_before == {e: nb_before[e] for e in removed_edges(rec)}
+        assert site_after == {e: nb_after[e] for e in added_edges(rec)}
+        at_outside_before = {e for inc in rec.outside_before for e in inc}
+        at_outside_after = {e for inc in rec.outside_after for e in inc}
+        assert at_outside_before - set(removed_edges(rec)) == at_outside_after - set(added_edges(rec))
         for e in nb_after.keys() & nb_before.keys():
             if nb_before[e] != nb_after[e]:
-                assert e in local_before, f"edge {e} changes neighbourhood off the local set"
-        steps.append((ref, rec, before, after))
+                assert e in at_outside_before, f"edge {e} changes neighbourhood off the outside vertices"
     return base, base_edges, steps

@@ -262,10 +262,10 @@ def _production_lift(step, pattern):
     """Colours of the original graph's edges (reference ids) after the
     production ``lift`` of a local pattern on the reduced graph.
 
-    Edges outside the pattern stay 0, a value no colour takes.  They enter
-    the lift's own local check only through the neighbourhoods of edges at
-    the touched vertices, whose colours the lift leaves alone, and they are
-    left out of the result."""
+    Edges outside the pattern stay 0, a value no colour takes.  The lift's
+    own check never reads them: it classifies the removed and the new
+    edges, whose neighbours all lie in the pattern.  They are left out of
+    the result."""
     _old, rec, before, after = step
     colours = [0] * (after[-1] + 1)
     for e, col in pattern.items():

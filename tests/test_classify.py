@@ -12,7 +12,8 @@ from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, triple_edge
 from nearnormal.graph import build_graph
 from nearnormal.oracle import exists_normal, min_medium_exact
 from nearnormal.pipeline import colour_graph
-from nearnormal.reductions import _local_mediums
+from nearnormal.reductions import _site_mediums
+from reference_reductions import aligned_steps
 
 
 def _outcome(classify, *args):
@@ -84,15 +85,36 @@ def test_classify_edge_rejects_a_list_of_the_wrong_length(name):
 
 
 def test_lift_check_uses_the_same_rule():
-    """``reductions._local_mediums`` counts what ``classify_all`` counts."""
+    """``reductions._site_mediums`` counts what ``classify_all`` counts, on
+    a whole graph and on the removed and the new edges of every reduction
+    step, whose neighbours a record builds from its roles and the edges at
+    its outside vertices."""
     for g in load_cubic_corpus(8):
         c = min_medium_exact(g, 4)[1]
-        local = tuple(
+        whole = tuple(
             (e, tuple(x for x in g.incident_edges(u) + g.incident_edges(v) if x != e))
             for e, (u, v) in enumerate(g.edges)
         )
-        assert _local_mediums(local, list(c.colour_of)) == ref.classify_all(g, c).count("medium")
+        assert _site_mediums(whole, list(c.colour_of)) == ref.classify_all(g, c).count("medium")
         for other in recolourings(c):
             want = _outcome(ref.classify_all, g, other)
-            got = _outcome(_local_mediums, local, list(other.colour_of))
+            got = _outcome(_site_mediums, whole, list(other.colour_of))
             assert got == (want if want == "improper" else want.count("medium"))
+    sites = 0
+    for g in load_cubic_corpus(8):
+        for old, rec, before, after in aligned_steps(g)[2]:
+            for graph, ids, site in (
+                (old.original, before, rec.site_before()),
+                (old.reduced, after, rec.site_after()),
+            ):
+                index = {w: i for i, w in enumerate(ids)}
+                c = min_medium_exact(graph, 4)[1]
+                for other in (c, *recolourings(c)):
+                    colours = [0] * (ids[-1] + 1)
+                    for w, col in zip(ids, other.colour_of):
+                        colours[w] = col
+                    classes = [_outcome(ref.classify_edge, graph, other, index[e]) for e, _nbrs in site]
+                    want = "improper" if "improper" in classes else classes.count("medium")
+                    assert _outcome(_site_mediums, site, colours) == want
+                sites += 1
+    assert sites > 0

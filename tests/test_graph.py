@@ -17,7 +17,6 @@ from nearnormal.graph import (
     find_triangles,
     girth,
     graphs_isomorphic,
-    triangles_through,
     validate_input,
 )
 from reference_reductions import is_connected
@@ -231,6 +230,14 @@ class TestGirthAndIsomorphism:
         for perm in itertools.permutations(range(4)):
             g2 = build_graph(4, [(perm[u], perm[v]) for u, v in k4.edges])
             assert graphs_isomorphic(k4, g2)
+
+
+def triangles_through(g, e: int) -> list[tuple[int, int, int]]:
+    """Sorted vertex triples of the triangles through edge ``e``."""
+    a, b = g.edges[e]
+    near_a = {w for f in g.incident_edges(a) for w in g.edges[f]} - {a}
+    near_b = {w for f in g.incident_edges(b) for w in g.edges[f]} - {b}
+    return [tuple(sorted((a, b, w))) for w in near_a & near_b]
 
 
 class TestFindTriangles:

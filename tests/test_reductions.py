@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import bench_families
 import reference_reductions as ref
 from nearnormal import reductions
-from nearnormal.colouring import EdgeColouring, medium_count
+from nearnormal.colouring import MEDIUM, POOR, RICH, EdgeColouring, medium_count
 from nearnormal.corpus import CORPUS_ORDERS, complete_graph_k4, k33, load_cubic_corpus, petersen_graph, prism
 from nearnormal.graph import GraphError, adjacent_edges, build_graph, validate_input
 from nearnormal.pipeline import colour_graph
@@ -251,8 +252,8 @@ class TestReduceFully:
         base, records, base_edges = reduce_fully(g)
         live = ref.live_ids(g.m, records)
         for rec, before, after in zip(records, live, live[1:]):
-            assert {f for e, nbrs in rec.before for f in (e, *nbrs)} <= set(before)
-            assert {f for e, nbrs in rec.after for f in (e, *nbrs)} <= set(after)
+            assert {f for e, nbrs in rec.site_before() for f in (e, *nbrs)} <= set(before)
+            assert {f for e, nbrs in rec.site_after() for f in (e, *nbrs)} <= set(after)
         assert tuple(live[-1]) == base_edges
         old_base, old_records = ref.reduce_fully(g)
         for first, second in zip(old_records, old_records[1:]):
@@ -296,3 +297,193 @@ class TestAgainstReference:
         for g, (_base, _ids, steps) in reference_runs:
             if steps:
                 assert colour_graph(g)[0] == ref.reference_colouring(g)
+
+
+def kempe_recolourings(g, c, edges, rng, count):
+    """``count`` proper colourings of ``g``, each ``c`` with one seeded Kempe
+    chain swapped: the component of the colours p, q through an edge drawn
+    from ``edges``, where p is that edge's colour and q a drawn other one."""
+    out = []
+    for _ in range(count):
+        cols = list(c.colour_of)
+        e = rng.choice(edges)
+        p = cols[e]
+        q = rng.choice([col for col in range(1, c.k + 1) if col != p])
+        chain, stack = {e}, [e]
+        while stack:
+            for f in adjacent_edges(g, stack.pop()).adjacent_ids:
+                if f not in chain and cols[f] in (p, q):
+                    chain.add(f)
+                    stack.append(f)
+        for f in chain:
+            cols[f] = p + q - cols[f]
+        out.append(EdgeColouring(c.k, tuple(cols)))
+    return out
+
+
+def reference_neighbours(graph, ids, local):
+    """Working id -> the working ids of its neighbours, for each edge of
+    ``local`` (ids of ``graph``), from ``adjacent_edges`` on the
+    reference's whole graph."""
+    return {ids[e]: [ids[f] for f in adjacent_edges(graph, e).adjacent_ids] for e in local}
+
+
+def reference_classes(neighbours, colours):
+    """Working id -> class for the edges of ``neighbours``; None when the
+    colouring is not proper at one of them."""
+    seen = {e: {colours[f] for f in nbrs} for e, nbrs in neighbours.items()}
+    if any(colours[e] in cols for e, cols in seen.items()):
+        return None
+    return {e: {2: POOR, 3: MEDIUM, 4: RICH}[len(cols)] for e, cols in seen.items()}
+
+
+def old_check_classes(step, colours):
+    """The classes the lift checked before it checked only its site: every
+    removed edge and every edge at an outside vertex before the step, every
+    new edge and every edge at an outside vertex after it."""
+    old, _rec, before, after = step
+    outside_old, outside_new = ref.outside_vertices(old)
+    out = []
+    for graph, ids, own, outside in (
+        (old.original, before, ref.removed_edges(old), outside_old),
+        (old.reduced, after, ref.added_edges(old), outside_new),
+    ):
+        local = {*own, *(e for u in outside for e in graph.incident_edges(u))}
+        classes = reference_classes(reference_neighbours(graph, ids, local), colours)
+        assert classes is not None, "colouring is not proper around the site"
+        out.append(classes)
+    return out
+
+
+def reduced_colourings(base, base_edges, steps, rng):
+    """For each step, proper colourings of its reduced graph in working
+    colour lists: every one where the graph has at most 6 edges, else the
+    pipeline's colouring lifted to the step and two seeded Kempe
+    recolourings of it near the step's new edges."""
+    colours = base_colours(base_edges, colour_graph(base)[0].colour_of)
+    out = []
+    for old, rec, _before, after in reversed(steps):
+        if old.reduced.m <= 6:
+            found = proper_colourings(old.reduced)
+        else:
+            c = EdgeColouring(4, tuple(colours[w] for w in after))
+            near = sorted({f for e in ref.added_edges(old) for f in adjacent_edges(old.reduced, e).adjacent_ids})
+            found = [c, *kempe_recolourings(old.reduced, c, near, rng, 2)]
+        lists = []
+        for c in found:
+            lists.append([0] * len(colours))
+            for w, col in zip(after, c.colour_of):
+                lists[-1][w] = col
+        out.append(lists)
+        lift(rec, colours)
+    return reversed(out)
+
+
+class TestLiftCheckIsNoWeaker:
+    """The lift checks its site and that each spoke takes the colour of the
+    edge it replaces; before, it checked the medium count over the site and
+    every edge at an outside vertex.  Whatever a lift rule writes on the
+    removed edges, the new check accepting implies the old one accepting."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        rng = random.Random(16)
+        graphs = [g for n in CORPUS_ORDERS if n <= 12 for g in load_cubic_corpus(n)] + grown_graphs()
+        graphs += [g for seed in range(3) for g in bench_families.reduce_lift_graphs(seed)]
+        out = []
+        for g in graphs:
+            base, base_edges, steps = ref.paired_steps(g)
+            out.extend(zip(steps, reduced_colourings(base, base_edges, steps, rng)))
+        return out
+
+    def test_coverage(self, runs):
+        assert len(runs) > 4000
+        assert {step[1].kind for step, _lists in runs} == {MULTI_EDGE, TRIANGLE}
+        assert sum(len(lists) for _step, lists in runs) > 3 * len(runs)
+
+    def test_real_lift_keeps_every_outside_class(self, runs):
+        for step, lists in runs:
+            for reduced in lists:
+                colours = list(reduced)
+                lift(step[1], colours)
+                before, after = old_check_classes(step, colours)
+                for e in before.keys() & after.keys():
+                    assert before[e] == after[e]
+                assert list(before.values()).count(MEDIUM) <= list(after.values()).count(MEDIUM)
+
+    def test_any_rule_the_new_check_accepts_passes_the_old_check(self, runs, monkeypatch):
+        # a rule that gives the spokes their replaced colours (else the new
+        # check rejects it outright) and the pair or triangle edges any
+        # colours at all: every assignment, on the smaller graphs' steps
+        assignment = []
+
+        def rule(record, colours):
+            for spoke, e in zip(record.spokes, record.replaced):
+                colours[spoke] = colours[e]
+            inner = record.pair if record.kind == MULTI_EDGE else record.triangle_edges
+            for e, col in zip(inner, assignment):
+                colours[e] = col
+
+        monkeypatch.setattr(reductions, "lift_multi_edge", rule)
+        monkeypatch.setattr(reductions, "lift_triangle", rule)
+        accepted = rejected = 0
+        for step, lists in runs:
+            if step[0].original.n > 30:
+                continue
+            width = 2 if step[1].kind == MULTI_EDGE else 3
+            for reduced in lists[:3]:
+                for values in itertools.product(range(1, 5), repeat=width):
+                    assignment[:] = values
+                    colours = list(reduced)
+                    try:
+                        lift(step[1], colours)
+                    except GraphError:
+                        rejected += 1
+                        continue
+                    accepted += 1
+                    before, after = old_check_classes(step, colours)
+                    assert list(before.values()).count(MEDIUM) <= list(after.values()).count(MEDIUM)
+        assert accepted > 0 and rejected > 0
+
+    def test_spoke_off_its_replaced_colour_raises(self, runs, monkeypatch):
+        # a rule that writes any colours at all on the removed edges, with
+        # some spoke off the colour of the edge it replaces: lift raises on
+        # every one, and some of them keep the site proper and its medium
+        # count in bound, so only the spoke check catches those; on the
+        # first 12 original graphs with n <= 8 of each kind of step
+        assignment = []
+
+        def rule(record, colours):
+            for e, col in zip(ref.removed_edges(record), assignment):
+                colours[e] = col
+
+        monkeypatch.setattr(reductions, "lift_multi_edge", rule)
+        monkeypatch.setattr(reductions, "lift_triangle", rule)
+        only_the_spoke_check = 0
+        done = {MULTI_EDGE: set(), TRIANGLE: set()}
+        for (old, rec, before, after), lists in runs:
+            if old.original.n > 8 or old.original in done[rec.kind] or len(done[rec.kind]) == 12:
+                continue
+            done[rec.kind].add(old.original)
+            reduced = lists[0]
+            site_before = reference_neighbours(old.original, before, ref.removed_edges(old))
+            site_after = reference_neighbours(old.reduced, after, ref.added_edges(old))
+            removed = ref.removed_edges(rec)
+            for values in itertools.product(range(1, 5), repeat=len(removed)):
+                given = dict(zip(removed, values))
+                if all(given[s] == reduced[e] for s, e in zip(rec.spokes, rec.replaced)):
+                    continue
+                assignment[:] = values
+                colours = list(reduced)
+                try:
+                    lift(rec, colours)
+                except GraphError:
+                    pass
+                else:
+                    raise AssertionError(f"lift took colours {values} on edges {removed} unnoticed")
+                lifted = reference_classes(site_before, colours)
+                if lifted is not None:
+                    reduced_mediums = list(reference_classes(site_after, colours).values()).count(MEDIUM)
+                    only_the_spoke_check += list(lifted.values()).count(MEDIUM) <= reduced_mediums
+        assert len(done[MULTI_EDGE]) == len(done[TRIANGLE]) == 12
+        assert only_the_spoke_check > 0
