@@ -12,9 +12,12 @@ with a larger budget the repair makes the same moves first), and the time
 the repair spends on the bases where it gives up.  Where the 3-colour search
 is cheap (``class1_random`` and ``snarks``), it also says how many bases
 ``try_3_edge_colouring`` then finds a 3-colouring for, refutes, or leaves
-open within its backtrack budget (``_BACKTRACKS``), and the most backtracks
-any find needs (again the least budget that would do, by bisection).  The
-``class1_random`` line for seeds 0-39 is the margin of that budget.
+open within its backtrack budget (``_BACKTRACKS``), how many of those
+searches run past ``_MEMO_AFTER * m`` backtracks and so keep refuted
+states, and the most backtracks any find needs (again the least budget
+that would do, by bisection).  The ``class1_random`` line for seeds 0-39 is
+the margin of that budget.  The last line names the largest flower snark
+the budgeted search refutes.
 
 The families are the ``class1_random`` and ``snarks`` workloads of the
 benchmark at seed 47 (``class1_random`` also at seeds 0-39), seeded
@@ -81,6 +84,19 @@ def moves_needed(tf) -> int | None:
     return lo
 
 
+class _GateCount:
+    """Counts the searches that build the frontier tables, that is, run
+    past the memo's gate."""
+
+    def __init__(self):
+        self.trips = 0
+        self.build = colouring._frontier_tables
+
+    def __call__(self, *args):
+        self.trips += 1
+        return self.build(*args)
+
+
 def _decides(g, budget: int) -> bool:
     try:
         colouring._min_medium_search(g, 3, backtracks=budget)
@@ -106,13 +122,16 @@ def backtracks_needed(g, known: int) -> int:
 
 
 def report(name: str, graphs, exact: bool, needs: bool = True) -> None:
-    """One line per family; ``exact`` runs the 3-colour search where the
-    repair gives up, ``needs`` bisects the moves each base needs."""
+    """One line per family of ``(label, graph)`` pairs; ``exact`` runs the
+    3-colour search where the repair gives up, and names the graphs it
+    leaves open; ``needs`` bisects the moves each base needs."""
     bases = odd = decided = 0
     given_up_s = exact_s = 0.0
     found = refuted = left_open = most_backtracks = 0
     most, never = 0, 0
-    for g in graphs:
+    gate = _GateCount()
+    opened = []
+    for label, g in graphs:
         bases += 1
         base = reduce_fully(g)[0]
         tf = choose_two_factor(base)
@@ -127,12 +146,16 @@ def report(name: str, graphs, exact: bool, needs: bool = True) -> None:
         else:
             given_up_s += spent
             if exact:
+                colouring._frontier_tables = gate
                 start = time.perf_counter()
                 try:
                     result = colouring.try_3_edge_colouring(base)
                 except colouring._SearchOpen:
                     left_open += 1
                     result = "open"
+                    opened.append(f"{label} in {(time.perf_counter() - start) * 1e3:.1f} ms")
+                finally:
+                    colouring._frontier_tables = gate.build
                 exact_s += time.perf_counter() - start
                 if result is None:
                     refuted += 1
@@ -151,7 +174,10 @@ def report(name: str, graphs, exact: bool, needs: bool = True) -> None:
     if exact:
         line += (f"; within {colouring._BACKTRACKS} backtracks the 3-colour search then finds "
                  f"{found} (at most {most_backtracks} backtracks), refutes {refuted} and leaves "
-                 f"{left_open} open in {exact_s:.3f} s")
+                 f"{left_open} open in {exact_s:.3f} s; {gate.trips} of those searches pass "
+                 f"{colouring._MEMO_AFTER} * m backtracks and keep refuted states")
+        if opened:
+            line += f"; open: {', '.join(opened)}"
     if needs:
         line += f"; uncapped, at most {most} moves"
         if never:
@@ -160,17 +186,39 @@ def report(name: str, graphs, exact: bool, needs: bool = True) -> None:
 
 
 def main() -> int:
-    report(f"class1_random (seed {SEED})", (c.graph for c in workloads.class1_random(SEED)), exact=True)
+    report(f"class1_random (seed {SEED})",
+           ((c.name, c.graph) for c in workloads.class1_random(SEED)), exact=True)
     report("class1_random (seeds 0-39)",
-           (c.graph for s in range(40) for c in workloads.class1_random(s)), exact=True, needs=False)
-    report(f"snarks (seed {SEED})", (c.graph for c in workloads.snarks(SEED)), exact=True, needs=False)
+           ((f"{c.name} (seed {s})", c.graph) for s in range(40) for c in workloads.class1_random(s)),
+           exact=True, needs=False)
+    report(f"snarks (seed {SEED})", ((c.name, c.graph) for c in workloads.snarks(SEED)),
+           exact=True, needs=False)
     for n, seeds in RANDOM_FAMILIES:
-        graphs = (build_graph(*generators.random_cubic(n, random.Random(s), True)) for s in seeds)
+        graphs = ((s, build_graph(*generators.random_cubic(n, random.Random(s), True))) for s in seeds)
         report(f"triangle-free random n = {n} (seeds {seeds.start}-{seeds.stop - 1})", graphs, exact=False)
     stalls = ((120, 1), (140, 140))
-    graphs = (build_graph(*generators.random_cubic(n, random.Random(s))) for n, s in stalls)
+    graphs = ((s, build_graph(*generators.random_cubic(n, random.Random(s)))) for n, s in stalls)
     report("random_cubic(120, Random(1)), random_cubic(140, Random(140))", graphs, exact=False)
+    largest_flower_snark()
     return 0
+
+
+def largest_flower_snark() -> None:
+    """The flower snarks J5, J7, ... through the budgeted 3-colour search,
+    up to the first one it leaves open."""
+    k = 5
+    while True:
+        g = build_graph(*generators.flower_snark(k))
+        start = time.perf_counter()
+        try:
+            found = colouring.try_3_edge_colouring(g)
+        except colouring._SearchOpen:
+            break
+        assert found is None, f"J{k} coloured"
+        spent = time.perf_counter() - start
+        k += 2
+    print(f"flower snarks: J5-J{k - 2} refuted within {colouring._BACKTRACKS} backtracks "
+          f"(J{k - 2}, n = {4 * (k - 2)}, in {spent * 1e3:.1f} ms); J{k} left open", flush=True)
 
 
 if __name__ == "__main__":

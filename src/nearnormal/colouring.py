@@ -12,11 +12,15 @@ repairs one with odd cycles by a budgeted run of Kempe chain swaps.  One
 exhaustive search, :func:`_min_medium_search`, serves both the 3-colour
 attempt :func:`try_3_edge_colouring`, which runs when the repair gives up
 and may itself stop undecided after a fixed number of backtracks, and the
-oracles in :mod:`nearnormal.oracle`, which run it with no budget.
+oracles in :mod:`nearnormal.oracle`, which run it with no budget.  At k = 3
+a search that runs long keeps the states it has refuted, keyed by the
+colours on its frontier up to renaming, which refutes ring-like snarks such
+as the flower snarks with linearly many backtracks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import deque
@@ -93,6 +97,7 @@ def medium_count(g: MultiGraph, c: EdgeColouring) -> int:
 
 def _bfs_edge_order(g: MultiGraph) -> list[int]:
     """Edges ordered so neighbourhoods complete early (helps backtracking)."""
+    edges, inc = g.edges, g._incident
     order: list[int] = []
     seen_edge = [False] * g.m
     seen_vertex = [False] * g.n
@@ -103,11 +108,10 @@ def _bfs_edge_order(g: MultiGraph) -> list[int]:
         queue = deque([start])
         while queue:
             v = queue.popleft()
-            for e in sorted(g.incident_edges(v), key=lambda x: (g.other_end(x, v), x)):
+            for w, e in sorted([(edges[e][0] ^ edges[e][1] ^ v, e) for e in inc[v]]):
                 if not seen_edge[e]:
                     seen_edge[e] = True
                     order.append(e)
-                w = g.other_end(e, v)
                 if not seen_vertex[w]:
                     seen_vertex[w] = True
                     queue.append(w)
@@ -127,8 +131,8 @@ def _min_medium_search(
     colouring in search order that has that many, or ``None`` when every
     proper k-edge-colouring has at least ``bound``.  Edges are coloured in
     :func:`_bfs_edge_order`, colours are tried from low to high, and the
-    edges at vertex 0 are pinned to 1, 2, 3 in edge-id order (sound:
-    classes do not change when colours are renamed).
+    edges at vertex 0 (positions 0-2) are pinned to 1, 2, 3 in edge-id order
+    (sound: classes do not change when colours are renamed).
     A branch dies once the mediums it has counted reach the bound, each
     complete colouring lowers the bound to its own count, and the search
     stops at 0.  When an edge is counted depends on ``k``:
@@ -146,12 +150,24 @@ def _min_medium_search(
     no graph is too large for Python's recursion limit.  A backtrack is a
     position that runs out of colours; after more than ``backtracks`` of
     them the search raises :class:`_SearchOpen`.
+
+    At k = 3, once it has made ``_MEMO_AFTER * m`` backtracks, the search
+    keeps the states it has refuted.  The *frontier* at position i is the
+    set of edges at earlier positions with a neighbour at position i or
+    later.  With no medium counted, whether positions i on can be completed
+    depends only on i and the frontier's colours, and past the pinned
+    positions not on how the colours are named.  A position that runs out
+    of colours records (i, its frontier colours up to renaming), and a
+    colour whose next state is recorded is skipped, which is no backtrack.
+    Skipped subtrees hold no colouring, so the witness is the same.  At
+    k >= 4 the counted mediums and the bound belong to the state: no memo.
     """
     order = _bfs_edge_order(g)
     m = len(order)
     if not m:
         return 0, ()
-    nbrs = [adjacent_edges(g, e).adjacent_ids for e in range(g.m)]
+    edges, inc = g.edges, g._incident
+    nbrs = [{*inc[u], *inc[v]} - {e} for e, (u, v) in enumerate(edges)]
     pos = {e: i for i, e in enumerate(order)}
     # watch[i]: for each edge whose class may be decided when position i is
     # coloured, its neighbours at earlier positions
@@ -164,12 +180,14 @@ def _min_medium_search(
                 watch[at[j]].append(tuple(order[p] for p in at[:j]))
     early = k == 4
     palette = [(1 << (k + 1)) - 2] * m
-    if g.n and g.degree(0) == 3:
-        for col, e in enumerate(sorted(g.incident_edges(0)), start=1):
+    if g.n and len(inc[0]) == 3:
+        for col, e in enumerate(sorted(inc[0]), start=1):
             palette[pos[e]] = 1 << col
     colours = [0] * g.m
     todo = palette[:]  # per position, the colours still to try
     counted = [0] * m  # per position, the mediums counted before it
+    wait = _MEMO_AFTER * m if k == 3 else math.inf  # backtracks before the memo
+    refuted = None  # k = 3, once set up: the refuted states
     best = None
     i = 0
     while i >= 0:
@@ -179,12 +197,24 @@ def _min_medium_search(
             backtracks -= 1
             if backtracks < 0:
                 raise _SearchOpen
+            if refuted is None:
+                wait -= 1
+                if wait < 0:
+                    refuted = [set() for _ in range(m)]  # per position
+                    add, dies, pick, lane_of, mask = _frontier_tables(order, pos, nbrs, edges, inc)
+                    codes = [0] * m  # codes[j]: the frontier's colours at j, in every renaming
+                    for j in range(i):  # along the current path
+                        code = codes[j] + add[j][colours[order[j]]]
+                        codes[j + 1] = code - sum(sub[colours[f]] for f, sub in dies[j])
+            if refuted is not None and i > 2:  # positions 0-2 are pinned
+                a, b = pick[i]
+                refuted[i].add(codes[i] >> lane_of[colours[a] << 2 | colours[b]] & mask)
             colours[e] = 0
             i -= 1
             continue
         low = options & -options
         todo[i] = options ^ low
-        colours[e] = low.bit_length() - 1
+        colours[e] = col = low.bit_length() - 1
         mediums = counted[i]
         for before in watch[i]:
             seen = 0
@@ -201,6 +231,15 @@ def _min_medium_search(
             if not bound:
                 break
             continue
+        if refuted is not None:
+            code = codes[i] + add[i][col]
+            for f, sub in dies[i]:
+                code -= sub[colours[f]]
+            if i > 1:
+                a, b = pick[i + 1]
+                if code >> lane_of[colours[a] << 2 | colours[b]] & mask in refuted[i + 1]:
+                    continue
+            codes[i + 1] = code
         i += 1
         blocked = 0
         for x in nbrs[order[i]]:
@@ -208,6 +247,54 @@ def _min_medium_search(
         todo[i] = palette[i] & ~blocked
         counted[i] = mediums
     return best
+
+
+def _frontier_tables(order, pos, nbrs, edges, inc):
+    """What the k = 3 memo of :func:`_min_medium_search` needs, by search
+    position.  A code holds the frontier's colours once per renaming of
+    1, 2, 3, in six lanes side by side; in each, a frontier edge has a 2-bit
+    slot that no other edge holds while it is on the frontier.  Returned:
+    ``add[p][c]``, what the edge at p adds to a code when it joins the
+    frontier coloured c (0 if it never joins); ``dies[j]``, the edges that
+    leave once position j is coloured, with their ``add`` entries;
+    ``pick[j]``, two adjacent frontier edges at j, whose colours (distinct)
+    choose the lane of the key, or the first edge twice when there are none
+    (then the first lane: no renaming); ``lane_of[a << 2 | b]``, the offset
+    of the lane that renames a to 1 and b to 2; and the lane mask.
+    """
+    m = len(order)
+    last = [max((pos[x] for x in nbrs[e]), default=p) for p, e in enumerate(order)]
+    leave: list[list[int]] = [[] for _ in range(m)]
+    for p, d in enumerate(last):
+        if d > p:
+            leave[d].append(p)
+    slot, free, fresh = [-1] * m, [], itertools.count()
+    for j in range(m):
+        free += (slot[p] for p in leave[j])
+        if last[j] > j:
+            slot[j] = free.pop() if free else next(fresh)
+    lane = 2 * next(fresh)
+    renamings = list(itertools.permutations((1, 2, 3)))
+    lanes = [sum(r[c - 1] << t * lane for t, r in enumerate(renamings)) for c in (1, 2, 3)]
+    add = [(0, *(x << 2 * s for x in lanes)) if s >= 0 else (0, 0, 0, 0) for s in slot]
+    dies = [[(order[p], add[p]) for p in ps] for ps in leave]
+    lane_of = [0] * 16
+    for t, r in enumerate(renamings):
+        lane_of[r.index(1) + 1 << 2 | r.index(2) + 1] = t * lane
+    # pick from the latest vertex with two edges coloured, one not
+    pick = [(order[0], order[0])] * m
+    done = [0] * len(inc)  # per vertex, its edges at positions before j
+    stack: list[int] = []
+    for j in range(1, m):
+        for x in edges[order[j - 1]]:
+            done[x] += 1
+            if done[x] == 2 < len(inc[x]):
+                stack.append(x)
+        while stack and done[stack[-1]] == len(inc[stack[-1]]):
+            stack.pop()
+        if stack:
+            pick[j] = tuple([f for f in inc[stack[-1]] if pos[f] < j][:2])
+    return add, dies, pick, lane_of, (1 << lane) - 1
 
 
 # The perturbing chain swaps kempe_3_colouring may make before it gives
@@ -220,9 +307,14 @@ _KEMPE_MOVES = 16
 _KEMPE_SEED = 0
 
 # The backtracks try_3_edge_colouring may make before it leaves a graph
-# open: class1_random finds (seeds 0-39) need up to 29,904, as
-# scripts/kempe_budget.py prints; J9 is refuted, J11 (62,195) left open.
+# open: class1_random finds (seeds 0-39) need up to 14,594, as
+# scripts/kempe_budget.py prints; flower snarks up to J63 are refuted.
 _BACKTRACKS = 1 << 15
+
+# The k = 3 search keeps refuted states only after _MEMO_AFTER * m
+# backtracks, so that short searches and large graphs, which seldom revisit
+# a state, skip the memo's set-up and its cost per node.
+_MEMO_AFTER = 32
 
 
 def kempe_3_colouring(tf: TwoFactor) -> EdgeColouring | None:

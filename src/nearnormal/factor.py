@@ -63,17 +63,6 @@ class TwoFactor:
         return p if self.cycle_edges[c][p] == e else self.position[v]
 
 
-def is_perfect_matching(g: MultiGraph, m) -> bool:
-    covered = set()
-    for e in m:
-        u, v = g.endpoints(e)
-        if u in covered or v in covered:
-            return False
-        covered.add(u)
-        covered.add(v)
-    return len(covered) == g.n
-
-
 def enumerate_perfect_matchings(g: MultiGraph, limit: int = DEFAULT_MATCHING_LIMIT) -> list[frozenset[int]]:
     """Distinct perfect matchings, exhaustive when their number is at most
     ``limit``, sorted lexicographically by sorted edge-id set.
@@ -116,24 +105,26 @@ def enumerate_perfect_matchings(g: MultiGraph, limit: int = DEFAULT_MATCHING_LIM
 def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
     """Cycle decomposition of G - M with a deterministic traversal: each
     cycle starts at its smallest vertex and proceeds toward the smaller
-    neighbour (smaller edge id breaks parallel-edge ties)."""
+    neighbour (smaller edge id breaks parallel-edge ties).
+
+    ``g`` must be cubic; then G - M is 2-regular exactly when M is a
+    perfect matching, which is how M is checked."""
     matching = frozenset(m)
-    if not is_perfect_matching(g, matching):
+    edges = g.edges
+    if any(not 0 <= e < len(edges) for e in matching):
         raise GraphError("not a perfect matching of this graph")
+    if any(len(es) != 3 for es in g._incident):
+        raise GraphError("graph minus matching is not 2-regular (input not cubic?)")
     partner = [-1] * g.n
-    for e in matching:
-        u, v = g.endpoints(e)
-        partner[u], partner[v] = v, u
     cycle_inc: list[list[int]] = [[] for _ in range(g.n)]
-    for e in range(g.m):
+    for e, (u, v) in enumerate(edges):
         if e in matching:
-            continue
-        u, v = g.endpoints(e)
-        cycle_inc[u].append(e)
-        cycle_inc[v].append(e)
-    for v in range(g.n):
-        if len(cycle_inc[v]) != 2:
-            raise GraphError("graph minus matching is not 2-regular (input not cubic?)")
+            partner[u], partner[v] = v, u
+        else:
+            cycle_inc[u].append(e)
+            cycle_inc[v].append(e)
+    if any(len(es) != 2 for es in cycle_inc):
+        raise GraphError("not a perfect matching of this graph")
 
     cycles: list[tuple[int, ...]] = []
     cycle_edges: list[tuple[int, ...]] = []
@@ -144,22 +135,16 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
         if cycle_of_vertex[start] != -1:
             continue
         idx = len(cycles)
-        e1, e2 = cycle_inc[start]
-        first = min(
-            (e1, e2),
-            key=lambda e: (g.other_end(e, start), e),
-        )
-        verts = [start]
-        eids = [first]
-        v = g.other_end(first, start)
-        prev_edge = first
+        e = min(cycle_inc[start], key=lambda x: (edges[x][0] ^ edges[x][1] ^ start, x))
+        verts, eids = [start], [e]
+        v = edges[e][0] ^ edges[e][1] ^ start
         while v != start:
             verts.append(v)
             a, b = cycle_inc[v]
-            nxt = b if a == prev_edge else a
-            eids.append(nxt)
-            v = g.other_end(nxt, v)
-            prev_edge = nxt
+            e = b if a == e else a
+            eids.append(e)
+            a, b = edges[e]
+            v ^= a ^ b
         cycles.append(tuple(verts))
         cycle_edges.append(tuple(eids))
         for i, (x, e) in enumerate(zip(verts, eids)):

@@ -5,6 +5,8 @@ It sorts the first ``limit`` enumerated matchings, so wherever a graph has
 at most ``limit`` perfect matchings it is complete: its 2-factor has a cycle
 of length other than 5 exactly when some 2-factor of the graph has one.
 The tests check that ``choose_two_factor`` finds such a cycle exactly then.
+:func:`is_perfect_matching` is the direct check that
+``two_factor_from_matching`` replaced by the 2-regularity of G - M.
 """
 
 from __future__ import annotations
@@ -16,6 +18,17 @@ from nearnormal.factor import (
     two_factor_from_matching,
 )
 from nearnormal.graph import GraphError, MultiGraph
+
+
+def is_perfect_matching(g: MultiGraph, m) -> bool:
+    covered = set()
+    for e in m:
+        u, v = g.endpoints(e)
+        if u in covered or v in covered:
+            return False
+        covered.add(u)
+        covered.add(v)
+    return len(covered) == g.n
 
 
 def choose_two_factor(g: MultiGraph, limit: int = DEFAULT_MATCHING_LIMIT) -> TwoFactor:

@@ -8,12 +8,12 @@ import pytest
 
 import bench_families
 import reference_factor as ref
+from reference_factor import is_perfect_matching
 from nearnormal import factor
 from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, prism
 from nearnormal.factor import (
     choose_two_factor,
     enumerate_perfect_matchings,
-    is_perfect_matching,
     two_factor_from_matching,
 )
 from nearnormal.graph import GraphError, build_graph, validate_input
@@ -102,6 +102,19 @@ class TestTwoFactorFromMatching:
     def test_not_a_matching_rejected(self, k4):
         with pytest.raises(GraphError, match="matching"):
             two_factor_from_matching(k4, frozenset({0, 1}))
+
+    @pytest.mark.parametrize("m", [{0}, {0, 5, 1}, {0, 5, 6}, {-1, 5}], ids=["too-few", "too-many", "past-m", "negative"])
+    def test_every_bad_matching_of_a_cubic_graph(self, k4, m):
+        """On a cubic graph G - M is 2-regular exactly when M is a perfect
+        matching, so each of these fails that check or the id range."""
+        with pytest.raises(GraphError, match="not a perfect matching of this graph"):
+            two_factor_from_matching(k4, frozenset(m))
+
+    def test_a_graph_that_is_not_cubic(self):
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])  # a 4-cycle, with a perfect matching
+        assert is_perfect_matching(g, {0, 2})
+        with pytest.raises(GraphError, match="not 2-regular"):
+            two_factor_from_matching(g, frozenset({0, 2}))
 
     def test_derived_maps(self, petersen):
         m = enumerate_perfect_matchings(petersen)[0]

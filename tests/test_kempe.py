@@ -54,21 +54,17 @@ class TestRepair:
         assert len(tfs) == 130 + 43  # corpus graphs, reduced bases
         assert decided > len(tfs) * 3 // 4
 
-    @pytest.mark.parametrize("make, refuted", [
-        (petersen_graph, True),
-        *((lambda k=k: bench_families.flower_snark(k), k < 11) for k in range(5, 17, 2)),
-        (lambda: bench_families.petersen_inflation(4, seed=4), True),
+    @pytest.mark.parametrize("make", [
+        petersen_graph,
+        *(lambda k=k: bench_families.flower_snark(k) for k in range(5, 17, 2)),
+        lambda: bench_families.petersen_inflation(4, seed=4),
     ], ids=["petersen", *(f"J{k}" for k in range(5, 17, 2)), "inflation36"])
-    def test_none_where_the_exact_search_refutes(self, make, refuted):
+    def test_none_where_the_exact_search_refutes(self, make):
         """The repair gives up on snarks.  Within its budget the 3-colour
-        search refutes the small ones and leaves J11 and up open."""
+        search refutes each of these, J11-J15 by its refuted-state memo."""
         g = make()
         assert kempe_3_colouring(choose_two_factor(g)) is None
-        if refuted:
-            assert try_3_edge_colouring(g) is None
-        else:
-            with pytest.raises(colouring._SearchOpen):
-                try_3_edge_colouring(g)
+        assert try_3_edge_colouring(g) is None
 
     def test_even_two_factor_needs_no_move(self, monkeypatch):
         monkeypatch.setattr(colouring, "_KEMPE_MOVES", 0)

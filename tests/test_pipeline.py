@@ -246,8 +246,8 @@ class TestThreeColouringOutcome:
         (lambda: bench_families.random_cubic(32, 0, triangle_free=True), 0, "found", "3-colourable"),
         (petersen_graph, 16, "refuted", "constructed"),
         (lambda: expand_vertex_to_triangle(petersen_graph(), 0), 16, "refuted", "constructed"),
-        (lambda: bench_families.flower_snark(11), 16, "open", "constructed"),
-    ], ids=["even", "repaired", "searched", "petersen", "reduced", "J11"])
+        (lambda: bench_families.flower_snark(301), 16, "open", "constructed"),
+    ], ids=["even", "repaired", "searched", "petersen", "reduced", "J301"])
     def test_every_branch_reports_it(self, make, moves, outcome, branch, monkeypatch):
         """With no Kempe moves, the odd 2-factor of random32#0 is left to
         the 3-colour search."""

@@ -2,7 +2,9 @@
 replaced (``tests/reference_search.py``): equal results and equal witnesses,
 and no depth limit.  The pipeline's 3-colour attempt runs it with a budget
 of backtracks and gives the same answer or leaves the graph open; the
-oracles run it with none."""
+oracles run it with none.  At k = 3 the search keeps refuted frontier
+states once it has made ``_MEMO_AFTER * m`` backtracks; with that gate at
+0 it still gives the reference's answers and witnesses."""
 
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from nearnormal.corpus import (
     petersen_graph,
     prism,
 )
-from nearnormal.graph import GraphError
+from nearnormal.graph import GraphError, build_graph
 from nearnormal.oracle import exists_normal, min_medium_exact
 from reference_classify import is_proper
 
@@ -131,8 +133,10 @@ def _search_graphs():
 SEARCH_GRAPHS = dict(_search_graphs())
 
 # Backtracks the k = 3 search makes before it decides, each measured by
-# bisecting the budget
-BACKTRACKS_NEEDED = {"J5": 821, "J7": 3743, "J9": 15433, "J11": 62195, "J13": 249245,
+# bisecting the budget.  The memo starts after 32 * m backtracks: J5 decides
+# before it, J7-J13 after it, with 1,050-1,200 more per step up the family
+# (plain backtracking needs 3,743, 15,433, 62,195 and 249,245).
+BACKTRACKS_NEEDED = {"J5": 821, "J7": 2451, "J9": 3649, "J11": 4710, "J13": 5754,
                      "random44#0": 6756, "random44#2": 2224}
 
 
@@ -156,10 +160,10 @@ class TestFailureTable:
 
     @pytest.mark.parametrize("name", SEARCH_GRAPHS)
     def test_with_the_default_thresholds(self, name):
-        """The default budget decides every graph here but J11 and J13."""
+        """The default budget decides every graph here; the memo refutes
+        J11 and J13."""
         g = SEARCH_GRAPHS[name]
-        want = "open" if name in ("J11", "J13") else _colours(ref.try_3_edge_colouring(g))
-        assert _attempt(g) == want
+        assert _attempt(g) == _colours(ref.try_3_edge_colouring(g))
 
     @pytest.mark.parametrize("cap", [3, 256, 512])
     @pytest.mark.parametrize("name", ["J9", "J13", "random44#0", "random44#2"])
@@ -169,8 +173,8 @@ class TestFailureTable:
         assert _attempt(SEARCH_GRAPHS[name]) == "open"
 
     def test_large_flower_snark(self):
-        """J301 (n = 1,204) is left open, where a refutation would take
-        exponential time."""
+        """J301 (n = 1,204) is left open: the budget runs out before the
+        32 * m backtracks after which the memo starts."""
         with pytest.raises(colouring._SearchOpen):
             try_3_edge_colouring(bench_families.flower_snark(301))
 
@@ -199,3 +203,87 @@ def test_the_oracle_has_no_budget(monkeypatch):
     monkeypatch.setattr(colouring, "_BACKTRACKS", 0)
     with pytest.raises(GraphError, match="admits no proper 3-edge-colouring"):
         min_medium_exact(bench_families.flower_snark(11), 3)
+
+
+@pytest.fixture
+def eager_memo(monkeypatch):
+    """The k = 3 memo from the first backtrack on."""
+    monkeypatch.setattr(colouring, "_MEMO_AFTER", 0)
+
+
+def _searched(g):
+    found = colouring._min_medium_search(g, 3)
+    return None if found is None else (3, found[1])
+
+
+def _with_digons(g, edges):
+    n, pairs = g.n, list(g.edges)
+    for e in edges:
+        n, pairs = bench_families.generators.insert_digon((n, pairs), e)
+    return build_graph(n, pairs)
+
+
+class TestRefutedStates:
+    """With the memo on from the first backtrack, the k = 3 search gives
+    the reference's answer and witness: a pruned subtree has no colouring."""
+
+    @pytest.mark.parametrize("n", CORPUS_ORDERS)
+    def test_corpus(self, n, eager_memo):
+        for g in load_cubic_corpus(n):
+            assert _searched(g) == _colours(ref.try_3_edge_colouring(g))
+
+    @pytest.mark.parametrize("name", SEARCH_GRAPHS)
+    def test_snarks_and_random_graphs(self, name, eager_memo):
+        g = SEARCH_GRAPHS[name]
+        assert _searched(g) == _colours(ref.try_3_edge_colouring(g))
+
+    @pytest.mark.parametrize("k", range(5, 23, 2))
+    def test_flower_snarks(self, k, eager_memo):
+        """No flower snark is 3-edge-colourable (Isaacs 1975); the
+        reference agrees up to J13 above."""
+        assert _searched(bench_families.flower_snark(k)) is None
+
+    @pytest.mark.parametrize("base", [4, 6, 8])
+    def test_inflations(self, base, eager_memo):
+        for seed in range(6):
+            g = bench_families.petersen_inflation(base, seed)
+            assert _searched(g) == _colours(ref.try_3_edge_colouring(g))
+
+    @pytest.mark.parametrize("make, edges", [
+        (petersen_graph, (0, 7)),
+        (lambda: prism(5), (0, 3, 12)),
+        (lambda: bench_families.flower_snark(7), (1, 20)),
+        (lambda: bench_families.random_cubic(40, 1, triangle_free=True), (0, 5, 9)),
+    ], ids=["petersen", "prism5", "J7", "random40#1"])
+    def test_parallel_pairs(self, make, edges, eager_memo):
+        g = _with_digons(make(), edges)
+        assert not g.is_simple()
+        assert _searched(g) == _colours(ref.try_3_edge_colouring(g))
+
+    def test_the_oracle_refutes_j21(self, eager_memo, monkeypatch):
+        """The exact oracle refutes J21 (m = 126) within 5,989 backtracks;
+        plain backtracking needs about 4 times more per step up the family
+        (BACKTRACKS_NEEDED)."""
+        def budgeted(need):
+            def search(g, k, bound=math.inf, backtracks=math.inf):
+                return colouring._min_medium_search(g, k, bound, need)
+            return search
+
+        g = bench_families.flower_snark(21)
+        monkeypatch.setattr(oracle, "_min_medium_search", budgeted(5988))
+        with pytest.raises(colouring._SearchOpen):
+            min_medium_exact(g, 3)
+        monkeypatch.setattr(oracle, "_min_medium_search", budgeted(5989))
+        with pytest.raises(oracle.NoColouringError):
+            min_medium_exact(g, 3)
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_no_memo_past_three_colours(self, k, eager_memo, monkeypatch):
+        """At k >= 4 the counted mediums belong to the state: the frontier
+        tables are never built."""
+        def refuse(*args):
+            raise AssertionError("frontier tables built for k > 3")
+
+        monkeypatch.setattr(colouring, "_frontier_tables", refuse)
+        for g in (petersen_graph(), *load_cubic_corpus(10)):
+            assert _minimum(min_medium_exact, g, k) == _minimum(ref.min_medium_exact, g, k)
