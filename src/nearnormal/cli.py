@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .colouring import MEDIUM, class_counts
-from .graph import GraphError, MultiGraph, validate_input
+from .graph import GraphError, MultiGraph
 from .graphio import (
     FormatError,
     format_colouring,
@@ -28,7 +28,7 @@ from .petersen import (
     is_petersen_graph,
     normal_to_petersen,
 )
-from .pipeline import BoundViolation, colour_graph
+from .pipeline import BoundViolation, InvalidInput, colour_graph
 
 
 def _read_text(path: str) -> str:
@@ -125,12 +125,12 @@ def _cmd_batch(args) -> int:
     processed = 0
     for lineno, g in iter_graph6_lines(text):
         name = f"line{lineno}"
-        diag = validate_input(g)
-        if not diag.ok:
-            print(f"{name}: skipped ({diag.reason}: {diag.detail})")
-            continue
         try:
             _colouring, report = colour_graph(g, name=name)
+        except InvalidInput as exc:
+            diag = exc.diagnosis
+            print(f"{name}: skipped ({diag.reason}: {diag.detail})")
+            continue
         except BoundViolation as exc:
             print(f"{name}: BOUND VIOLATION: {exc}")
             failures += 1

@@ -47,9 +47,9 @@ class EdgeColouring:
     colour_of: tuple[int, ...]
 
     def __post_init__(self):
-        for col in self.colour_of:
-            if col < 1 or col > self.k:
-                raise ColouringError(f"colour {col} outside palette 1..{self.k}")
+        if self.colour_of and not 1 <= min(self.colour_of) <= max(self.colour_of) <= self.k:
+            col = next(col for col in self.colour_of if col < 1 or col > self.k)
+            raise ColouringError(f"colour {col} outside palette 1..{self.k}")
 
 
 def _edge_class(colour_of, e: int, nbrs) -> str:
@@ -76,19 +76,38 @@ def classify_edge(g: MultiGraph, c: EdgeColouring, e: int) -> str:
     return _edge_class(c.colour_of, e, adjacent_edges(g, e).adjacent_ids)
 
 
+def _colour_masks(g: MultiGraph, colour_of) -> list[int]:
+    """Per vertex, the colours of its edges as a bitmask, bit c for colour c."""
+    masks = [0] * g.n
+    for (u, v), col in zip(g.edges, colour_of):
+        masks[u] |= 1 << col
+        masks[v] |= 1 << col
+    return masks
+
+
+def _colour_counts(g: MultiGraph, colour_of) -> list[int]:
+    """Per edge, the colours on it and the edges around it, counted from the
+    vertex masks; proper means a bit per edge in every mask.  Else raises
+    :class:`ColouringError` at the first edge sharing a colour nearby."""
+    if len(colour_of) != g.m:
+        raise ColouringError(f"{len(colour_of)} colours for {g.m} edges")
+    masks = _colour_masks(g, colour_of)
+    if list(map(int.bit_count, masks)) != list(map(len, g._incident)):
+        for e, (u, v) in enumerate(g.edges):
+            _edge_class(colour_of, e, g._incident[u] + g._incident[v])
+    return [(masks[u] | masks[v]).bit_count() for u, v in g.edges]
+
+
 def classify_all(g: MultiGraph, c: EdgeColouring) -> tuple[str, ...]:
     """Every edge's class, in one pass; raises :class:`ColouringError` when
     ``c`` is not a proper colouring of ``g``."""
-    colour_of = c.colour_of
-    if len(colour_of) != g.m:
-        raise ColouringError(f"{len(colour_of)} colours for {g.m} edges")
-    inc = [g.incident_edges(v) for v in range(g.n)]
-    return tuple(_edge_class(colour_of, e, inc[u] + inc[v]) for e, (u, v) in enumerate(g.edges))
+    return tuple(map({3: POOR, 5: RICH}.get, _colour_counts(g, c.colour_of), itertools.repeat(MEDIUM)))
 
 
 def class_counts(g: MultiGraph, c: EdgeColouring) -> dict[str, int]:
-    classes = classify_all(g, c)
-    return {cls: classes.count(cls) for cls in (POOR, MEDIUM, RICH)}
+    counts = _colour_counts(g, c.colour_of)
+    poor, rich = counts.count(3), counts.count(5)
+    return {POOR: poor, MEDIUM: g.m - poor - rich, RICH: rich}
 
 
 def medium_count(g: MultiGraph, c: EdgeColouring) -> int:
@@ -344,19 +363,20 @@ def kempe_3_colouring(tf: TwoFactor) -> EdgeColouring | None:
     g = tf.graph
     edges = g.edges
     cols = [3] * g.m
-    at = [-1] * (4 * g.n)  # at[4 * v + c]: the edge of colour c at v, -1 when v misses c
-    for e in tf.matching:
-        u, v = edges[e]
-        at[4 * u + 3] = at[4 * v + 3] = e
     defects = []
     for eids in tf.cycle_edges:
-        for t, e in enumerate(eids):
-            if t == len(eids) - 1 and t % 2 == 0:
-                cols[e] = 0
-                defects.append(e)
-                continue
-            col = cols[e] = 1 + (t & 1)
-            u, v = edges[e]
+        odd = len(eids) % 2
+        if odd:
+            cols[eids[-1]] = 0
+            defects.append(eids[-1])
+        for col, half in ((1, eids[: len(eids) - odd : 2]), (2, eids[1::2])):
+            for e in half:
+                cols[e] = col
+    if defects:
+        # at[4 * v + c]: the edge of colour c at v, -1 when v misses c
+        # (slot 0 takes the defects, and is never read)
+        at = [-1] * (4 * g.n)
+        for e, ((u, v), col) in enumerate(zip(edges, cols)):
             at[4 * u + col] = at[4 * v + col] = e
     rng = None
     moves = 0
@@ -366,10 +386,11 @@ def kempe_3_colouring(tf: TwoFactor) -> EdgeColouring | None:
             u, v = edges[e]
             a, b = _missing(at, u), _missing(at, v)
             if a != b:
-                if _chain_end(at, edges, v, b, a) == u:
+                verts, path = _kempe_chain(at, edges, v, b, a)
+                if verts[-1] == u:
                     stuck.append(e)
                     continue
-                _swap(at, cols, *_kempe_chain(at, edges, v, b, a), a, b)
+                _swap(at, cols, verts, path, a, b)
             cols[e] = a
             at[4 * u + a] = at[4 * v + a] = e
         if len(stuck) == len(defects):
@@ -383,11 +404,7 @@ def kempe_3_colouring(tf: TwoFactor) -> EdgeColouring | None:
             x = ends[rng.randrange(2)]
             _swap(at, cols, *_component(at, edges, x, p, q), p, q)
         defects = stuck
-    seen = [0] * g.n
-    for e, (u, v) in enumerate(edges):
-        seen[u] |= 1 << cols[e]
-        seen[v] |= 1 << cols[e]
-    if any(s != 0b1110 for s in seen):
+    if _colour_masks(g, cols).count(0b1110) != g.n:
         raise ColouringError("Kempe repair left a vertex without all of 1, 2, 3")
     return EdgeColouring(3, tuple(cols))
 
@@ -397,35 +414,22 @@ def _missing(at: list[int], x: int) -> int:
     return 1 if at[4 * x + 1] < 0 else 2 if at[4 * x + 2] < 0 else 3
 
 
-def _chain_end(at, edges, x: int, p: int, q: int) -> int:
-    """The last vertex of :func:`_kempe_chain` from ``x``, which misses p."""
-    col = q
-    e = at[4 * x + q]
-    while e >= 0:
-        a, b = edges[e]
-        x = a ^ b ^ x
-        col ^= p ^ q
-        e = at[4 * x + col]
-    return x
-
-
 def _kempe_chain(at, edges, x: int, p: int, q: int) -> tuple[list[int], list[int]]:
     """The vertices (from ``x``) and edges of the chain of colours p and q
     that leaves ``x`` by its q edge, up to a vertex that misses the next
     colour or back at ``x``, which then is not listed twice."""
-    start = x
+    start, flip = x, p ^ q
     verts, path = [x], []
-    col = q
     e = at[4 * x + q]
     while e >= 0:
         path.append(e)
         a, b = edges[e]
-        x = a ^ b ^ x
+        x ^= a ^ b
         if x == start:
             break
         verts.append(x)
-        col ^= p ^ q
-        e = at[4 * x + col]
+        q ^= flip  # the next colour
+        e = at[4 * x + q]
     return verts, path
 
 
@@ -470,7 +474,7 @@ def _attachments(tf: TwoFactor, sel: EdgeSelection) -> dict[int, list[int]]:
     """Per cycle, the vertices where selected edges attach (sorted)."""
     att: dict[int, list[int]] = {}
     for e in sorted(sel.selected):
-        for x in tf.graph.endpoints(e):
+        for x in tf.graph.edges[e]:
             att.setdefault(tf.cycle_of_vertex[x], []).append(x)
     return att
 

@@ -108,20 +108,16 @@ def apply_r1(ledger: ChargeLedger, g: MultiGraph, tf: TwoFactor, c: EdgeColourin
     for e in sorted(ledger.medium_edges):
         if e not in tf.matching:
             continue
-        u, v = g.endpoints(e)
+        u, v = g.edges[e]
         cu, cv = tf.cycle_of_vertex[u], tf.cycle_of_vertex[v]
         if cu == cv:
             ledger.move_from_edge("R1", e, cu, 10)
             continue
-
-        def touches(cyc: int, end: int) -> bool:
-            three = threes.get(cyc)
-            return three is not None and end in g.endpoints(three)
-
-        sides = [(cu, u), (cv, v)]
+        # the odd cycles at e whose colour-3 edge (``threes`` has one per
+        # odd cycle) ends where e does
         qualifying = [
-            (cyc, end) for cyc, end in sides
-            if tf.cycle_length(cyc) % 2 and touches(cyc, end)
+            (cyc, end) for cyc, end in ((cu, u), (cv, v))
+            if tf.cycle_length(cyc) % 2 and end in g.edges[threes[cyc]]
         ]
         if not qualifying:
             raise DischargingError(

@@ -107,23 +107,22 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
     cycle starts at its smallest vertex and proceeds toward the smaller
     neighbour (smaller edge id breaks parallel-edge ties).
 
-    ``g`` must be cubic; then G - M is 2-regular exactly when M is a
-    perfect matching, which is how M is checked."""
+    ``g`` must be cubic and M a perfect matching of it, n/2 edges whose
+    ends cover every vertex.  Then G - M is 2-regular: at each vertex the
+    two edges other than its matching edge."""
     matching = frozenset(m)
-    edges = g.edges
-    if any(not 0 <= e < len(edges) for e in matching):
+    edges, inc = g.edges, g._incident
+    if matching and (min(matching) < 0 or max(matching) >= len(edges)):
         raise GraphError("not a perfect matching of this graph")
-    if any(len(es) != 3 for es in g._incident):
+    if any(map((3).__ne__, map(len, inc))):
         raise GraphError("graph minus matching is not 2-regular (input not cubic?)")
-    partner = [-1] * g.n
-    cycle_inc: list[list[int]] = [[] for _ in range(g.n)]
-    for e, (u, v) in enumerate(edges):
-        if e in matching:
-            partner[u], partner[v] = v, u
-        else:
-            cycle_inc[u].append(e)
-            cycle_inc[v].append(e)
-    if any(len(es) != 2 for es in cycle_inc):
+    mate, partner = [-1] * g.n, [-1] * g.n  # per vertex, its matching edge and that edge's other end
+    for e in matching:
+        u, v = edges[e]
+        mate[u] = mate[v] = e
+        partner[u], partner[v] = v, u
+    # n/2 edges that cover every vertex cover each once
+    if 2 * len(matching) != g.n or -1 in mate:
         raise GraphError("not a perfect matching of this graph")
 
     cycles: list[tuple[int, ...]] = []
@@ -131,25 +130,34 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
     cycle_of_vertex = [-1] * g.n
     cycle_of_edge = [-1] * g.m
     position = [-1] * g.n
-    for start in range(g.n):
-        if cycle_of_vertex[start] != -1:
-            continue
+    start = done = 0
+    while done < g.n:
+        start = cycle_of_vertex.index(-1, start)  # the smallest vertex on no cycle yet
         idx = len(cycles)
-        e = min(cycle_inc[start], key=lambda x: (edges[x][0] ^ edges[x][1] ^ start, x))
+        a, b, c = inc[start]  # in increasing id order
+        e, f = (b, c) if a == mate[start] else (a, c) if b == mate[start] else (a, b)
+        a, b = edges[f]
+        w = a ^ b ^ start
+        a, b = edges[e]
+        v = a ^ b ^ start
+        if w < v:
+            e, v = f, w
         verts, eids = [start], [e]
-        v = edges[e][0] ^ edges[e][1] ^ start
         while v != start:
             verts.append(v)
-            a, b = cycle_inc[v]
-            e = b if a == e else a
+            a, b, c = inc[v]
+            e ^= a ^ b ^ c ^ mate[v]  # the other one of v's two cycle edges
             eids.append(e)
             a, b = edges[e]
             v ^= a ^ b
+        for i, x in enumerate(verts):
+            cycle_of_vertex[x] = idx
+            position[x] = i
+        for e in eids:
+            cycle_of_edge[e] = idx
+        done += len(verts)
         cycles.append(tuple(verts))
         cycle_edges.append(tuple(eids))
-        for i, (x, e) in enumerate(zip(verts, eids)):
-            cycle_of_vertex[x] = cycle_of_edge[e] = idx
-            position[x] = i
     return TwoFactor(
         graph=g,
         matching=matching,
@@ -228,18 +236,13 @@ class _Matcher:
     resets only the entries it touched.
     """
 
-    __slots__ = ("edges", "xor", "adj", "mate_edge", "blocked",
+    __slots__ = ("edges", "xor", "inc", "mate_edge", "blocked",
                  "label", "via", "uf", "seen", "clock")
 
     def __init__(self, g: MultiGraph) -> None:
         n = g.n
-        self.edges = g.edges
+        self.edges, self.inc = g.edges, g._incident
         self.xor = [u ^ v for u, v in g.edges]  # other end of e from v: xor[e] ^ v
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for e, (u, v) in enumerate(g.edges):
-            adj[u].append((e, v))
-            adj[v].append((e, u))
-        self.adj = adj
         self.mate_edge = [-1] * n
         self.blocked = bytearray(n)
         self.label = bytearray(n)
@@ -262,7 +265,7 @@ class _Matcher:
         to another exposed unblocked vertex and flip it; False when none
         exists (then no perfect matching of the unblocked vertices does
         either)."""
-        adj, xor, mate_edge, blocked = self.adj, self.xor, self.mate_edge, self.blocked
+        inc, xor, mate_edge, blocked = self.inc, self.xor, self.mate_edge, self.blocked
         label, via, uf = self.label, self.via, self.uf
         label[root] = _EVEN
         queue = [root]  # even vertices, in the order they were labelled
@@ -270,7 +273,8 @@ class _Matcher:
         end = -1
         for v in queue:  # grows while it is read
             mv = mate_edge[v]
-            for e, w in adj[v]:
+            for e in inc[v]:
+                w = xor[e] ^ v
                 if e == mv or blocked[w]:
                     continue
                 lw = label[w]

@@ -145,33 +145,36 @@ def _lowpoint_search(g: MultiGraph) -> tuple[int, set[int]]:
     edges, incident = g.edges, g._incident
     disc = [-1] * g.n
     low = [0] * g.n
-    disc[0] = low[0] = 0
+    nxt = [0] * g.n  # per vertex, the index in its incidence list to scan next
+    via = [-1] * g.n  # per vertex, the tree edge it was reached by
+    disc[0] = 0
     counter = 1
-    # stack entries: (vertex, incoming edge id, iterator over incident edges)
-    stack = [(0, -1, iter(incident[0]))]
+    stack = [0]
     while stack:
-        v, in_edge, it = stack[-1]
-        advanced = False
-        for e in it:
-            if e == in_edge:
+        v = stack[-1]
+        es, i = incident[v], nxt[v]
+        if i < len(es):
+            nxt[v] = i + 1
+            e = es[i]
+            if e == via[v]:
                 continue
             a, b = edges[e]
-            w = b if a == v else a
-            if disc[w] == -1:
+            w = a ^ b ^ v
+            if disc[w] < 0:
                 disc[w] = low[w] = counter
                 counter += 1
-                stack.append((w, e, iter(incident[w])))
-                advanced = True
-                break
-            low[v] = min(low[v], disc[w])
-        if advanced:
+                via[w] = e
+                stack.append(w)
+            elif disc[w] < low[v]:
+                low[v] = disc[w]
             continue
         stack.pop()
         if stack:
-            parent = stack[-1][0]
-            low[parent] = min(low[parent], low[v])
+            parent = stack[-1]
+            if low[v] < low[parent]:
+                low[parent] = low[v]
             if low[v] > disc[parent]:
-                bridges.add(in_edge)
+                bridges.add(via[v])
     return counter, bridges
 
 
@@ -195,9 +198,9 @@ def validate_input(g: MultiGraph) -> Diagnosis:
         return Diagnosis(False, "connected", "graph is disconnected")
     if g.n == 0:
         return Diagnosis(False, "cubic", "graph has no vertices")
-    for v in range(g.n):
-        if g.degree(v) != 3:
-            return Diagnosis(False, "cubic", f"vertex {v} has degree {g.degree(v)}")
+    if set(map(len, g._incident)) != {3}:
+        v, es = next((v, es) for v, es in enumerate(g._incident) if len(es) != 3)
+        return Diagnosis(False, "cubic", f"vertex {v} has degree {len(es)}")
     # loops are unrepresentable (MultiGraph rejects them at build time)
     if bridges:
         e = min(bridges)
@@ -206,17 +209,22 @@ def validate_input(g: MultiGraph) -> Diagnosis:
 
 
 def find_triangles(g: MultiGraph) -> list[tuple[int, int, int]]:
-    """Every triangle of ``g`` as a sorted vertex triple, in sorted order:
-    one pass over the edges with neighbour sets, O(m) on a cubic graph."""
+    """Every triangle of ``g`` as a sorted vertex triple, in sorted order."""
+    return _pairs_and_triangles(g)[1]
+
+
+def _pairs_and_triangles(g: MultiGraph) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
+    """The doubled vertex pairs and the triangles of ``g``, both sorted, from
+    one pass building neighbour sets: O(m) on a cubic graph."""
     nb: list[set[int]] = [set() for _ in range(g.n)]
+    pairs = set()
     for u, v in g.edges:
+        if v in nb[u]:
+            pairs.add((u, v))
         nb[u].add(v)
         nb[v].add(u)
-    found = set()
-    for u, v in g.edges:  # u < v
-        for w in nb[u] & nb[v]:
-            found.add((u, v, w) if w > v else (u, w, v) if w > u else (w, u, v))
-    return sorted(found)
+    triangles = {(u, v, w) for u, v in g.edges if not nb[u].isdisjoint(nb[v]) for w in nb[u] & nb[v] if w > v}
+    return sorted(pairs), sorted(triangles)
 
 
 def girth(g: MultiGraph) -> int:
@@ -224,6 +232,7 @@ def girth(g: MultiGraph) -> int:
     if not g.is_simple():
         return 2
     best = g.n + 1
+    edges, incident = g.edges, g._incident
     for root in range(g.n):
         dist = [-1] * g.n
         via = [-1] * g.n
@@ -231,8 +240,9 @@ def girth(g: MultiGraph) -> int:
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for e in g.incident_edges(v):
-                w = g.other_end(e, v)
+            for e in incident[v]:
+                a, b = edges[e]
+                w = a ^ b ^ v
                 if dist[w] == -1:
                     dist[w] = dist[v] + 1
                     via[w] = e

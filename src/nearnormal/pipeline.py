@@ -27,10 +27,18 @@ from .colouring import (
 )
 from .discharging import run_audit
 from .factor import choose_two_factor
-from .graph import GraphError, MultiGraph, validate_input
+from .graph import Diagnosis, GraphError, MultiGraph, validate_input
 from .petersen import is_petersen_graph
 from .report import ColouringReport
 from .selection import find_optimal_selection, s_components
+
+
+class InvalidInput(GraphError):
+    """An input that :func:`validate_input` rejects, with its ``diagnosis``."""
+
+    def __init__(self, diagnosis: Diagnosis) -> None:
+        super().__init__(f"invalid input ({diagnosis.reason}): {diagnosis.detail}")
+        self.diagnosis = diagnosis
 
 
 class BoundViolation(GraphError):
@@ -41,16 +49,13 @@ class BoundViolation(GraphError):
 def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, ColouringReport]:
     diag = validate_input(g)
     if not diag.ok:
-        raise GraphError(f"invalid input ({diag.reason}): {diag.detail}")
+        raise InvalidInput(diag)
 
     from .reductions import lift, reduce_fully
 
     base, records, base_edges = reduce_fully(g)
 
-    cycle_lengths = None
-    selection_size = None
-    shapes = None
-    audit_report = None
+    cycle_lengths = selection_size = shapes = audit_report = None
 
     tf = choose_two_factor(base)
     try:
@@ -69,12 +74,13 @@ def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, Colourin
         shapes = tuple(comp.shape for comp in s_components(tf, sel))
         audit_report = run_audit(base, tf, sel, colouring)
 
-    colours = [0] * (base_edges[-1] + 1)
-    for e, col in zip(base_edges, colouring.colour_of):
-        colours[e] = col
-    for record in reversed(records):
-        lift(record, colours)
-    colouring = EdgeColouring(colouring.k, tuple(colours[: g.m]))
+    if records:  # else the base is g itself
+        colours = [0] * (base_edges[-1] + 1)
+        for e, col in zip(base_edges, colouring.colour_of):
+            colours[e] = col
+        for record in reversed(records):
+            lift(record, colours)
+        colouring = EdgeColouring(colouring.k, tuple(colours[: g.m]))
 
     counts = class_counts(g, colouring)
     mediums = counts["medium"]

@@ -56,12 +56,11 @@ what a lift re-checking all of those edges would establish.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 from typing import ClassVar
 
 from .colouring import MEDIUM, _edge_class
-from .graph import GraphError, MultiGraph, find_triangles, validate_input
+from .graph import GraphError, MultiGraph, _pairs_and_triangles, validate_input
 
 MULTI_EDGE = "multi_edge"
 TRIANGLE = "triangle"
@@ -147,7 +146,7 @@ class _WorkingGraph:
     def __init__(self, g: MultiGraph) -> None:
         self.n = g.n
         self.edges: list[tuple[int, int] | None] = list(g.edges)
-        self.incident: list[list[int] | None] = [list(g.incident_edges(v)) for v in range(g.n)]
+        self.incident: list[list[int] | None] = [list(es) for es in g._incident]
 
     def alive(self, site: tuple[int, ...]) -> bool:
         return all(self.incident[v] is not None for v in site)
@@ -267,8 +266,7 @@ def reduce_fully(g: MultiGraph) -> tuple[MultiGraph, list[ReductionRecord], tupl
     graph is built.  The one scan that decides this also seeds the
     candidate heaps.
     """
-    pairs = sorted(p for p, count in Counter(g.edges).items() if count > 1)  # a sorted list is a heap
-    triangles = find_triangles(g)
+    pairs, triangles = _pairs_and_triangles(g)  # a sorted list is a heap
     if g.n <= 2 or not (pairs or triangles):
         return g, [], tuple(range(g.m))
     wg = _WorkingGraph(g)

@@ -41,7 +41,7 @@ def eligible_edges(tf: TwoFactor) -> set[int]:
     odd = set(tf.odd_cycles())
     out = set()
     for e in tf.matching:
-        u, v = tf.graph.endpoints(e)
+        u, v = tf.graph.edges[e]
         cu, cv = tf.cycle_of_vertex[u], tf.cycle_of_vertex[v]
         if cu != cv and cu in odd and cv in odd:
             out.add(e)
@@ -78,7 +78,7 @@ def selection_violation(tf: TwoFactor, selected) -> str | None:
     for e in sorted(selected):
         if e not in tf.matching:
             return f"edge {e} is not a matching edge"
-        u, v = tf.graph.endpoints(e)
+        u, v = tf.graph.edges[e]
         cu, cv = tf.cycle_of_vertex[u], tf.cycle_of_vertex[v]
         if cu == cv:
             return f"edge {e} is a chord"
@@ -111,7 +111,7 @@ def find_optimal_selection(tf: TwoFactor) -> EdgeSelection:
     """
     edges = eligible_edges(tf)
     # per edge, the (cycle, position on it) of both endpoints
-    ends = {e: [(tf.cycle_of_vertex[x], tf.position[x]) for x in tf.graph.endpoints(e)] for e in edges}
+    ends = {e: [(tf.cycle_of_vertex[x], tf.position[x]) for x in tf.graph.edges[e]] for e in edges}
     at = [0] * len(tf.cycles)  # eligible edges per cycle
     for pair in ends.values():
         for c, _p in pair:

@@ -16,10 +16,10 @@ from nearnormal.colouring import construct_colouring
 from nearnormal.corpus import CORPUS_ORDERS, complete_graph_k4, load_cubic_corpus, petersen_graph, prism
 from nearnormal.discharging import audit, run_discharging
 from nearnormal.factor import choose_two_factor
-from nearnormal.graph import build_graph
+from nearnormal.graph import GraphError, build_graph, validate_input
 from nearnormal.graphio import format_colouring, write_graph6
 from nearnormal.oracle import exists_normal
-from nearnormal.pipeline import colour_graph
+from nearnormal.pipeline import BoundViolation, colour_graph
 from nearnormal.reductions import reduce_fully
 from nearnormal.selection import find_optimal_selection
 
@@ -280,6 +280,44 @@ class TestBatchCommand:
     def test_petersen_detected(self, petersen_file, capsys):
         assert main(["batch", petersen_file]) == 0
         assert "Petersen detections: 1" in capsys.readouterr().out
+
+    def test_validates_each_graph_once(self, tmp_path, monkeypatch, capsys):
+        """One ``validate_input`` call per input graph, and one more on each
+        reduced base; the skip lines name the same failed property."""
+        graphs = load_cubic_corpus(8, bridgeless_only=False) + load_cubic_corpus(10, bridgeless_only=False)
+        path = tmp_path / "mixed.g6"
+        path.write_text("".join(write_graph6(g) + "\n" for g in graphs))
+        skips = []
+        for lineno, g in enumerate(graphs, start=1):
+            diag = validate_input(g)
+            if not diag.ok:
+                skips.append(f"line{lineno}: skipped ({diag.reason}: {diag.detail})")
+        reduced = sum(bool(colour_graph(g)[1].reductions) for g in graphs if validate_input(g).ok)
+        assert skips and reduced
+
+        calls = Counter()
+
+        def counted(g):
+            calls["validate_input"] += 1
+            return validate_input(g)
+
+        for module in (cli, pipeline, reductions):
+            monkeypatch.setattr(module, "validate_input", counted, raising=False)
+        assert main(["batch", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if "skipped" in line] == skips
+        assert calls["validate_input"] == len(graphs) + reduced
+
+    @pytest.mark.parametrize("error, code", [(BoundViolation, 1), (GraphError, 2)])
+    def test_other_errors_are_not_skips(self, error, code, petersen_file, monkeypatch, capsys):
+        def failing(g, name=""):
+            raise error("raised for the test")
+
+        monkeypatch.setattr(cli, "colour_graph", failing)
+        assert main(["batch", petersen_file]) == code
+        captured = capsys.readouterr()
+        assert "skipped" not in captured.out
+        assert "raised for the test" in (captured.out if error is BoundViolation else captured.err)
 
 
 class TestPetersenMapCommand:

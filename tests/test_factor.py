@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ import reference_factor as ref
 from reference_factor import is_perfect_matching
 from nearnormal import factor
 from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, prism
+from nearnormal.colouring import kempe_3_colouring
 from nearnormal.factor import (
     choose_two_factor,
     enumerate_perfect_matchings,
@@ -19,6 +21,7 @@ from nearnormal.factor import (
 from nearnormal.graph import GraphError, build_graph, validate_input
 from nearnormal.petersen import is_petersen_graph
 from nearnormal.pipeline import colour_graph
+from nearnormal.reductions import reduce_fully
 
 
 def matchings_by_brute_force(g):
@@ -311,3 +314,53 @@ class TestChooseTwoFactorAtScale:
     def test_triangle_free_random_1000(self):
         g = bench_families.random_cubic(1000, seed=3, triangle_free=True)
         assert has_non_five_cycle(assert_valid_choice(g))
+
+
+# compared one by one, so that a failure names the field
+TWO_FACTOR_FIELDS = ("matching", "cycles", "cycle_edges", "cycle_of_vertex", "position", "cycle_of_edge", "partner")
+
+
+def assert_same_as_the_reference(g):
+    """The first matching, the chosen 2-factor and the Kempe repair of ``g``
+    are those of the code that built lists of its own
+    (``tests/reference_factor.py``)."""
+    matcher, want_matcher = factor._Matcher(g), ref._Matcher(g)
+    assert matcher.match_all() == want_matcher.match_all()
+    assert matcher.mate_edge == want_matcher.mate_edge
+    first = two_factor_from_matching(g, matcher.mate_edge)
+    assert first == ref.two_factor_from_matching(g, want_matcher.mate_edge)
+    tf, want = choose_two_factor(g), ref.matching_two_factor(g)
+    for name in TWO_FACTOR_FIELDS:
+        assert getattr(tf, name) == getattr(want, name), name
+    assert kempe_3_colouring(tf) == ref.kempe_3_colouring(want)
+
+
+class TestSameAsTheReference:
+    @pytest.mark.parametrize("n", CORPUS_ORDERS)
+    def test_corpus(self, n):
+        for g in load_cubic_corpus(n):
+            assert_same_as_the_reference(g)
+
+    @pytest.mark.parametrize("workload", sorted(bench_families.workloads.WORKLOADS))
+    def test_workload_graphs_and_their_bases_at_seed_0(self, workload):
+        for case in bench_families.workloads.WORKLOADS[workload](0):
+            assert_same_as_the_reference(case.graph)
+            base = reduce_fully(case.graph)[0]
+            if base is not case.graph:
+                assert_same_as_the_reference(base)
+
+    @pytest.mark.parametrize("m", [{0}, {0, 5, 1}, {0, 5, 6}, {-1, 5}, {0, 1}, {0, 4}, set()], ids=[
+        "too-few", "too-many", "past-m", "negative", "meet-at-0", "meet-at-1", "empty"])
+    def test_the_same_error_for_a_bad_matching(self, k4, m):
+        with pytest.raises(GraphError) as want:
+            ref.two_factor_from_matching(k4, frozenset(m))
+        with pytest.raises(GraphError, match=f"^{re.escape(str(want.value))}$"):
+            two_factor_from_matching(k4, frozenset(m))
+
+    def test_the_same_error_for_a_graph_that_is_not_cubic(self):
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        for m in ({0, 2}, {0}, {7}):
+            with pytest.raises(GraphError) as want:
+                ref.two_factor_from_matching(g, frozenset(m))
+            with pytest.raises(GraphError, match=f"^{re.escape(str(want.value))}$"):
+                two_factor_from_matching(g, frozenset(m))

@@ -8,7 +8,7 @@ import pytest
 
 import bench_families
 from nearnormal import factor, pipeline
-from nearnormal.colouring import ColouringError, EdgeColouring, classify_all, medium_count
+from nearnormal.colouring import ColouringError, EdgeColouring, _colour_counts, medium_count
 from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, petersen_graph, prism
 from nearnormal.graph import GraphError, build_graph
 from nearnormal.pipeline import colour_graph
@@ -307,8 +307,10 @@ def kempe_swap(g, colour_of, e, a, b):
 
 class TestEachCheckOnce:
     """The constructed colouring is classified once for the charge rules and
-    once after the lift; the selection is checked once, where the
-    construction uses it.  Both checks still run on the pipeline path."""
+    once after the lift, each time by ``colouring._colour_counts``, which
+    ``classify_all`` and ``class_counts`` share; the selection is checked
+    once, where the construction uses it.  Both checks still run on the
+    pipeline path."""
 
     @pytest.mark.parametrize("make", [
         petersen_graph,
@@ -317,7 +319,7 @@ class TestEachCheckOnce:
     ], ids=["petersen", "J15", "truncated-petersen"])
     def test_classify_twice_and_check_the_selection_once(self, make, monkeypatch):
         calls = Counter()
-        for original in (classify_all, selection_violation):
+        for original in (_colour_counts, selection_violation):
             def counted(*args, _f=original, **kwargs):
                 calls[_f.__name__] += 1
                 return _f(*args, **kwargs)
@@ -327,7 +329,7 @@ class TestEachCheckOnce:
                     monkeypatch.setattr(mod, original.__name__, counted)
         report = colour_graph(make())[1]
         assert report.base_branch == "constructed" and report.audit_passed is True
-        assert calls == {"classify_all": 2, "selection_violation": 1}
+        assert calls == {"_colour_counts": 2, "selection_violation": 1}
 
     def test_structural_violation_is_caught(self, petersen, monkeypatch):
         construct = pipeline.construct_colouring
