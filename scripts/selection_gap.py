@@ -118,9 +118,9 @@ def gap() -> None:
                     continue
                 tf_below += 1
                 for i, sel in enumerate((greedy, exact)):
-                    col = construct_colouring(g, tf, sel)
-                    mediums[i] += medium_count(g, col)
-                    audits += run_audit(g, tf, sel, col).passed
+                    con = construct_colouring(g, tf, sel)
+                    mediums[i] += medium_count(g, con.colouring)
+                    audits += run_audit(con).passed
     print(f"corpus 2-factors with odd cycles: {odd}; greedy below the optimum on {below}; "
           f"{tf_below} of those triangle-free, with {mediums[0]} medium edges (greedy) "
           f"against {mediums[1]} (exact), {audits} of {2 * tf_below} audits passed", flush=True)

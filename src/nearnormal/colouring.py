@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .factor import TwoFactor
 from .graph import GraphError, MultiGraph, adjacent_edges, find_triangles
-from .selection import CYCLE, EdgeSelection, s_components, selection_violation
+from .selection import CYCLE, EdgeSelection, SComponent, s_components, selection_violation
 
 POOR = "poor"
 MEDIUM = "medium"
@@ -470,6 +470,23 @@ def try_3_edge_colouring(g: MultiGraph) -> EdgeColouring | None:
 # the construction
 
 
+@dataclass(frozen=True)
+class Construction:
+    """What :func:`construct_colouring` builds, each artefact once: the
+    2-factor and selection it was handed, the selection's components
+    (:func:`selection.s_components`), the vertices where selected edges
+    attach to each cycle, the colour-3 edge of each odd cycle, and the
+    colouring.  The charge rules and the audit read them from here; the
+    graph is ``two_factor.graph``."""
+
+    two_factor: TwoFactor
+    selection: EdgeSelection
+    components: tuple[SComponent, ...]
+    attachments: dict[int, list[int]]
+    three_edges: dict[int, int]
+    colouring: EdgeColouring
+
+
 def _attachments(tf: TwoFactor, sel: EdgeSelection) -> dict[int, list[int]]:
     """Per cycle, the vertices where selected edges attach (sorted)."""
     att: dict[int, list[int]] = {}
@@ -479,22 +496,19 @@ def _attachments(tf: TwoFactor, sel: EdgeSelection) -> dict[int, list[int]]:
     return att
 
 
-def place_colour_3(tf: TwoFactor, sel: EdgeSelection) -> dict[int, int]:
-    """Choose the colour-3 edge of every odd cycle.
+def place_colour_3(tf: TwoFactor, attachments: dict[int, list[int]]) -> dict[int, int]:
+    """Choose the colour-3 edge of every odd cycle from the attachment
+    vertices of a valid selection.
 
     The chosen edge must be adjacent to every selected edge at the cycle:
     for degree 2 that forces the edge between the two (consecutive)
     attachment vertices; for degree 1 we fix the successor edge at the
     attachment; for degree 0 the edge between positions 0 and 1.
     """
-    violation = selection_violation(tf, sel.selected)
-    if violation is not None:
-        raise ColouringError(f"invalid selection: {violation}")
-    att = _attachments(tf, sel)
     placed: dict[int, int] = {}
     for c in tf.odd_cycles():
         ell = tf.cycle_length(c)
-        points = att.get(c, [])
+        points = attachments.get(c, [])
         if not points:
             placed[c] = tf.cycle_edges[c][0]
         elif len(points) == 1:
@@ -503,12 +517,7 @@ def place_colour_3(tf: TwoFactor, sel: EdgeSelection) -> dict[int, int]:
         else:
             p1 = tf.position_on_cycle(c, points[0])
             p2 = tf.position_on_cycle(c, points[1])
-            if (p2 - p1) % ell == 1:
-                placed[c] = tf.cycle_edges[c][p1]
-            elif (p1 - p2) % ell == 1:
-                placed[c] = tf.cycle_edges[c][p2]
-            else:
-                raise ColouringError(f"attachments on cycle {c} are not consecutive")
+            placed[c] = tf.cycle_edges[c][p1 if (p2 - p1) % ell == 1 else p2]
     return placed
 
 
@@ -525,17 +534,14 @@ def _flank_parity(tf: TwoFactor, c: int, vertex: int, three_edge: int) -> int:
     """Position parity, along the {1,2} path, of the cycle edge at ``vertex``
     that is not the colour-3 edge.  The parity decides which of the two
     alternating colours the flank receives for a given phase."""
-    ell = tf.cycle_length(c)
     p = tf.position_on_cycle(c, vertex)
     j = p - 1 if tf.cycle_edges[c][p] == three_edge else p
-    if tf.cycle_edges[c][j] == three_edge:
-        raise ColouringError(f"vertex {vertex} has no flank edge on cycle {c}")
-    return ((j - tf.edge_position(three_edge) - 1) % ell) & 1
+    return ((j - tf.edge_position(three_edge) - 1) % tf.cycle_length(c)) & 1
 
 
 def solve_path_phases(
-    tf: TwoFactor, sel: EdgeSelection, three_edges: dict[int, int]
-) -> tuple[dict[int, int], frozenset[int]]:
+    tf: TwoFactor, components: tuple[SComponent, ...], three_edges: dict[int, int]
+) -> dict[int, int]:
     """Colour the odd-cycle paths with {1,2}.
 
     One boolean phase per odd cycle; every selected edge imposes an
@@ -543,65 +549,46 @@ def solve_path_phases(
     (equal flank colours make it poor).  Components whose quotient is not an
     odd cycle admit an all-poor solution; on an odd quotient cycle exactly
     one constraint must break, and it is placed on the smallest associated
-    edge id.  Returns the path colours and the designated medium edges.
+    edge id, whose constraint is left out.  Returns the path colours.
+    Nothing is checked here: :func:`discharging.run_discharging` checks the
+    outcome (one medium selected edge per odd-quotient component, none
+    elsewhere) on the colouring.
     """
     g = tf.graph
     phase: dict[int, int] = {}
-    designated: set[int] = set()
-    for comp in s_components(tf, sel):
+    for comp in components:
         if not comp.associated_edges:
-            only = next(iter(comp.cycles))
-            if tf.cycle_length(only) % 2:
-                phase[only] = 0
             continue
         skip = None
         if comp.shape == CYCLE and len(comp.cycles) % 2 == 1:
             skip = min(comp.associated_edges)
-            designated.add(skip)
         constraints: dict[int, list[tuple[int, int]]] = {c: [] for c in comp.cycles}
-        all_constraints = []
-        for e in sorted(comp.associated_edges):
+        for e in sorted(comp.associated_edges - {skip}):
             u, v = g.endpoints(e)
             cu, cv = tf.cycle_of_vertex[u], tf.cycle_of_vertex[v]
             rel = _flank_parity(tf, cu, u, three_edges[cu]) ^ _flank_parity(
                 tf, cv, v, three_edges[cv]
             )
-            all_constraints.append((e, cu, cv, rel))
-            if e != skip:
-                constraints[cu].append((cv, rel))
-                constraints[cv].append((cu, rel))
+            constraints[cu].append((cv, rel))
+            constraints[cv].append((cu, rel))
         root = min(comp.cycles)
         phase[root] = 0
         queue = deque([root])
         while queue:
             c = queue.popleft()
             for d, rel in constraints[c]:
-                want = phase[c] ^ rel
                 if d not in phase:
-                    phase[d] = want
+                    phase[d] = phase[c] ^ rel
                     queue.append(d)
-                elif phase[d] != want:
-                    raise ColouringError(
-                        "phase constraints are infeasible on a component whose "
-                        "quotient is not an odd cycle (upstream bug)"
-                    )
-        if any(c not in phase for c in comp.cycles):
-            raise ColouringError("component not spanned by its constraints")
-        if skip is not None:
-            e, cu, cv, rel = next(t for t in all_constraints if t[0] == skip)
-            if (phase[cu] ^ phase[cv]) == rel:
-                raise ColouringError(
-                    "odd quotient cycle unexpectedly satisfiable (upstream bug)"
-                )
     colours: dict[int, int] = {}
     for c in tf.odd_cycles():
         b = phase.get(c, 0)
         for t, e in enumerate(_path_edges(tf, c, three_edges[c])):
             colours[e] = 1 + ((t & 1) ^ b)
-    return colours, frozenset(designated)
+    return colours
 
 
-def construct_colouring(g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> EdgeColouring:
+def construct_colouring(g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> Construction:
     """The 4-edge-colouring with the construction's five properties:
 
     * matching edges are exactly the colour-4 edges;
@@ -610,10 +597,12 @@ def construct_colouring(g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> Edg
     * a selected edge is medium only in a component whose quotient is an
       odd cycle, and then it is the unique one there.
 
-    Only the input is checked here (same graph, simple, triangle-free; the
-    selection in :func:`place_colour_3`).  The output's properties are
-    checked by :func:`discharging.run_discharging`, whose rules rely on
-    them, on the classes it computes anyway.
+    It comes in a :class:`Construction`, with the artefacts it was built
+    from.  Only the input is checked here: the same graph, simple and
+    triangle-free, and the selection by :func:`selection.selection_violation`.
+    The output's properties are checked by
+    :func:`discharging.run_discharging`, whose rules rely on them, on the
+    classes it computes anyway.
     """
     if tf.graph != g:
         raise ColouringError("two-factor belongs to a different graph")
@@ -621,6 +610,9 @@ def construct_colouring(g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> Edg
         raise ColouringError("construction requires a simple graph")
     if find_triangles(g):
         raise ColouringError("construction requires a triangle-free graph")
+    violation = selection_violation(tf, sel.selected)
+    if violation is not None:
+        raise ColouringError(f"invalid selection: {violation}")
     cols = [0] * g.m
     for e in tf.matching:
         cols[e] = 4
@@ -628,22 +620,22 @@ def construct_colouring(g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> Edg
         if len(cyc) % 2 == 0:
             for t, e in enumerate(tf.cycle_edges[c]):
                 cols[e] = 1 + (t & 1)
-    three = place_colour_3(tf, sel)
+    attachments = _attachments(tf, sel)
+    three = place_colour_3(tf, attachments)
     for c, e in three.items():
         cols[e] = 3
-    path_cols, _designated = solve_path_phases(tf, sel, three)
-    for e, col in path_cols.items():
+    components = tuple(s_components(tf, sel))
+    for e, col in solve_path_phases(tf, components, three).items():
         cols[e] = col
-    if any(col == 0 for col in cols):
-        raise ColouringError("construction left an edge uncoloured")
-    return EdgeColouring(4, tuple(cols))
+    return Construction(tf, sel, components, attachments, three, EdgeColouring(4, tuple(cols)))
 
 
-def bullet_violations(
-    g: MultiGraph, tf: TwoFactor, sel: EdgeSelection, c: EdgeColouring, mediums: frozenset[int]
-) -> list[str]:
-    """Audit the five structural properties of the construction;
-    ``mediums`` is the set of ``c``'s medium edges."""
+def bullet_violations(con: Construction, mediums: frozenset[int]) -> list[str]:
+    """Audit the five structural properties of the construction on its
+    colouring, and that each odd cycle's colour-3 edge is the one the
+    record names; ``mediums`` is the set of the colouring's medium edges."""
+    tf, sel, c = con.two_factor, con.selection, con.colouring
+    g = tf.graph
     out: list[str] = []
     for e in range(g.m):
         if (e in tf.matching) != (c.colour_of[e] == 4):
@@ -652,11 +644,11 @@ def bullet_violations(
     for e in range(g.m):
         if c.colour_of[e] == 3 and tf.cycle_of_edge[e] not in odd:
             out.append(f"edge {e}: colour 3 off the odd cycles")
-    for cyc in range(len(tf.cycles)):
-        threes = sum(1 for e in tf.cycle_edges[cyc] if c.colour_of[e] == 3)
-        want = 1 if cyc in odd else 0
+    for cyc, eids in enumerate(tf.cycle_edges):
+        threes = [e for e in eids if c.colour_of[e] == 3]
+        want = [con.three_edges[cyc]] if cyc in odd else []
         if threes != want:
-            out.append(f"cycle {cyc}: {threes} colour-3 edges, expected {want}")
+            out.append(f"cycle {cyc}: colour-3 edges {threes}, expected {want}")
     for e in sorted(sel.selected):
         adj3 = sum(
             1 for x in adjacent_edges(g, e).adjacent_ids if c.colour_of[x] == 3
@@ -664,7 +656,7 @@ def bullet_violations(
         if adj3 != 2:
             out.append(f"selected edge {e}: adjacent to {adj3} colour-3 edges")
     medium_sel = sel.selected & mediums
-    for comp in s_components(tf, sel):
+    for comp in con.components:
         inside = medium_sel & comp.associated_edges
         odd_quotient = comp.shape == CYCLE and len(comp.cycles) % 2 == 1
         want = 1 if odd_quotient else 0

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .colouring import MEDIUM, ColouringError, EdgeColouring, _attachments, classify_all
+from .colouring import MEDIUM, ColouringError, Construction, classify_all
 from .colouring import bullet_violations, fact_one_violations
 from .factor import TwoFactor
-from .graph import GraphError, MultiGraph
-from .selection import CYCLE, EdgeSelection, s_components
+from .graph import GraphError
+from .selection import CYCLE
 
 RULES = ("R0", "R1", "R2", "R3", "R4")
 
@@ -62,31 +62,20 @@ class ChargeLedger:
         return sum(self.edge_tenths) + sum(self.cycle_tenths)
 
 
-def initial_ledger(g: MultiGraph, tf: TwoFactor, c: EdgeColouring) -> ChargeLedger:
-    classes = classify_all(g, c)
+def initial_ledger(con: Construction) -> ChargeLedger:
+    g = con.two_factor.graph
+    classes = classify_all(g, con.colouring)
     mediums = frozenset(e for e in range(g.m) if classes[e] == MEDIUM)
     return ChargeLedger(
         medium_edges=mediums,
         edge_tenths=[10 if e in mediums else 0 for e in range(g.m)],
-        cycle_tenths=[0] * len(tf.cycles),
+        cycle_tenths=[0] * len(con.two_factor.cycles),
     )
 
 
-def _three_edges(tf: TwoFactor, c: EdgeColouring) -> dict[int, int]:
-    """The unique colour-3 edge of each odd cycle of the audited colouring."""
-    out: dict[int, int] = {}
-    for idx in tf.odd_cycles():
-        threes = [e for e in tf.cycle_edges[idx] if c.colour_of[e] == 3]
-        if len(threes) != 1:
-            raise DischargingError(
-                f"odd cycle {idx} carries {len(threes)} colour-3 edges"
-            )
-        out[idx] = threes[0]
-    return out
-
-
-def apply_r0(ledger: ChargeLedger, tf: TwoFactor) -> ChargeLedger:
+def apply_r0(ledger: ChargeLedger, con: Construction) -> ChargeLedger:
     """Every medium edge on a cycle sends its whole unit to that cycle."""
+    tf = con.two_factor
     for e in sorted(ledger.medium_edges):
         if tf.cycle_of_edge[e] >= 0:
             ledger.move_from_edge("R0", e, tf.cycle_of_edge[e], 10)
@@ -94,7 +83,7 @@ def apply_r0(ledger: ChargeLedger, tf: TwoFactor) -> ChargeLedger:
     return ledger
 
 
-def apply_r1(ledger: ChargeLedger, g: MultiGraph, tf: TwoFactor, c: EdgeColouring) -> ChargeLedger:
+def apply_r1(ledger: ChargeLedger, con: Construction) -> ChargeLedger:
     """Medium matching edges split their unit between their two cycles.
 
     Writing C for an incident odd cycle whose colour-3 edge touches the
@@ -104,7 +93,8 @@ def apply_r1(ledger: ChargeLedger, g: MultiGraph, tf: TwoFactor, c: EdgeColourin
     the whole unit.  A chord (both endpoints on one odd cycle) sends its
     whole unit to that cycle.
     """
-    threes = _three_edges(tf, c)
+    tf, threes = con.two_factor, con.three_edges
+    g = tf.graph
     for e in sorted(ledger.medium_edges):
         if e not in tf.matching:
             continue
@@ -140,15 +130,14 @@ def _cyclic_distance(tf: TwoFactor, c: int, a: int, b: int) -> int:
     return min(d, ell - d)
 
 
-def apply_r2_r3_r4(ledger: ChargeLedger, tf: TwoFactor, sel: EdgeSelection) -> ChargeLedger:
+def apply_r2_r3_r4(ledger: ChargeLedger, con: Construction) -> ChargeLedger:
     """The cycle-to-cycle rules, all firing out of length-5 cycles.
 
     The guards depend only on the structure (cycle lengths, selection
     degrees, attachment positions), never on current charges, so applying
     the three rules sequentially equals the simultaneous wave.
     """
-    att = _attachments(tf, sel)
-    deg = sel.degree_of_cycle
+    tf, att, deg = con.two_factor, con.attachments, con.selection.degree_of_cycle
     plans = {"R2": [], "R3": [], "R4": []}
     for cyc in range(len(tf.cycles)):
         if tf.cycle_length(cyc) != 5:
@@ -179,24 +168,22 @@ def apply_r2_r3_r4(ledger: ChargeLedger, tf: TwoFactor, sel: EdgeSelection) -> C
     return ledger
 
 
-def run_discharging(
-    g: MultiGraph, tf: TwoFactor, sel: EdgeSelection, c: EdgeColouring
-) -> ChargeLedger:
-    """The ledger after rules R0-R4 on the constructed colouring ``c``.
+def run_discharging(con: Construction) -> ChargeLedger:
+    """The ledger after rules R0-R4 on the constructed colouring.
 
     The rules assume the construction's structural properties (see
     :func:`colouring.construct_colouring`), so they are checked here, on
     the ledger's medium edges, before any rule fires; a violation raises
     :class:`ColouringError`.
     """
-    ledger = initial_ledger(g, tf, c)
+    ledger = initial_ledger(con)
     mediums = ledger.medium_edges
-    problems = bullet_violations(g, tf, sel, c, mediums) + fact_one_violations(tf, mediums)
+    problems = bullet_violations(con, mediums) + fact_one_violations(con.two_factor, mediums)
     if problems:
         raise ColouringError("constructed colouring violates: " + "; ".join(problems))
-    apply_r0(ledger, tf)
-    apply_r1(ledger, g, tf, c)
-    apply_r2_r3_r4(ledger, tf, sel)
+    apply_r0(ledger, con)
+    apply_r1(ledger, con)
+    apply_r2_r3_r4(ledger, con)
     return ledger
 
 
@@ -220,7 +207,7 @@ class AuditReport:
         return next((chk for chk in self.checks if not chk.ok), None)
 
 
-def audit(ledger: ChargeLedger, g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> AuditReport:
+def audit(ledger: ChargeLedger, con: Construction) -> AuditReport:
     """Replay every charge bound the counting argument asserts.
 
     Conservation at each snapshot; all edges discharged after R1; the
@@ -230,6 +217,7 @@ def audit(ledger: ChargeLedger, g: MultiGraph, tf: TwoFactor, sel: EdgeSelection
     whose quotient is an odd cycle of t cycles, 5 + 13t < 3 * sum of
     lengths.  Everything is exact integer arithmetic in tenths.
     """
+    tf, g = con.two_factor, con.two_factor.graph
     checks: list[AuditCheck] = []
     total = 10 * len(ledger.medium_edges)
 
@@ -274,7 +262,7 @@ def audit(ledger: ChargeLedger, g: MultiGraph, tf: TwoFactor, sel: EdgeSelection
         edges_r1, cycles_r1 = ledger.snapshots["R1"]
         ok = all(t == 0 for t in edges_r1)
         checks.append(AuditCheck("edges-zero-after-R1", ok))
-        deg = sel.degree_of_cycle
+        deg = con.selection.degree_of_cycle
         for cyc in range(len(tf.cycles)):
             ell = tf.cycle_length(cyc)
             charge = cycles_r1[cyc]
@@ -290,7 +278,7 @@ def audit(ledger: ChargeLedger, g: MultiGraph, tf: TwoFactor, sel: EdgeSelection
             )
 
     final_cycles = ledger.cycle_tenths
-    for comp in s_components(tf, sel):
+    for comp in con.components:
         total_len = sum(tf.cycle_length(cyc) for cyc in comp.cycles)
         charge = sum(final_cycles[cyc] for cyc in comp.cycles)
         limit = 8 * total_len  # 4/5 per vertex, in tenths
@@ -329,7 +317,5 @@ def audit(ledger: ChargeLedger, g: MultiGraph, tf: TwoFactor, sel: EdgeSelection
     return AuditReport(tuple(checks), all(chk.ok for chk in checks), ledger.total_tenths())
 
 
-def run_audit(
-    g: MultiGraph, tf: TwoFactor, sel: EdgeSelection, c: EdgeColouring
-) -> AuditReport:
-    return audit(run_discharging(g, tf, sel, c), g, tf, sel)
+def run_audit(con: Construction) -> AuditReport:
+    return audit(run_discharging(con), con)

@@ -30,7 +30,10 @@ from .factor import choose_two_factor
 from .graph import Diagnosis, GraphError, MultiGraph, validate_input
 from .petersen import is_petersen_graph
 from .report import ColouringReport
-from .selection import find_optimal_selection, s_components
+from .selection import (
+    find_optimal_selection,
+    s_components,  # noqa: F401  (bench/tracing.py wraps pipeline.s_components by name)
+)
 
 
 class InvalidInput(GraphError):
@@ -67,12 +70,12 @@ def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, Colourin
         base_branch = "3-colourable"
     else:
         base_branch = "constructed"
-        sel = find_optimal_selection(tf)
-        colouring = construct_colouring(base, tf, sel)
-        cycle_lengths = tuple(len(cyc) for cyc in tf.cycles)
-        selection_size = len(sel.selected)
-        shapes = tuple(comp.shape for comp in s_components(tf, sel))
-        audit_report = run_audit(base, tf, sel, colouring)
+        con = construct_colouring(base, tf, find_optimal_selection(tf))
+        colouring = con.colouring
+        cycle_lengths = tuple(len(cyc) for cyc in con.two_factor.cycles)
+        selection_size = len(con.selection.selected)
+        shapes = tuple(comp.shape for comp in con.components)
+        audit_report = run_audit(con)
 
     if records:  # else the base is g itself
         colours = [0] * (base_edges[-1] + 1)

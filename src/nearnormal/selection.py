@@ -71,7 +71,8 @@ def selection_violation(tf: TwoFactor, selected) -> str | None:
     """Name the first violated defining property, or None if valid.
 
     This re-checks the three properties directly from the definitions;
-    :func:`colouring.place_colour_3` runs it on every selection it uses.
+    :func:`colouring.construct_colouring` runs it on every selection it is
+    handed.
     """
     odd = set(tf.odd_cycles())
     per_cycle: dict[int, list[int]] = {}
@@ -106,8 +107,8 @@ def find_optimal_selection(tf: TwoFactor) -> EdgeSelection:
     bound.  Taking low loads first matters: in plain id order an edge
     joining two long cycles can block two edges that each join one of them
     to a 5-cycle.
-    The result is not checked here: :func:`colouring.place_colour_3` checks
-    every selection it is handed with :func:`selection_violation`.
+    The result is not checked here: :func:`colouring.construct_colouring`
+    checks every selection it is handed with :func:`selection_violation`.
     """
     edges = eligible_edges(tf)
     # per edge, the (cycle, position on it) of both endpoints

@@ -67,9 +67,9 @@ def corpus_run():
 
 @pytest.fixture(scope="module")
 def constructed_instances(corpus_run):
-    """(base graph, two-factor, selection, colouring) for every corpus graph
-    whose pipeline reaches the construction branch, plus the hand-built
-    witnesses that reach branches the corpus cannot."""
+    """(name, construction) for every corpus graph whose pipeline reaches
+    the construction branch, plus the hand-built witnesses that reach
+    branches the corpus cannot."""
     instances = []
     for n, rows in corpus_run.items():
         for g, report in rows:
@@ -78,8 +78,7 @@ def constructed_instances(corpus_run):
             base, _records, _ids = reduce_fully(g)
             tf = choose_two_factor(base)
             sel = find_optimal_selection(tf)
-            col = construct_colouring(base, tf, sel)
-            instances.append((f"{report.name}(base)", base, tf, sel, col))
+            instances.append((f"{report.name}(base)", construct_colouring(base, tf, sel)))
     for factory in (
         odd_triangle_component,
         r3_pair,
@@ -92,8 +91,7 @@ def constructed_instances(corpus_run):
         g, mids = factory()
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
-        col = construct_colouring(g, tf, sel)
-        instances.append((factory.__name__, g, tf, sel, col))
+        instances.append((factory.__name__, construct_colouring(g, tf, sel)))
     return instances
 
 
@@ -137,8 +135,8 @@ def test_criterion_2_bound_exhaustive_desk_scale(corpus_run):
 
 def test_criterion_3_discharging_audit(constructed_instances):
     failures = []
-    for name, g, tf, sel, col in constructed_instances:
-        report = run_audit(g, tf, sel, col)
+    for name, con in constructed_instances:
+        report = run_audit(con)
         if not report.passed:
             failures.append((name, report.first_failure()))
     _report(
@@ -153,8 +151,8 @@ def test_criterion_3_discharging_audit(constructed_instances):
 
 def test_criterion_4_fact_one_replay(constructed_instances):
     failures = []
-    for name, g, tf, _sel, col in constructed_instances:
-        problems = fact_one_violations(tf, initial_ledger(g, tf, col).medium_edges)
+    for name, con in constructed_instances:
+        problems = fact_one_violations(con.two_factor, initial_ledger(con).medium_edges)
         if problems:
             failures.append((name, problems))
     _report(
@@ -168,8 +166,8 @@ def test_criterion_4_fact_one_replay(constructed_instances):
 
 def test_criterion_5_five_bullet_audit(constructed_instances):
     failures = []
-    for name, g, tf, sel, col in constructed_instances:
-        problems = bullet_violations(g, tf, sel, col, initial_ledger(g, tf, col).medium_edges)
+    for name, con in constructed_instances:
+        problems = bullet_violations(con, initial_ledger(con).medium_edges)
         if problems:
             failures.append((name, problems))
     _report(

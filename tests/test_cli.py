@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nearnormal
 from nearnormal import cli, discharging, graphio, pipeline, reductions
 from nearnormal.cli import load_graph, main
 from nearnormal.colouring import construct_colouring
-from nearnormal.corpus import CORPUS_ORDERS, complete_graph_k4, load_cubic_corpus, petersen_graph, prism
+from nearnormal.corpus import CORPUS_ORDERS, complete_graph_k4, load_cubic_corpus, petersen_graph, prism, triple_edge
 from nearnormal.discharging import audit, run_discharging
 from nearnormal.factor import choose_two_factor
 from nearnormal.graph import GraphError, build_graph, validate_input
@@ -182,8 +187,8 @@ def reference_audit(path: str) -> int:
     tf = choose_two_factor(base)
     sel = find_optimal_selection(tf)
     constructed = construct_colouring(base, tf, sel)
-    ledger = run_discharging(base, tf, sel, constructed)
-    audit_report = audit(ledger, base, tf, sel)
+    ledger = run_discharging(constructed)
+    audit_report = audit(ledger, constructed)
     for chk in audit_report.checks:
         status = "ok " if chk.ok else "FAIL"
         detail = f" ({chk.detail})" if chk.detail else ""
@@ -369,3 +374,73 @@ class TestExitCodes:
         path.write_text("n 4000000000\n0 1\n0 1\n0 1\n")
         assert main(["colour", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: header 'n 4000000000'")
+
+
+def edge_list_text(g) -> str:
+    return f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)
+
+
+FUZZ_PETERSEN = petersen_graph()
+FUZZ_TEXTS = {
+    "graph": (
+        write_graph6(FUZZ_PETERSEN) + "\n",
+        edge_list_text(FUZZ_PETERSEN),
+        edge_list_text(complete_graph_k4()),
+        edge_list_text(triple_edge()),
+    ),
+    "colouring": (
+        format_colouring(FUZZ_PETERSEN, exists_normal(FUZZ_PETERSEN, 5)),
+        format_colouring(FUZZ_PETERSEN, colour_graph(FUZZ_PETERSEN)[0]),
+    ),
+    "graph6 lines": (
+        "".join(write_graph6(g) + "\n" for g in (FUZZ_PETERSEN, complete_graph_k4(), prism(4))) + "\n",
+    ),
+}
+FUZZ_ALPHABET = "0123456789 \n\t#n-~?@AIZ_heGUo:&>\x00\xe9"
+# command -> the kinds of file it reads, then its options
+FUZZ_COMMANDS = {
+    "colour": (("graph",), []),
+    "verify": (("graph", "colouring"), []),
+    "oracle": (("graph",), ["--k", "3"]),
+    "audit": (("graph",), []),
+    "batch": (("graph6 lines",), []),
+    "petersen-map": (("graph", "colouring"), []),
+}
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` with one to four characters inserted, deleted or replaced."""
+    chars = list(text)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=len(chars)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        if op == "insert" or not chars:
+            chars.insert(i, draw(st.sampled_from(FUZZ_ALPHABET)))
+        elif op == "delete":
+            del chars[min(i, len(chars) - 1)]
+        else:
+            chars[min(i, len(chars) - 1)] = draw(st.sampled_from(FUZZ_ALPHABET))
+    return "".join(chars)
+
+
+class TestFuzzedInputs:
+    """Mutated graph6, edge-list and colouring files never crash a command:
+    every run ends with exit code 0, 1 or 2."""
+
+    @pytest.mark.parametrize("command", list(FUZZ_COMMANDS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_no_exception(self, command, data):
+        kinds, options = FUZZ_COMMANDS[command]
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, kind in enumerate(kinds):
+                text = data.draw(st.sampled_from(FUZZ_TEXTS[kind]))
+                path = Path(tmp) / f"{i}.txt"
+                path.write_text(data.draw(st.one_of(mutated(text), st.just(text))), encoding="utf-8")
+                paths.append(str(path))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                code = main([command, *paths, *options])
+        assert code in (0, 1, 2)

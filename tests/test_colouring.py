@@ -8,6 +8,7 @@ from nearnormal.colouring import (
     RICH,
     ColouringError,
     EdgeColouring,
+    _attachments,
     bullet_violations,
     classify_all,
     classify_edge,
@@ -15,7 +16,6 @@ from nearnormal.colouring import (
     fact_one_violations,
     medium_count,
     place_colour_3,
-    solve_path_phases,
     try_3_edge_colouring,
 )
 from nearnormal.corpus import load_cubic_corpus
@@ -40,11 +40,11 @@ from witnesses import (
 from reference_classify import is_proper
 
 
-def construction_violations(g, tf, sel, col):
+def construction_violations(con):
     """The structural check ``discharging.run_discharging`` runs before its
     rules; empty means clean."""
-    mediums = initial_ledger(g, tf, col).medium_edges
-    return bullet_violations(g, tf, sel, col, mediums) + fact_one_violations(tf, mediums)
+    mediums = initial_ledger(con).medium_edges
+    return bullet_violations(con, mediums) + fact_one_violations(con.two_factor, mediums)
 
 
 def known_eight_medium_colouring():
@@ -138,7 +138,7 @@ class TestPlaceColour3:
     def test_degree_one_takes_successor_edge(self, petersen):
         tf = spoke_tf(petersen)
         sel = find_optimal_selection(tf)
-        placed = place_colour_3(tf, sel)
+        placed = place_colour_3(tf, _attachments(tf, sel))
         assert set(placed) == {0, 1}
         for c, eid in placed.items():
             attachments = [
@@ -155,7 +155,7 @@ class TestPlaceColour3:
         spokes = frozenset(e for e, (u, v) in enumerate(prism5.edges) if v - u == 5)
         tf = two_factor_from_matching(prism5, spokes)
         sel = find_optimal_selection(tf)
-        placed = place_colour_3(tf, sel)
+        placed = place_colour_3(tf, _attachments(tf, sel))
         for c, eid in placed.items():
             ends = set(prism5.endpoints(eid))
             attachments = {
@@ -170,7 +170,7 @@ class TestPlaceColour3:
         g, mids = odd_triangle_component()
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
-        placed = place_colour_3(tf, sel)
+        placed = place_colour_3(tf, _attachments(tf, sel))
         deg0 = [c for c in tf.odd_cycles() if sel.degree_of_cycle[c] == 0]
         for c in deg0:
             assert placed[c] == tf.cycle_edges[c][0]
@@ -180,7 +180,7 @@ class TestSolvePathPhases:
     def test_path_component_all_selected_poor(self, petersen):
         tf = spoke_tf(petersen)
         sel = find_optimal_selection(tf)
-        col = construct_colouring(petersen, tf, sel)
+        col = construct_colouring(petersen, tf, sel).colouring
         classes = classify_all(petersen, col)
         for e in sel.selected:
             assert classes[e] == POOR
@@ -189,7 +189,7 @@ class TestSolvePathPhases:
         spokes = frozenset(e for e, (u, v) in enumerate(prism5.edges) if v - u == 5)
         tf = two_factor_from_matching(prism5, spokes)
         sel = find_optimal_selection(tf)
-        col = construct_colouring(prism5, tf, sel)
+        col = construct_colouring(prism5, tf, sel).colouring
         classes = classify_all(prism5, col)
         assert all(classes[e] == POOR for e in sel.selected)
 
@@ -197,23 +197,19 @@ class TestSolvePathPhases:
         g, mids = odd_triangle_component()
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
-        placed = place_colour_3(tf, sel)
-        _cols, designated = solve_path_phases(tf, sel, placed)
-        assert designated == frozenset({min(sel.selected)})
+        classes = classify_all(g, construct_colouring(g, tf, sel).colouring)
+        assert {e for e in sel.selected if classes[e] == MEDIUM} == {min(sel.selected)}
 
     def test_even_quotient_cycle_closes_consistently(self):
         # the ring of four degree-2 cycles has one redundant constraint,
-        # which must come out satisfied: no designated medium edge
+        # which must come out satisfied: no medium selected edge
         g, mids = even_square_component()
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
         assert sel.selected == frozenset({0, 1, 2, 3})
         comp = next(c for c in s_components(tf, sel) if c.shape == CYCLE)
         assert len(comp.cycles) == 4
-        placed = place_colour_3(tf, sel)
-        _cols, designated = solve_path_phases(tf, sel, placed)
-        assert designated == frozenset()
-        col = construct_colouring(g, tf, sel)
+        col = construct_colouring(g, tf, sel).colouring
         classes = classify_all(g, col)
         assert all(classes[e] == POOR for e in sel.selected)
 
@@ -222,7 +218,7 @@ class TestSolvePathPhases:
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
         assert sel.selected == frozenset({0, 1, 2, 3, 4})
-        col = construct_colouring(g, tf, sel)
+        col = construct_colouring(g, tf, sel).colouring
         classes = classify_all(g, col)
         mediums = [e for e in sel.selected if classes[e] == MEDIUM]
         assert mediums == [0]
@@ -255,13 +251,12 @@ class TestConstructColouring:
         assert validate_input(g).ok
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
-        col = construct_colouring(g, tf, sel)
-        assert construction_violations(g, tf, sel, col) == []
+        assert construction_violations(construct_colouring(g, tf, sel)) == []
 
     def test_petersen_mediums(self, petersen):
         tf = spoke_tf(petersen)
         sel = find_optimal_selection(tf)
-        col = construct_colouring(petersen, tf, sel)
+        col = construct_colouring(petersen, tf, sel).colouring
         assert medium_count(petersen, col) == 8
 
     def test_prism_forced_five_cycles_stays_under_bound(self, prism5):
@@ -270,14 +265,14 @@ class TestConstructColouring:
         spokes = frozenset(e for e, (u, v) in enumerate(prism5.edges) if v - u == 5)
         tf = two_factor_from_matching(prism5, spokes)
         sel = find_optimal_selection(tf)
-        col = construct_colouring(prism5, tf, sel)
+        col = construct_colouring(prism5, tf, sel).colouring
         assert medium_count(prism5, col) == 6 < 8
 
     def test_fact_one_counts(self):
         g, mids = r4_chain()
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
-        col = construct_colouring(g, tf, sel)
+        col = construct_colouring(g, tf, sel).colouring
         classes = classify_all(g, col)
         for c, eids in enumerate(tf.cycle_edges):
             mediums = sum(1 for e in eids if classes[e] == MEDIUM)
@@ -304,7 +299,7 @@ class TestConstructColouring:
         g, mids = odd_triangle_component()
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
-        col = construct_colouring(g, tf, sel)
+        col = construct_colouring(g, tf, sel).colouring
         classes = classify_all(g, col)
         comp = next(
             c for c in s_components(tf, sel) if c.shape == CYCLE
@@ -331,8 +326,7 @@ class TestConstructColouring:
                 for m in enumerate_perfect_matchings(g):
                     tf = two_factor_from_matching(g, m)
                     sel = find_optimal_selection(tf)
-                    col = construct_colouring(g, tf, sel)
-                    assert construction_violations(g, tf, sel, col) == []
+                    assert construction_violations(construct_colouring(g, tf, sel)) == []
                     built += 1
         assert built > 50
 
@@ -342,7 +336,7 @@ class TestConstructColouring:
             g, mids = factory()
             tf = two_factor_of(g, mids)
             sel = find_optimal_selection(tf)
-            col = construct_colouring(g, tf, sel)
+            col = construct_colouring(g, tf, sel).colouring
             classes = classify_all(g, col)
             for e in sel.selected:
                 flanks = []

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from nearnormal.colouring import MEDIUM, classify_all, construct_colouring
+from nearnormal.colouring import MEDIUM, ColouringError, classify_all, construct_colouring
 from nearnormal.discharging import (
     apply_r0,
     apply_r1,
@@ -29,60 +31,58 @@ def constructed(graph_and_matching):
     g, mids = graph_and_matching
     tf = two_factor_of(g, mids)
     sel = find_optimal_selection(tf)
-    col = construct_colouring(g, tf, sel)
-    return g, tf, sel, col
+    return g, tf, sel, construct_colouring(g, tf, sel)
 
 
 def petersen_setup(petersen):
     tf = two_factor_from_matching(petersen, frozenset(range(10, 15)))
     sel = find_optimal_selection(tf)
-    col = construct_colouring(petersen, tf, sel)
-    return petersen, tf, sel, col
+    return petersen, tf, sel, construct_colouring(petersen, tf, sel)
 
 
 class TestR0:
     def test_cycle_charges_after_r0(self, petersen):
-        g, tf, sel, col = petersen_setup(petersen)
-        ledger = initial_ledger(g, tf, col)
-        apply_r0(ledger, tf)
+        g, tf, sel, con = petersen_setup(petersen)
+        ledger = initial_ledger(con)
+        apply_r0(ledger, con)
         # both cycles are odd: exactly 3 medium cycle edges = 30 tenths each
         assert ledger.cycle_tenths == [30, 30]
 
     def test_even_cycles_receive_nothing(self):
-        g, tf, sel, col = constructed(r3_pair())
-        ledger = initial_ledger(g, tf, col)
-        apply_r0(ledger, tf)
+        g, tf, sel, con = constructed(r3_pair())
+        ledger = initial_ledger(con)
+        apply_r0(ledger, con)
         for c in range(len(tf.cycles)):
             expected = 30 if len(tf.cycles[c]) % 2 else 0
             assert ledger.cycle_tenths[c] == expected
 
     def test_matching_edges_keep_their_charge(self, petersen):
-        g, tf, sel, col = petersen_setup(petersen)
-        ledger = initial_ledger(g, tf, col)
+        g, tf, sel, con = petersen_setup(petersen)
+        ledger = initial_ledger(con)
         before = {e: ledger.edge_tenths[e] for e in tf.matching}
-        apply_r0(ledger, tf)
+        apply_r0(ledger, con)
         assert {e: ledger.edge_tenths[e] for e in tf.matching} == before
 
 
 class TestR1:
     def test_every_edge_discharged(self, petersen):
-        g, tf, sel, col = petersen_setup(petersen)
-        ledger = initial_ledger(g, tf, col)
-        apply_r0(ledger, tf)
-        apply_r1(ledger, g, tf, col)
+        g, tf, sel, con = petersen_setup(petersen)
+        ledger = initial_ledger(con)
+        apply_r0(ledger, con)
+        apply_r1(ledger, con)
         assert all(t == 0 for t in ledger.edge_tenths)
 
     def test_petersen_nonadjacent_other_cycle_gets_nothing(self, petersen):
         # both medium spokes see only one adjacent colour-3 edge, so the
         # whole unit lands on that side
-        g, tf, sel, col = petersen_setup(petersen)
-        ledger = run_discharging(g, tf, sel, col)
+        g, tf, sel, con = petersen_setup(petersen)
+        ledger = run_discharging(con)
         r1 = [t for t in ledger.log if t.rule == "R1"]
         assert sorted(t.tenths for t in r1) == [10, 10]
 
     def test_even_side_gets_half(self):
-        g, tf, sel, col = constructed(r3_pair())
-        ledger = run_discharging(g, tf, sel, col)
+        g, tf, sel, con = constructed(r3_pair())
+        ledger = run_discharging(con)
         even_cycle = next(
             c for c in range(len(tf.cycles)) if len(tf.cycles[c]) % 2 == 0
         )
@@ -95,11 +95,11 @@ class TestR1:
     def test_both_odd_adjacent_split(self):
         # the designated medium selected edge joins two degree-2 cycles
         # whose colour-3 edges both touch it
-        g, tf, sel, col = constructed(odd_triangle_component())
-        classes = classify_all(g, col)
+        g, tf, sel, con = constructed(odd_triangle_component())
+        classes = classify_all(g, con.colouring)
         medium_sel = [e for e in sel.selected if classes[e] == MEDIUM]
         assert len(medium_sel) == 1
-        ledger = run_discharging(g, tf, sel, col)
+        ledger = run_discharging(con)
         splits = [
             t for t in ledger.log
             if t.rule == "R1" and t.source == ("edge", medium_sel[0])
@@ -107,11 +107,11 @@ class TestR1:
         assert sorted(t.tenths for t in splits) == [5, 5]
 
     def test_chord_sends_whole_unit_to_its_cycle(self):
-        g, tf, sel, col = constructed(medium_chord())
-        classes = classify_all(g, col)
+        g, tf, sel, con = constructed(medium_chord())
+        classes = classify_all(g, con.colouring)
         assert classes[0] == MEDIUM  # the chord, edge id 0
         chord_cycle = tf.cycle_of_vertex[0]
-        ledger = run_discharging(g, tf, sel, col)
+        ledger = run_discharging(con)
         chord_moves = [t for t in ledger.log if t.source == ("edge", 0)]
         assert chord_moves == [t for t in chord_moves if t.rule == "R1"]
         assert len(chord_moves) == 1
@@ -119,17 +119,28 @@ class TestR1:
         assert chord_moves[0].tenths == 10
 
 
+    def test_the_record_names_the_colour_3_edges(self, petersen):
+        # R1 reads each odd cycle's colour-3 edge from the record, so the
+        # structural check holds the record to the colouring
+        g, tf, sel, con = petersen_setup(petersen)
+        c = tf.odd_cycles()[0]
+        other = next(e for e in tf.cycle_edges[c] if e != con.three_edges[c])
+        stale = dataclasses.replace(con, three_edges={**con.three_edges, c: other})
+        with pytest.raises(ColouringError, match=f"^constructed colouring violates: cycle {c}: colour-3 edges"):
+            run_discharging(stale)
+
+
 class TestR2R3R4:
     def test_petersen_fires_none(self, petersen):
         # each candidate target is the sending cycle itself (degree 1), so
         # every guard fails
-        g, tf, sel, col = petersen_setup(petersen)
-        ledger = run_discharging(g, tf, sel, col)
+        g, tf, sel, con = petersen_setup(petersen)
+        ledger = run_discharging(con)
         assert [t for t in ledger.log if t.rule in ("R2", "R3", "R4")] == []
 
     def test_r2_degree_zero_five_cycle_sends_five_fifths(self):
-        g, tf, sel, col = constructed(odd_triangle_component())
-        ledger = run_discharging(g, tf, sel, col)
+        g, tf, sel, con = constructed(odd_triangle_component())
+        ledger = run_discharging(con)
         r2 = [t for t in ledger.log if t.rule == "R2"]
         deg0 = [
             c for c in tf.odd_cycles()
@@ -140,8 +151,8 @@ class TestR2R3R4:
         assert len(r2) == 5
 
     def test_r3_fires_into_even_cycle(self):
-        g, tf, sel, col = constructed(r3_pair())
-        ledger = run_discharging(g, tf, sel, col)
+        g, tf, sel, con = constructed(r3_pair())
+        ledger = run_discharging(con)
         r3 = [t for t in ledger.log if t.rule == "R3"]
         even_cycle = next(
             c for c in range(len(tf.cycles)) if len(tf.cycles[c]) % 2 == 0
@@ -151,8 +162,8 @@ class TestR2R3R4:
         assert all(t.target == even_cycle and t.tenths == 2 for t in r3)
 
     def test_r4_fires_exactly_once_into_degree_two_cycle(self):
-        g, tf, sel, col = constructed(r4_chain())
-        ledger = run_discharging(g, tf, sel, col)
+        g, tf, sel, con = constructed(r4_chain())
+        ledger = run_discharging(con)
         r4 = [t for t in ledger.log if t.rule == "R4"]
         assert len(r4) == 1
         (move,) = r4
@@ -164,9 +175,9 @@ class TestR2R3R4:
         assert sel.degree_of_cycle[w_cycle] == 2
 
     def test_guards_are_pure(self):
-        g, tf, sel, col = constructed(r4_chain())
-        first = run_discharging(g, tf, sel, col).log
-        second = run_discharging(g, tf, sel, col).log
+        g, tf, sel, con = constructed(r4_chain())
+        first = run_discharging(con).log
+        second = run_discharging(con).log
         assert first == second
 
 
@@ -193,33 +204,33 @@ class TestAudit:
         ],
     )
     def test_witnesses_pass(self, factory):
-        g, tf, sel, col = constructed(factory())
-        report = run_audit(g, tf, sel, col)
+        g, tf, sel, con = constructed(factory())
+        report = run_audit(con)
         assert report.passed, report.first_failure()
 
     def test_long_pair_fires_no_fanout_rules(self):
         # degree-1 cycles of length 7: only R0/R1 apply
-        g, tf, sel, col = constructed(long_pair())
-        ledger = run_discharging(g, tf, sel, col)
+        g, tf, sel, con = constructed(long_pair())
+        ledger = run_discharging(con)
         assert [t for t in ledger.log if t.rule in ("R2", "R3", "R4")] == []
 
     def test_pentagon_ring_inequality(self):
-        g, tf, sel, col = constructed(odd_pentagon_ring())
-        report = run_audit(g, tf, sel, col)
+        g, tf, sel, con = constructed(odd_pentagon_ring())
+        report = run_audit(con)
         chk = next(c for c in report.checks if c.name.startswith("odd-quotient"))
         # five 5-cycles: 5 + 13*5 = 70 < 75
         assert chk.ok and "70 < 75" in chk.detail
 
     def test_petersen_total_is_eight(self, petersen):
-        g, tf, sel, col = petersen_setup(petersen)
-        ledger = run_discharging(g, tf, sel, col)
+        g, tf, sel, con = petersen_setup(petersen)
+        ledger = run_discharging(con)
         assert ledger.total_tenths() == 80
-        report = audit(ledger, g, tf, sel)
+        report = audit(ledger, con)
         assert report.passed
 
     def test_odd_quotient_inequality_instantiated(self):
-        g, tf, sel, col = constructed(odd_triangle_component())
-        report = run_audit(g, tf, sel, col)
+        g, tf, sel, con = constructed(odd_triangle_component())
+        report = run_audit(con)
         names = [c.name for c in report.checks]
         assert any(n.startswith("odd-quotient") for n in names)
         # three 5-cycles: 5 + 13*3 = 44 < 45 holds with margin exactly 1
@@ -227,23 +238,23 @@ class TestAudit:
         assert chk.ok and "44 < 45" in chk.detail
 
     def test_tampered_ledger_fails(self, petersen):
-        g, tf, sel, col = petersen_setup(petersen)
-        ledger = run_discharging(g, tf, sel, col)
+        g, tf, sel, con = petersen_setup(petersen)
+        ledger = run_discharging(con)
         ledger.cycle_tenths[0] += 10  # break conservation after the fact
-        report = audit(ledger, g, tf, sel)
+        report = audit(ledger, con)
         assert not report.passed
         assert report.first_failure() is not None
 
     def test_conservation_at_every_snapshot(self):
-        g, tf, sel, col = constructed(r4_chain())
-        ledger = run_discharging(g, tf, sel, col)
+        g, tf, sel, con = constructed(r4_chain())
+        ledger = run_discharging(con)
         total = 10 * len(ledger.medium_edges)
         for edges, cycles in ledger.snapshots.values():
             assert sum(edges) + sum(cycles) == total
 
     def test_exactness_no_floats(self, petersen):
-        g, tf, sel, col = petersen_setup(petersen)
-        ledger = run_discharging(g, tf, sel, col)
+        g, tf, sel, con = petersen_setup(petersen)
+        ledger = run_discharging(con)
         assert all(isinstance(t, int) for t in ledger.edge_tenths)
         assert all(isinstance(t, int) for t in ledger.cycle_tenths)
         assert all(isinstance(t.tenths, int) for t in ledger.log)
@@ -264,8 +275,7 @@ class TestAudit:
                 for m in enumerate_perfect_matchings(g):
                     tf = two_factor_from_matching(g, m)
                     sel = find_optimal_selection(tf)
-                    col = construct_colouring(g, tf, sel)
-                    report = run_audit(g, tf, sel, col)
+                    report = run_audit(construct_colouring(g, tf, sel))
                     assert report.passed, (n, sorted(m), report.first_failure())
                     audited += 1
         assert audited == 2313

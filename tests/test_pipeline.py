@@ -1,20 +1,41 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bench_families
 from nearnormal import factor, pipeline
-from nearnormal.colouring import ColouringError, EdgeColouring, _colour_counts, medium_count
-from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, petersen_graph, prism
+from nearnormal.colouring import (
+    ColouringError,
+    EdgeColouring,
+    _attachments,
+    _colour_counts,
+    _path_edges,
+    medium_count,
+    solve_path_phases,
+)
+from nearnormal.corpus import (
+    CORPUS_ORDERS,
+    complete_graph_k4,
+    k33,
+    load_cubic_corpus,
+    petersen_graph,
+    prism,
+    triple_edge,
+)
 from nearnormal.graph import GraphError, build_graph
+from nearnormal.petersen import is_petersen_graph
 from nearnormal.pipeline import colour_graph
 from nearnormal.reductions import reduce_fully
-from nearnormal.selection import EdgeSelection, selection_violation
+from nearnormal.selection import PATH, EdgeSelection, s_components, selection_violation
 from reference_classify import is_proper
+from test_reductions import insert_digon, truncate
 
 
 def expand_vertex_to_triangle(g, v):
@@ -305,43 +326,83 @@ def kempe_swap(g, colour_of, e, a, b):
     return tuple(cols)
 
 
+THREE_CONSTRUCTED = pytest.mark.parametrize("make", [
+    petersen_graph,
+    lambda: bench_families.flower_snark(15),
+    lambda: expand_vertex_to_triangle(petersen_graph(), 0),
+], ids=["petersen", "J15", "truncated-petersen"])
+
+
+def count_calls(monkeypatch, *functions) -> Counter:
+    """Count calls of ``functions`` through every binding a ``nearnormal``
+    module holds of them."""
+    calls = Counter()
+    for original in functions:
+        def counted(*args, _f=original, **kwargs):
+            calls[_f.__name__] += 1
+            return _f(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("nearnormal") and getattr(mod, original.__name__, None) is original:
+                monkeypatch.setattr(mod, original.__name__, counted)
+    return calls
+
+
 class TestEachCheckOnce:
     """The constructed colouring is classified once for the charge rules and
     once after the lift, each time by ``colouring._colour_counts``, which
     ``classify_all`` and ``class_counts`` share; the selection is checked
     once, where the construction uses it.  Both checks still run on the
-    pipeline path."""
+    pipeline path.  The construction builds the selection's components and
+    attachments once, and the rules and the audit read them from its
+    record."""
 
-    @pytest.mark.parametrize("make", [
-        petersen_graph,
-        lambda: bench_families.flower_snark(15),
-        lambda: expand_vertex_to_triangle(petersen_graph(), 0),
-    ], ids=["petersen", "J15", "truncated-petersen"])
+    @THREE_CONSTRUCTED
     def test_classify_twice_and_check_the_selection_once(self, make, monkeypatch):
-        calls = Counter()
-        for original in (_colour_counts, selection_violation):
-            def counted(*args, _f=original, **kwargs):
-                calls[_f.__name__] += 1
-                return _f(*args, **kwargs)
-
-            for name, mod in list(sys.modules.items()):
-                if name.startswith("nearnormal") and getattr(mod, original.__name__, None) is original:
-                    monkeypatch.setattr(mod, original.__name__, counted)
+        calls = count_calls(monkeypatch, _colour_counts, selection_violation)
         report = colour_graph(make())[1]
         assert report.base_branch == "constructed" and report.audit_passed is True
         assert calls == {"_colour_counts": 2, "selection_violation": 1}
+
+    @THREE_CONSTRUCTED
+    def test_components_and_attachments_built_once(self, make, monkeypatch):
+        calls = count_calls(monkeypatch, s_components, _attachments)
+        report = colour_graph(make())[1]
+        assert report.base_branch == "constructed" and report.audit_passed is True
+        assert calls == {"s_components": 1, "_attachments": 1}
+
+    @THREE_CONSTRUCTED
+    def test_a_wrong_path_phase_is_caught(self, make, monkeypatch):
+        # flipping the {1,2} path of one odd cycle of a path-shaped
+        # component keeps the colouring proper but makes its selected edges
+        # medium; the structural check before the charge rules must see it
+        flipped = []
+
+        def one_phase_flipped(tf, components, three_edges):
+            cols = solve_path_phases(tf, components, three_edges)
+            c = min(next(comp for comp in components if comp.shape == PATH).cycles)
+            for e in _path_edges(tf, c, three_edges[c]):
+                cols[e] = 3 - cols[e]
+            flipped.append(c)
+            return cols
+
+        monkeypatch.setattr("nearnormal.colouring.solve_path_phases", one_phase_flipped)
+        with pytest.raises(ColouringError, match=r"^constructed colouring violates: component \["):
+            colour_graph(make())
+        assert len(flipped) == 1
 
     def test_structural_violation_is_caught(self, petersen, monkeypatch):
         construct = pipeline.construct_colouring
 
         def swapped(g, tf, sel):
-            col = construct(g, tf, sel)
-            three = col.colour_of.index(3)
-            return EdgeColouring(4, kempe_swap(g, col.colour_of, three, 3, 4))
+            con = construct(g, tf, sel)
+            three = con.colouring.colour_of.index(3)
+            bad = EdgeColouring(4, kempe_swap(g, con.colouring.colour_of, three, 3, 4))
+            return dataclasses.replace(con, colouring=bad)
 
         monkeypatch.setattr(pipeline, "construct_colouring", swapped)
         tf = factor.choose_two_factor(petersen)
-        bad = swapped(petersen, tf, pipeline.find_optimal_selection(tf))
+        bad = swapped(petersen, tf, pipeline.find_optimal_selection(tf)).colouring
         assert is_proper(petersen, bad)
         with pytest.raises(ColouringError, match="^constructed colouring violates: "):
             colour_graph(petersen)
@@ -356,3 +417,47 @@ class TestEachCheckOnce:
         monkeypatch.setattr(pipeline, "find_optimal_selection", two_spokes)
         with pytest.raises(ColouringError, match="^invalid selection: selected edges at cycle"):
             colour_graph(petersen)
+
+
+GROWTH_BASES = (
+    complete_graph_k4,
+    k33,
+    petersen_graph,
+    triple_edge,
+    lambda: bench_families.flower_snark(5),
+    lambda: bench_families.flower_snark(7),
+)
+MAX_GROWN_ORDER = 60
+
+
+@st.composite
+def grown_multigraphs(draw):
+    """A small base (K4, K3,3, a prism, Petersen, J5, J7 or the triple
+    edge) grown by a random sequence of triangle truncations and digon
+    insertions, up to n = 60."""
+    g = draw(st.one_of(
+        st.sampled_from(GROWTH_BASES).map(lambda make: make()),
+        st.integers(min_value=3, max_value=8).map(prism),
+    ))
+    for truncation in draw(st.lists(st.booleans(), max_size=14)):
+        if g.n + 2 > MAX_GROWN_ORDER:
+            break
+        if truncation:
+            g = truncate(g, draw(st.integers(min_value=0, max_value=g.n - 1)))
+        else:
+            g = insert_digon(g, draw(st.integers(min_value=0, max_value=g.m - 1)))
+    return g
+
+
+class TestGrownMultigraphs:
+    @settings(max_examples=100, deadline=None)
+    @given(g=grown_multigraphs())
+    def test_every_guarantee_holds(self, g):
+        colouring_, report = colour_graph(g)
+        assert is_proper(g, colouring_)
+        assert 5 * report.medium <= 4 * g.n
+        if not is_petersen_graph(g):
+            assert 5 * report.medium < 4 * g.n
+        if report.base_branch == "constructed":
+            assert report.audit_passed is True
+        assert report.medium == medium_count(g, colouring_)
