@@ -32,19 +32,22 @@ from .pipeline import BoundViolation, InvalidInput, colour_graph
 
 
 def _read_text(path: str) -> str:
-    """The file's text; :class:`FormatError` when it is not valid UTF-8."""
+    """The file's text without a leading byte-order mark; :class:`FormatError`
+    when it is not valid UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def load_graph(path: str) -> MultiGraph:
-    """Sniff the format: an ``n <count>`` header means edge list, anything
-    else is treated as graph6."""
+    """Sniff the format: a first token ``n`` (the ``n <count>`` header, with
+    any whitespace) or a leading comment means edge list, anything else is
+    treated as graph6.  A graph6 line may start with ``n`` but has no
+    whitespace after it."""
     text = _read_text(path)
     stripped = text.lstrip()
-    if stripped.startswith("n ") or stripped.startswith("#"):
+    if stripped.startswith("#") or (stripped[:1] == "n" and stripped[1:2].isspace()):
         return parse_edge_list(text)
     first = next((ln for ln in text.splitlines() if ln.strip()), "")
     return parse_graph6(first)

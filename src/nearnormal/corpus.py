@@ -1,10 +1,8 @@
-"""Small-graph corpus: named graphs, an embedded generator for all connected
-cubic simple graphs of a given order (backtracking with isomorphism
-rejection), and loaders for the packaged graph6 corpus files.
+"""Small-graph corpus: named graphs and the loader for the packaged graph6
+files of all connected cubic simple graphs with n = 4 to 14.
 
-The generator is exhaustive and practical up to n = 12 on a laptop-class
-machine; the packaged files extend the corpus to n = 14 so the test suite
-never needs the network.
+``scripts/generate_corpus.py`` regenerates those files offline and checks
+their counts against ``CONNECTED_CUBIC_COUNTS`` before it writes them.
 """
 
 from __future__ import annotations
@@ -12,14 +10,7 @@ from __future__ import annotations
 from importlib import resources
 from itertools import combinations
 
-from .graph import (
-    GraphError,
-    MultiGraph,
-    build_graph,
-    graphs_isomorphic,
-    isomorphism_invariant,
-    validate_input,
-)
+from .graph import GraphError, MultiGraph, build_graph, validate_input
 
 
 def petersen_graph() -> MultiGraph:
@@ -60,116 +51,8 @@ def moebius_ladder(k: int) -> MultiGraph:
     return build_graph(n, rim + chords)
 
 
-def _labelled_cubic_leaves(n: int):
-    """Yield edge lists of connected cubic graphs on n labelled vertices.
-
-    Labels follow breadth-first discovery order, which enforces
-    connectivity.  Pairs of vertices introduced together are interchangeable
-    until an edge touches exactly one of them; branches that favour the
-    larger label at that first asymmetry are rejected (the swapped labelling
-    is produced elsewhere).  Isomorphic duplicates still remain and must be
-    filtered by the caller.
-    """
-    adj: list[set[int]] = [set() for _ in range(n)]
-    deg = [0] * n
-    edges: list[tuple[int, int]] = []
-    tied: dict[int, bool] = {}
-
-    def extend(v: int, frontier_end: int):
-        if v == n:
-            yield list(edges)
-            return
-        if v >= frontier_end:
-            return
-        need = 3 - deg[v]
-        cands = [
-            u for u in range(v + 1, frontier_end)
-            if deg[u] < 3 and u not in adj[v]
-        ]
-        max_new = min(need, n - frontier_end)
-        for k in range(max_new, -1, -1):
-            b = need - k
-            if b > len(cands):
-                continue
-            for back in combinations(cands, b):
-                bs = set(back)
-                rejected = False
-                resolved: list[int] = []
-                for a, is_tied in tied.items():
-                    if not is_tied:
-                        continue
-                    touched_a = (v == a) or (a in bs)
-                    touched_b = (a + 1) in bs
-                    if touched_b and not touched_a:
-                        rejected = True
-                        break
-                    if touched_a != touched_b:
-                        resolved.append(a)
-                if rejected:
-                    continue
-                for a in resolved:
-                    tied[a] = False
-                added = []
-                for u in back:
-                    edges.append((v, u))
-                    adj[v].add(u)
-                    adj[u].add(v)
-                    deg[v] += 1
-                    deg[u] += 1
-                    added.append(u)
-                new_pairs = []
-                for j in range(k):
-                    w = frontier_end + j
-                    edges.append((v, w))
-                    adj[v].add(w)
-                    adj[w].add(v)
-                    deg[v] += 1
-                    deg[w] += 1
-                    added.append(w)
-                    if j + 1 < k:
-                        new_pairs.append(w)
-                        tied[w] = True
-                fe2 = frontier_end + k
-                rem = sum(3 - deg[u] for u in range(v + 1, fe2)) + 3 * (n - fe2)
-                feasible = rem % 2 == 0
-                if feasible and fe2 < n:
-                    feasible = any(deg[u] < 3 for u in range(v + 1, fe2))
-                if feasible:
-                    yield from extend(v + 1, fe2)
-                for w in new_pairs:
-                    del tied[w]
-                for u in reversed(added):
-                    edges.pop()
-                    adj[v].discard(u)
-                    adj[u].discard(v)
-                    deg[v] -= 1
-                    deg[u] -= 1
-                for a in resolved:
-                    tied[a] = True
-
-    yield from extend(0, 1)
-
-
-def generate_connected_cubic(n: int) -> list[MultiGraph]:
-    """All connected cubic simple graphs on n vertices, one per isomorphism
-    class, in a deterministic order."""
-    if n < 4 or n % 2:
-        return []
-    buckets: dict[object, list[MultiGraph]] = {}
-    out: list[MultiGraph] = []
-    for edge_list in _labelled_cubic_leaves(n):
-        g = MultiGraph(n, edge_list)
-        inv = isomorphism_invariant(g)
-        bucket = buckets.setdefault(inv, [])
-        if any(graphs_isomorphic(g, h) for h in bucket):
-            continue
-        bucket.append(g)
-        out.append(g)
-    return out
-
-
 # Published counts of connected cubic simple graphs, used to sanity-check
-# both the generator and the packaged corpus files.
+# both the corpus script and the packaged corpus files.
 CONNECTED_CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509}
 
 CORPUS_ORDERS = (4, 6, 8, 10, 12, 14)

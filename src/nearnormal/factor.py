@@ -68,37 +68,48 @@ def enumerate_perfect_matchings(g: MultiGraph, limit: int = DEFAULT_MATCHING_LIM
     ``limit``, sorted lexicographically by sorted edge-id set.
 
     Backtracking branches over the incident edges of the lowest-id uncovered
-    vertex, so the graph must have minimum degree >= 1.
+    vertex.  It keeps an explicit stack, one entry per level, so no graph is
+    too deep for it.
     """
     if limit <= 0:
         raise GraphError("matching enumeration limit must be positive")
     if g.n % 2:
         return []
+    n, edges, incident = g.n, g.edges, g._incident
     found: list[frozenset[int]] = []
-    covered = [False] * g.n
-    chosen: list[int] = []
-
-    def search() -> bool:
-        """Return False once the limit is hit to cut the whole search."""
-        v = next((u for u in range(g.n) if not covered[u]), None)
-        if v is None:
+    covered = [False] * n
+    chosen: list[int] = []  # per level of the stack, the edge it picked last
+    stack: list[list[int]] = []  # per level, its vertex and the index of its next incidence to try
+    v = 0  # the vertex to branch on: the lowest uncovered one, n if none is, -1 after a backtrack
+    while True:
+        if v == n:
             found.append(frozenset(chosen))
-            return len(found) < limit
-        for e in g.incident_edges(v):
-            w = g.other_end(e, v)
-            if covered[w]:
-                continue
-            covered[v] = covered[w] = True
-            chosen.append(e)
-            keep_going = search()
-            chosen.pop()
-            covered[v] = covered[w] = False
-            if not keep_going:
-                return False
-        return True
-
-    search()
-    del search  # the closure refers to itself; free ``found`` on return, not at the next GC
+            if len(found) == limit:
+                break
+        elif v >= 0:
+            stack.append([v, 0])
+        if not stack:
+            break
+        level = stack[-1]
+        u, i = level
+        if len(chosen) == len(stack):  # withdraw the level's last pick
+            a, b = edges[chosen.pop()]
+            covered[a] = covered[b] = False
+        es = incident[u]
+        # u is uncovered, so an edge at u is free when neither end is covered
+        while i < len(es) and (covered[edges[es[i]][0]] or covered[edges[es[i]][1]]):
+            i += 1
+        if i == len(es):
+            stack.pop()
+            v = -1
+            continue
+        level[1] = i + 1
+        a, b = edges[es[i]]
+        covered[a] = covered[b] = True
+        chosen.append(es[i])
+        v = u + 1
+        while v < n and covered[v]:
+            v += 1
     return sorted(found, key=sorted)
 
 

@@ -4,6 +4,9 @@ Every other module consumes this representation.  Edges carry dense integer
 ids assigned in input order, so parallel edges stay distinguishable and all
 downstream maps are keyed by edge id, never by endpoint pair (graph rewrites
 create and destroy parallel edges).
+
+The module also holds the structural queries a run needs: validation with
+bridge finding, triangles, and the girth that ``is_petersen_graph`` reads.
 """
 
 from __future__ import annotations
@@ -250,100 +253,3 @@ def girth(g: MultiGraph) -> int:
                 elif e != via[v]:
                     best = min(best, dist[v] + dist[w] + 1)
     return best if best <= g.n else 0
-
-
-def _distance_profile(g: MultiGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Sorted per-vertex multisets of BFS distance counts (iso invariant)."""
-    return tuple(sorted(_per_vertex_profile(g)))
-
-
-def isomorphism_invariant(g: MultiGraph):
-    """Cheap invariant used to bucket graphs before exact isomorphism."""
-    degs = tuple(sorted(g.degree(v) for v in range(g.n)))
-    return (g.n, g.m, degs, girth(g), _distance_profile(g))
-
-
-def graphs_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:
-    """Exact isomorphism test for small simple graphs (backtracking)."""
-    if not (g1.is_simple() and g2.is_simple()):
-        raise GraphError("isomorphism test supports simple graphs only")
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    if isomorphism_invariant(g1) != isomorphism_invariant(g2):
-        return False
-    n = g1.n
-    if n == 0:
-        return True
-    adj1 = [set(g1.neighbours(v)) for v in range(n)]
-    adj2 = [set(g2.neighbours(v)) for v in range(n)]
-    prof1 = _per_vertex_profile(g1)
-    prof2 = _per_vertex_profile(g2)
-    # map vertices of g1 in a connectivity-friendly order
-    order = _mapping_order(adj1)
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in range(n):
-            if used[w] or prof1[v] != prof2[w] or len(adj1[v]) != len(adj2[w]):
-                continue
-            ok = True
-            for u in range(n):
-                mu = mapping[u]
-                if mu == -1:
-                    continue
-                if (u in adj1[v]) != (mu in adj2[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    return extend(0)
-
-
-def _per_vertex_profile(g: MultiGraph) -> list:
-    """Per vertex, the (distance, count) pairs of a BFS from it."""
-    out = []
-    for root in range(g.n):
-        dist = [-1] * g.n
-        dist[root] = 0
-        queue = deque([root])
-        counts: dict[int, int] = {}
-        while queue:
-            v = queue.popleft()
-            counts[dist[v]] = counts.get(dist[v], 0) + 1
-            for e in g.incident_edges(v):
-                w = g.other_end(e, v)
-                if dist[w] == -1:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        out.append(tuple(sorted(counts.items())))
-    return out
-
-
-def _mapping_order(adj: list[set[int]]) -> list[int]:
-    n = len(adj)
-    seen = [False] * n
-    order: list[int] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in sorted(adj[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    return order

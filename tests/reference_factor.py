@@ -7,6 +7,9 @@ of length other than 5 exactly when some 2-factor of the graph has one.
 The tests check that ``choose_two_factor`` finds such a cycle exactly then.
 :func:`is_perfect_matching` is the direct check that
 ``two_factor_from_matching`` replaced by its size and the vertices it covers.
+:func:`enumerate_perfect_matchings` is the recursive enumeration that the
+production one replaced by an explicit stack; both must return the same
+sorted list at every limit.
 
 The rest are the 2-factor walk, the matcher and the Kempe repair as they
 were before they read ``g.edges`` and ``g._incident`` directly, with the
@@ -22,7 +25,7 @@ import random
 
 from nearnormal import colouring
 from nearnormal.colouring import ColouringError, EdgeColouring
-from nearnormal.factor import DEFAULT_MATCHING_LIMIT, TwoFactor, enumerate_perfect_matchings
+from nearnormal.factor import DEFAULT_MATCHING_LIMIT, TwoFactor
 from nearnormal.graph import GraphError, MultiGraph
 
 
@@ -35,6 +38,37 @@ def is_perfect_matching(g: MultiGraph, m) -> bool:
         covered.add(u)
         covered.add(v)
     return len(covered) == g.n
+
+
+def enumerate_perfect_matchings(g: MultiGraph, limit: int = DEFAULT_MATCHING_LIMIT) -> list[frozenset[int]]:
+    """The first ``limit`` perfect matchings found by recursing on the
+    lowest uncovered vertex, sorted by sorted edge-id set."""
+    found: list[frozenset[int]] = []
+    covered = [False] * g.n
+    chosen: list[int] = []
+
+    def search() -> bool:
+        """Return False once the limit is hit to cut the whole search."""
+        v = next((u for u in range(g.n) if not covered[u]), None)
+        if v is None:
+            found.append(frozenset(chosen))
+            return len(found) < limit
+        for e in g.incident_edges(v):
+            w = g.other_end(e, v)
+            if covered[w]:
+                continue
+            covered[v] = covered[w] = True
+            chosen.append(e)
+            keep_going = search()
+            chosen.pop()
+            covered[v] = covered[w] = False
+            if not keep_going:
+                return False
+        return True
+
+    if g.n % 2 == 0:
+        search()
+    return sorted(found, key=sorted)
 
 
 def choose_two_factor(g: MultiGraph, limit: int = DEFAULT_MATCHING_LIMIT) -> TwoFactor:

@@ -51,6 +51,14 @@ class TestLoadGraph:
     def test_sniffs_edge_list(self, k4_edge_list):
         assert load_graph(k4_edge_list).m == 6
 
+    def test_graph6_line_starting_with_n(self, tmp_path):
+        # graph6 encodes n = 47 as the byte 'n', with no whitespace after it
+        cycle = build_graph(47, [(i, (i + 1) % 47) for i in range(47)])
+        path = tmp_path / "c47.g6"
+        path.write_text(write_graph6(cycle) + "\n")
+        assert path.read_text().startswith("n")
+        assert sorted(load_graph(str(path)).edges) == sorted(cycle.edges)
+
 
 class TestColourCommand:
     def test_petersen_text(self, petersen_file, capsys):
@@ -91,6 +99,22 @@ class TestColourCommand:
         assert main(["colour", str(path)]) == 0
         assert "medium=0" in capsys.readouterr().out
 
+    def test_edge_list_with_a_tab_after_n(self, tmp_path, capsys):
+        path = tmp_path / "k4-tab.txt"
+        g = complete_graph_k4()
+        path.write_text("n\t4\n" + "\n".join(f"{u} {v}" for u, v in g.edges) + "\n")
+        assert main(["colour", str(path)]) == 0
+        assert "medium=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["edge-list", "graph6"])
+    def test_file_with_a_byte_order_mark(self, fmt, tmp_path, capsys):
+        g = petersen_graph()
+        body = write_graph6(g) if fmt == "graph6" else f"n {g.n}\n" + "\n".join(f"{u} {v}" for u, v in g.edges)
+        path = tmp_path / "petersen-bom.txt"
+        path.write_text(body + "\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["colour", str(path)]) == 0
+        assert "medium=8" in capsys.readouterr().out
 
     def test_prism_past_the_recursion_limit(self, tmp_path, capsys):
         path = tmp_path / "prism340.txt"

@@ -1,26 +1,44 @@
+"""The packaged corpus, and the script that regenerates it.
+
+``scripts/generate_corpus.py`` is loaded by path, so its generator and its
+``main`` are tested as the script runs them.
+"""
+
 from __future__ import annotations
 
+import importlib.util
 import itertools
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from nearnormal.corpus import (
     CONNECTED_CUBIC_COUNTS,
     CORPUS_ORDERS,
-    generate_connected_cubic,
     load_cubic_corpus,
     moebius_ladder,
     petersen_graph,
     prism,
 )
-from nearnormal.graph import (
-    find_bridges,
-    graphs_isomorphic,
-    validate_input,
-)
+from nearnormal.graph import find_bridges, validate_input
 from nearnormal.graphio import write_graph6
 from nearnormal.petersen import is_petersen_graph
+from reference_isomorphism import graphs_isomorphic
 from reference_reductions import is_connected
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "generate_corpus.py"
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("generate_corpus", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+generate_corpus = _load_script()
+generate_connected_cubic = generate_corpus.generate_connected_cubic
 
 # bridgeless subsets of the packaged corpus, frozen from find_bridges (which
 # is itself checked against the edge-deletion oracle in test_graph)
@@ -74,14 +92,22 @@ class TestPackagedCorpus:
         assert len(bridged) == 1
         assert find_bridges(bridged[0])
 
-    def test_data_matches_generator_up_to_ten(self):
-        # the packaged files are regenerable in-process (self-containment)
+    def test_data_matches_generator_up_to_ten(self, tmp_path, monkeypatch, capsys):
+        # the packaged files are regenerable by the script (self-containment)
+        monkeypatch.setattr(generate_corpus, "DATA_DIR", tmp_path)
+        assert generate_corpus.main(["4", "6", "8", "10"]) == 0
         for n in (4, 6, 8, 10):
-            packaged = [
-                write_graph6(g) for g in load_cubic_corpus(n, bridgeless_only=False)
-            ]
-            regenerated = [write_graph6(g) for g in generate_connected_cubic(n)]
-            assert packaged == regenerated
+            name = f"cubic{n:02d}.g6"
+            packaged = resources.files("nearnormal").joinpath(f"data/{name}").read_bytes()
+            assert (tmp_path / name).read_bytes() == packaged
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cubic04.g6", "cubic06.g6", "cubic08.g6", "cubic10.g6"]
+
+    def test_script_writes_nothing_on_a_count_mismatch(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(generate_corpus, "DATA_DIR", tmp_path)
+        monkeypatch.setattr(generate_corpus, "CONNECTED_CUBIC_COUNTS", {**CONNECTED_CUBIC_COUNTS, 4: 2})
+        assert generate_corpus.main(["4", "6"]) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert "MISMATCH: expected 2; not writing" in capsys.readouterr().out
 
     def test_petersen_is_in_the_corpus_exactly_once(self):
         hits = [g for g in load_cubic_corpus(10) if is_petersen_graph(g)]

@@ -79,6 +79,18 @@ class TestEnumeratePerfectMatchings:
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         assert enumerate_perfect_matchings(g) == []
 
+    def test_past_the_recursion_limit(self):
+        g = prism(1100)  # n = 2,200 levels deep
+        ms = enumerate_perfect_matchings(g, limit=2)
+        assert len(ms) == 2
+        assert all(is_perfect_matching(g, m) for m in ms)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    def test_same_as_the_recursive_reference(self, n, triple):
+        for g in [triple, *load_cubic_corpus(n, bridgeless_only=False)]:
+            for limit in (1, 2, 5, 10_000):
+                assert enumerate_perfect_matchings(g, limit) == ref.enumerate_perfect_matchings(g, limit)
+
 
 class TestTwoFactorFromMatching:
     def test_petersen_always_two_five_cycles(self, petersen):
