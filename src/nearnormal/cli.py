@@ -44,13 +44,19 @@ def load_graph(path: str) -> MultiGraph:
     """Sniff the format: a first token ``n`` (the ``n <count>`` header, with
     any whitespace) or a leading comment means edge list, anything else is
     treated as graph6.  A graph6 line may start with ``n`` but has no
-    whitespace after it."""
+    whitespace after it.  A graph6 file holds one graph per non-blank line;
+    one with several is refused (:class:`FormatError`), since the commands
+    that read it take one graph and ``batch`` takes many."""
     text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("#") or (stripped[:1] == "n" and stripped[1:2].isspace()):
         return parse_edge_list(text)
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
-    return parse_graph6(first)
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) > 1:
+        raise FormatError(
+            f"{path} holds {len(lines)} graphs; this command reads one, `nearnormal batch` reads several"
+        )
+    return parse_graph6(lines[0] if lines else "")
 
 
 def _cmd_colour(args) -> int:

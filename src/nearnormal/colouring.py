@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .factor import TwoFactor
-from .graph import GraphError, MultiGraph, adjacent_edges, find_triangles
+from .graph import GraphError, MultiGraph, _pairs_and_triangles, adjacent_edges
 from .selection import CYCLE, EdgeSelection, SComponent, s_components, selection_violation
 
 POOR = "poor"
@@ -186,14 +186,15 @@ def _min_medium_search(
     if not m:
         return 0, ()
     edges, inc = g.edges, g._incident
-    nbrs = [{*inc[u], *inc[v]} - {e} for e, (u, v) in enumerate(edges)]
-    pos = {e: i for i, e in enumerate(order)}
+    pos = [0] * m  # pos[e]: the position of edge e in the order
+    for i, e in enumerate(order):
+        pos[e] = i
     # watch[i]: for each edge whose class may be decided when position i is
-    # coloured, its neighbours at earlier positions
-    watch: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+    # coloured, its distinct neighbours at earlier positions (none at k = 3)
+    watch = [[] for _ in range(m)] if k > 3 else [()] * m
     if k > 3:
-        for f in range(g.m):
-            at = sorted(pos[x] for x in nbrs[f])
+        for f, (u, v) in enumerate(edges):
+            at = sorted(pos[x] for x in {*inc[u], *inc[v]} - {f})
             first = 2 if k == 4 else len(at) - 1
             for j in range(first, len(at)):
                 watch[at[j]].append(tuple(order[p] for p in at[:j]))
@@ -220,7 +221,7 @@ def _min_medium_search(
                 wait -= 1
                 if wait < 0:
                     refuted = [set() for _ in range(m)]  # per position
-                    add, dies, pick, lane_of, mask = _frontier_tables(order, pos, nbrs, edges, inc)
+                    add, dies, pick, lane_of, mask = _frontier_tables(order, pos, edges, inc)
                     codes = [0] * m  # codes[j]: the frontier's colours at j, in every renaming
                     for j in range(i):  # along the current path
                         code = codes[j] + add[j][colours[order[j]]]
@@ -260,15 +261,18 @@ def _min_medium_search(
                     continue
             codes[i + 1] = code
         i += 1
-        blocked = 0
-        for x in nbrs[order[i]]:
+        u, v = edges[order[i]]
+        blocked = 0  # the edge's own colour is 0, never in the palette
+        for x in inc[u]:
+            blocked |= 1 << colours[x]
+        for x in inc[v]:
             blocked |= 1 << colours[x]
         todo[i] = palette[i] & ~blocked
         counted[i] = mediums
     return best
 
 
-def _frontier_tables(order, pos, nbrs, edges, inc):
+def _frontier_tables(order, pos, edges, inc):
     """What the k = 3 memo of :func:`_min_medium_search` needs, by search
     position.  A code holds the frontier's colours once per renaming of
     1, 2, 3, in six lanes side by side; in each, a frontier edge has a 2-bit
@@ -282,7 +286,7 @@ def _frontier_tables(order, pos, nbrs, edges, inc):
     of the lane that renames a to 1 and b to 2; and the lane mask.
     """
     m = len(order)
-    last = [max((pos[x] for x in nbrs[e]), default=p) for p, e in enumerate(order)]
+    last = [max(pos[x] for x in inc[u] + inc[v]) for u, v in map(edges.__getitem__, order)]
     leave: list[list[int]] = [[] for _ in range(m)]
     for p, d in enumerate(last):
         if d > p:
@@ -319,7 +323,7 @@ def _frontier_tables(order, pos, nbrs, edges, inc):
 # The perturbing chain swaps kempe_3_colouring may make before it gives
 # up, and the seed of the generator that picks them.  A base with no
 # 3-colouring pays all of them before the 3-colour search runs.  With 16,
-# the repair colours 158 of the 169 class1_random bases (seed 47) whose
+# the repair colours 146 of the 167 class1_random bases (seed 47) whose
 # 2-factor is odd; scripts/kempe_budget.py prints this and the moves that
 # seeded random graphs need without a cap.
 _KEMPE_MOVES = 16
@@ -606,10 +610,9 @@ def construct_colouring(g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> Con
     """
     if tf.graph != g:
         raise ColouringError("two-factor belongs to a different graph")
-    if not g.is_simple():
-        raise ColouringError("construction requires a simple graph")
-    if find_triangles(g):
-        raise ColouringError("construction requires a triangle-free graph")
+    pairs, triangles = _pairs_and_triangles(g)
+    if pairs or triangles:
+        raise ColouringError(f"construction requires a {'simple' if pairs else 'triangle-free'} graph")
     violation = selection_violation(tf, sel.selected)
     if violation is not None:
         raise ColouringError(f"invalid selection: {violation}")

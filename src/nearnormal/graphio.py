@@ -98,10 +98,15 @@ def write_graph6(g: MultiGraph) -> str:
 
 
 def iter_graph6_lines(text: str):
-    """Yield (line_number, MultiGraph) for every non-blank line."""
+    """Yield (line_number, MultiGraph) for every non-blank line; a line that
+    is not graph6 raises :class:`FormatError` prefixed with ``line N:``."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip():
-            yield lineno, parse_graph6(line)
+            try:
+                g = parse_graph6(line)
+            except FormatError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from exc
+            yield lineno, g
 
 
 def parse_edge_list(text: str) -> MultiGraph:

@@ -59,6 +59,23 @@ class TestLoadGraph:
         assert path.read_text().startswith("n")
         assert sorted(load_graph(str(path)).edges) == sorted(cycle.edges)
 
+    @pytest.mark.parametrize("args", [
+        ["colour"], ["audit"], ["oracle", "--k", "4"],
+        ["verify", "colours"], ["petersen-map", "colours"],
+    ], ids=lambda args: args[0])
+    def test_single_graph_commands_refuse_several_graphs(self, args, tmp_path, capsys):
+        path = tmp_path / "two.g6"
+        path.write_text(write_graph6(petersen_graph()) + "\n\n" + write_graph6(prism(4)) + "\n")
+        colours = tmp_path / "colours.txt"
+        colours.write_text(format_colouring(petersen_graph(), exists_normal(petersen_graph(), 5)))
+        command, *rest = args
+        assert main([command, str(path), *(str(colours) if a == "colours" else a for a in rest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path} holds 2 graphs; this command reads one, `nearnormal batch` reads several\n"
+        )
+
 
 class TestColourCommand:
     def test_petersen_text(self, petersen_file, capsys):
@@ -336,6 +353,27 @@ class TestBatchCommand:
         out = capsys.readouterr().out.splitlines()
         assert [line for line in out if "skipped" in line] == skips
         assert calls["validate_input"] == len(graphs) + reduced
+
+    @pytest.mark.parametrize("text, out, err", [
+        (
+            write_graph6(petersen_graph()) + "\nnXXXXXXXXXX\n",
+            "line1: n=10 branch=constructed medium=8 tight\n",
+            "error: line 2: graph6 body has 10 bytes, expected 181 for n=47\n",
+        ),
+        (
+            "n 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+            "",
+            "error: line 1: graph6 body has 2 bytes, expected 181 for n=47\n",
+        ),
+    ], ids=["bad-second-line", "edge-list"])
+    def test_a_malformed_line_is_named(self, text, out, err, tmp_path, capsys):
+        """The batch stops at the first line that is not graph6 and names
+        it; the lines before it have been reported."""
+        path = tmp_path / "graphs.g6"
+        path.write_text(text)
+        assert main(["batch", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
 
     @pytest.mark.parametrize("error, code", [(BoundViolation, 1), (GraphError, 2)])
     def test_other_errors_are_not_skips(self, error, code, petersen_file, monkeypatch, capsys):

@@ -295,6 +295,23 @@ class TestConstructColouring:
         with pytest.raises(ColouringError, match="^construction requires a triangle-free graph$"):
             construct_colouring(g, tf, find_optimal_selection(tf))
 
+    @pytest.mark.parametrize("truncate", [False, True], ids=["digon", "digon-and-triangle"])
+    def test_rejects_parallel_edges_first(self, petersen, truncate):
+        # Petersen with edge 0 split by a digon, and with vertex 9 also
+        # truncated to a triangle: the parallel pair is named either way
+        (u, v), *rest = petersen.edges
+        edges = [(u, 10), (10, 11), (10, 11), (11, v), *rest]
+        n = 12
+        if truncate:
+            corners = iter((9, 12, 13))
+            edges = [(a, next(corners)) if b == 9 else (a, b) for a, b in edges]
+            edges += [(9, 12), (12, 13), (9, 13)]
+            n = 14
+        g = build_graph(n, edges)
+        tf = choose_two_factor(g)
+        with pytest.raises(ColouringError, match="^construction requires a simple graph$"):
+            construct_colouring(g, tf, find_optimal_selection(tf))
+
     def test_exactly_one_medium_per_odd_quotient_component(self):
         g, mids = odd_triangle_component()
         tf = two_factor_of(g, mids)

@@ -9,6 +9,7 @@ from nearnormal.graph import build_graph, girth
 from nearnormal.graphio import (
     FormatError,
     format_colouring,
+    iter_graph6_lines,
     parse_colouring,
     parse_edge_list,
     parse_graph6,
@@ -58,6 +59,13 @@ class TestGraph6:
         g = build_graph(63, [(0, 62)])
         again = parse_graph6(write_graph6(g))
         assert again == g
+
+    def test_lines_yield_numbered_and_name_the_bad_one(self):
+        k4 = parse_graph6("C~")
+        lines = iter_graph6_lines("C~\n\n  \nC~\nI?\nC~\n")
+        assert next(lines) == (1, k4) and next(lines) == (4, k4)
+        with pytest.raises(FormatError, match="^line 5: graph6 body has 1 bytes, expected 8 for n=10$"):
+            next(lines)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

@@ -23,6 +23,7 @@ from nearnormal.corpus import (
     moebius_ladder,
     petersen_graph,
     prism,
+    triple_edge,
 )
 from nearnormal.graph import GraphError, build_graph
 from nearnormal.oracle import exists_normal, min_medium_exact
@@ -287,3 +288,18 @@ class TestRefutedStates:
         monkeypatch.setattr(colouring, "_frontier_tables", refuse)
         for g in (petersen_graph(), *load_cubic_corpus(10)):
             assert _minimum(min_medium_exact, g, k) == _minimum(ref.min_medium_exact, g, k)
+
+
+@pytest.mark.parametrize("make, edges", [
+    (triple_edge, ()),
+    (petersen_graph, (0, 7)),
+    (lambda: prism(5), (0, 3, 12)),
+], ids=["triple-edge", "petersen", "prism5"])
+def test_more_colours_on_parallel_pairs(make, edges):
+    """At k >= 4 the watch lists come from the incidences, where an edge
+    of a parallel pair is listed at both ends of the other; the search still
+    gives the reference's minimum, witness and normal colouring."""
+    g = _with_digons(make(), edges)
+    assert not g.is_simple()
+    assert _minimum(min_medium_exact, g, 4) == _minimum(ref.min_medium_exact, g, 4)
+    assert _colours(exists_normal(g, 5)) == _colours(ref.exists_normal(g, 5))
