@@ -12,10 +12,12 @@ repairs one with odd cycles by a budgeted run of Kempe chain swaps.  One
 exhaustive search, :func:`_min_medium_search`, serves both the 3-colour
 attempt :func:`try_3_edge_colouring`, which runs when the repair gives up
 and may itself stop undecided after a fixed number of backtracks, and the
-oracles in :mod:`nearnormal.oracle`, which run it with no budget.  At k = 3
-a search that runs long keeps the states it has refuted, keyed by the
-colours on its frontier up to renaming, which refutes ring-like snarks such
-as the flower snarks with linearly many backtracks.
+oracles in :mod:`nearnormal.oracle`, which run it with no budget.  It
+colours the edges in maximum cardinality order, which keeps the frontier of
+coloured edges narrow.  At k = 3 a search that runs long keeps the states it
+has refuted, keyed by the colours on its frontier up to renaming, which
+refutes ring-like snarks such as the flower snarks with linearly many
+backtracks.
 """
 
 from __future__ import annotations
@@ -114,26 +116,45 @@ def medium_count(g: MultiGraph, c: EdgeColouring) -> int:
     return class_counts(g, c)[MEDIUM]
 
 
-def _bfs_edge_order(g: MultiGraph) -> list[int]:
-    """Edges ordered so neighbourhoods complete early (helps backtracking)."""
+def _search_order(g: MultiGraph) -> list[int]:
+    """Edges in maximum cardinality order (Tarjan & Yannakakis 1984):
+    vertex 0's edges in id order, then always an edge with the most ordered
+    edges around it (one sharing both ends counts twice), ties first in,
+    first out, and the lowest unordered id when no edge is queued.  The
+    coloured frontier stays narrow, so a dead branch shows early."""
     edges, inc = g.edges, g._incident
+    count = [0] * g.m  # per edge, its ordered neighbours; -1 once ordered
+    # queues[c]: edges in the order they reached count c (stale entries are
+    # skipped); the last, above every count, holds vertex 0's edges
+    queues = [deque() for _ in range(2 * max(map(len, inc), default=0) + 1)]
+    queues[-1].extend(sorted(inc[0]) if g.n else ())
+    push = [queue.append for queue in queues]
+    top = len(queues) - 1  # no live entry above it
     order: list[int] = []
-    seen_edge = [False] * g.m
-    seen_vertex = [False] * g.n
-    for start in range(g.n):
-        if seen_vertex[start]:
-            continue
-        seen_vertex[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w, e in sorted([(edges[e][0] ^ edges[e][1] ^ v, e) for e in inc[v]]):
-                if not seen_edge[e]:
-                    seen_edge[e] = True
-                    order.append(e)
-                if not seen_vertex[w]:
-                    seen_vertex[w] = True
-                    queue.append(w)
+    low = 0
+    for _ in range(g.m):
+        while top:
+            queue = queues[top]
+            while queue and count[queue[0]] < 0:
+                queue.popleft()
+            if queue:
+                e = queue.popleft()
+                break
+            top -= 1
+        else:
+            while count[low] < 0:
+                low += 1
+            e = low
+        count[e] = -1
+        order.append(e)
+        for x in edges[e]:
+            for f in inc[x]:
+                c = count[f]
+                if c >= 0:
+                    count[f] = c = c + 1
+                    push[c](f)
+                    if c > top:
+                        top = c
     return order
 
 
@@ -149,9 +170,10 @@ def _min_medium_search(
     Returns the fewest medium edges below ``bound`` together with the first
     colouring in search order that has that many, or ``None`` when every
     proper k-edge-colouring has at least ``bound``.  Edges are coloured in
-    :func:`_bfs_edge_order`, colours are tried from low to high, and the
-    edges at vertex 0 (positions 0-2) are pinned to 1, 2, 3 in edge-id order
-    (sound: classes do not change when colours are renamed).
+    maximum cardinality order (:func:`_search_order`), colours are tried
+    from low to high, and the edges at vertex 0 (positions 0-2) are pinned
+    to 1, 2, 3 in edge-id order (sound: classes do not change when colours
+    are renamed).
     A branch dies once the mediums it has counted reach the bound, each
     complete colouring lowers the bound to its own count, and the search
     stops at 0.  When an edge is counted depends on ``k``:
@@ -181,7 +203,7 @@ def _min_medium_search(
     Skipped subtrees hold no colouring, so the witness is the same.  At
     k >= 4 the counted mediums and the bound belong to the state: no memo.
     """
-    order = _bfs_edge_order(g)
+    order = _search_order(g)
     m = len(order)
     if not m:
         return 0, ()
@@ -330,13 +352,15 @@ _KEMPE_MOVES = 16
 _KEMPE_SEED = 0
 
 # The backtracks try_3_edge_colouring may make before it leaves a graph
-# open: class1_random finds (seeds 0-39) need up to 14,594, as
-# scripts/kempe_budget.py prints; flower snarks up to J63 are refuted.
+# open: class1_random finds (seeds 0-39) need up to 1,154, and random44#103
+# (seed 12) is refuted, as scripts/kempe_budget.py prints; flower snarks up
+# to J99 are refuted.
 _BACKTRACKS = 1 << 15
 
 # The k = 3 search keeps refuted states only after _MEMO_AFTER * m
 # backtracks, so that short searches and large graphs, which seldom revisit
-# a state, skip the memo's set-up and its cost per node.
+# a state, skip the memo's set-up and its cost per node: 1 of the 644
+# class1_random searches at seeds 0-39 reaches it.
 _MEMO_AFTER = 32
 
 

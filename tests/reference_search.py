@@ -9,8 +9,27 @@ the same results and the same witnesses.
 
 from __future__ import annotations
 
-from nearnormal.colouring import EdgeColouring, _bfs_edge_order
+from nearnormal.colouring import EdgeColouring, _search_order
 from nearnormal.graph import GraphError, MultiGraph, adjacent_edges, validate_input
+
+
+def search_order_choices(g: MultiGraph, order: list[int]) -> list[set[int]]:
+    """Per position from 3 on, the edges that maximum cardinality search
+    may take there after ``order``'s earlier positions, recounted from
+    scratch at every step (O(m^2)): the unordered edges with the most
+    ordered edges around it, one sharing both ends counted twice, or the
+    lowest unordered id when no unordered edge touches an ordered one."""
+    choices = []
+    for i in range(3, g.m):
+        done = set(order[:i])
+        count = {
+            f: sum(x != f and x in done for end in g.endpoints(f) for x in g.incident_edges(end))
+            for f in range(g.m)
+            if f not in done
+        }
+        top = max(count.values())
+        choices.append({f for f, c in count.items() if c == top} if top else {min(count)})
+    return choices
 
 
 def try_3_edge_colouring(g: MultiGraph) -> EdgeColouring | None:
@@ -22,7 +41,7 @@ def try_3_edge_colouring(g: MultiGraph) -> EdgeColouring | None:
     """
     if g.m == 0:
         return EdgeColouring(3, ())
-    order = _bfs_edge_order(g)
+    order = _search_order(g)
     forced: dict[int, int] = {}
     if g.n and g.degree(0) == 3:
         for col, e in enumerate(sorted(g.incident_edges(0)), start=1):
@@ -51,7 +70,7 @@ def try_3_edge_colouring(g: MultiGraph) -> EdgeColouring | None:
 
 
 def _prepare(g: MultiGraph, symmetry_break: bool):
-    order = _bfs_edge_order(g)
+    order = _search_order(g)
     pos = {e: i for i, e in enumerate(order)}
     nbrs = [tuple(adjacent_edges(g, e).adjacent_ids) for e in range(g.m)]
     finalize_at: list[list[int]] = [[] for _ in range(g.m)]

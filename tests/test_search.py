@@ -4,7 +4,8 @@ and no depth limit.  The pipeline's 3-colour attempt runs it with a budget
 of backtracks and gives the same answer or leaves the graph open; the
 oracles run it with none.  At k = 3 the search keeps refuted frontier
 states once it has made ``_MEMO_AFTER * m`` backtracks; with that gate at
-0 it still gives the reference's answers and witnesses."""
+0 it still gives the reference's answers and witnesses.  The edge order is
+checked against a brute-force recount of maximum cardinality search."""
 
 from __future__ import annotations
 
@@ -135,10 +136,10 @@ SEARCH_GRAPHS = dict(_search_graphs())
 
 # Backtracks the k = 3 search makes before it decides, each measured by
 # bisecting the budget.  The memo starts after 32 * m backtracks: J5 decides
-# before it, J7-J13 after it, with 1,050-1,200 more per step up the family
-# (plain backtracking needs 3,743, 15,433, 62,195 and 249,245).
-BACKTRACKS_NEEDED = {"J5": 821, "J7": 2451, "J9": 3649, "J11": 4710, "J13": 5754,
-                     "random44#0": 6756, "random44#2": 2224}
+# before it, J7-J13 after it, with 650-780 more per step up the family
+# (plain backtracking needs 2,370, 9,746, 39,250 and 157,266).
+BACKTRACKS_NEEDED = {"J5": 526, "J7": 1904, "J9": 2682, "J11": 3386, "J13": 4034,
+                     "random44#0": 8, "random44#2": 57}
 
 
 class TestFailureTable:
@@ -169,9 +170,24 @@ class TestFailureTable:
     @pytest.mark.parametrize("cap", [3, 256, 512])
     @pytest.mark.parametrize("name", ["J9", "J13", "random44#0", "random44#2"])
     def test_tiny_cap(self, name, cap, monkeypatch):
-        """Each of these needs more backtracks than the cap."""
+        """Below the backtracks it needs (BACKTRACKS_NEEDED) a graph is
+        left open: J9 and J13 at every cap here, random44#0 and #2 at 3.
+        At or above them it gets the reference's answer."""
         monkeypatch.setattr(colouring, "_BACKTRACKS", cap)
-        assert _attempt(SEARCH_GRAPHS[name]) == "open"
+        g = SEARCH_GRAPHS[name]
+        want = "open" if cap < BACKTRACKS_NEEDED[name] else _colours(ref.try_3_edge_colouring(g))
+        assert _attempt(g) == want
+
+    @pytest.mark.parametrize("k", [65, 99])
+    def test_flower_snarks_within_the_budget(self, k):
+        """J99 (n = 396) is the largest flower snark refuted within the
+        default budget."""
+        assert try_3_edge_colouring(bench_families.flower_snark(k)) is None
+
+    def test_first_open_flower_snark(self):
+        """J101 (n = 404) is the smallest flower snark left open."""
+        with pytest.raises(colouring._SearchOpen):
+            try_3_edge_colouring(bench_families.flower_snark(101))
 
     def test_large_flower_snark(self):
         """J301 (n = 1,204) is left open: the budget runs out before the
@@ -224,6 +240,42 @@ def _with_digons(g, edges):
     return build_graph(n, pairs)
 
 
+# graphs with digons inserted at the listed edges
+DIGONS = {
+    "petersen": (petersen_graph, (0, 7)),
+    "prism5": (lambda: prism(5), (0, 3, 12)),
+    "J7": (lambda: bench_families.flower_snark(7), (1, 20)),
+    "random40#1": (lambda: bench_families.random_cubic(40, 1, triangle_free=True), (0, 5, 9)),
+}
+
+
+def _two_disjoint_k4s():
+    """Two K4s with their edge ids interleaved, so vertex 0's component
+    does not hold the lowest ids."""
+    k4 = complete_graph_k4().edges
+    return build_graph(8, [e for pair in zip(k4, ((u + 4, v + 4) for u, v in k4)) for e in pair])
+
+
+ORDER_GRAPHS = {
+    **{f"cubic{n}": list(load_cubic_corpus(n)) for n in CORPUS_ORDERS},
+    "triple-edge": [triple_edge()],
+    "digons": [_with_digons(make(), edges) for make, edges in DIGONS.values()],
+    "two-k4s": [_two_disjoint_k4s()],
+}
+
+
+@pytest.mark.parametrize("name", ORDER_GRAPHS)
+def test_search_order_is_maximum_cardinality(name):
+    """A permutation of the edge ids, vertex 0's edges first in id order,
+    then at each step an edge the brute-force recount allows."""
+    for g in ORDER_GRAPHS[name]:
+        order = colouring._search_order(g)
+        assert sorted(order) == list(range(g.m))
+        assert order[:3] == sorted(g.incident_edges(0))
+        for e, allowed in zip(order[3:], ref.search_order_choices(g, order), strict=True):
+            assert e in allowed
+
+
 class TestRefutedStates:
     """With the memo on from the first backtrack, the k = 3 search gives
     the reference's answer and witness: a pruned subtree has no colouring."""
@@ -250,19 +302,15 @@ class TestRefutedStates:
             g = bench_families.petersen_inflation(base, seed)
             assert _searched(g) == _colours(ref.try_3_edge_colouring(g))
 
-    @pytest.mark.parametrize("make, edges", [
-        (petersen_graph, (0, 7)),
-        (lambda: prism(5), (0, 3, 12)),
-        (lambda: bench_families.flower_snark(7), (1, 20)),
-        (lambda: bench_families.random_cubic(40, 1, triangle_free=True), (0, 5, 9)),
-    ], ids=["petersen", "prism5", "J7", "random40#1"])
-    def test_parallel_pairs(self, make, edges, eager_memo):
+    @pytest.mark.parametrize("name", DIGONS)
+    def test_parallel_pairs(self, name, eager_memo):
+        make, edges = DIGONS[name]
         g = _with_digons(make(), edges)
         assert not g.is_simple()
         assert _searched(g) == _colours(ref.try_3_edge_colouring(g))
 
     def test_the_oracle_refutes_j21(self, eager_memo, monkeypatch):
-        """The exact oracle refutes J21 (m = 126) within 5,989 backtracks;
+        """The exact oracle refutes J21 (m = 126) within 2,690 backtracks;
         plain backtracking needs about 4 times more per step up the family
         (BACKTRACKS_NEEDED)."""
         def budgeted(need):
@@ -271,10 +319,10 @@ class TestRefutedStates:
             return search
 
         g = bench_families.flower_snark(21)
-        monkeypatch.setattr(oracle, "_min_medium_search", budgeted(5988))
+        monkeypatch.setattr(oracle, "_min_medium_search", budgeted(2689))
         with pytest.raises(colouring._SearchOpen):
             min_medium_exact(g, 3)
-        monkeypatch.setattr(oracle, "_min_medium_search", budgeted(5989))
+        monkeypatch.setattr(oracle, "_min_medium_search", budgeted(2690))
         with pytest.raises(oracle.NoColouringError):
             min_medium_exact(g, 3)
 
