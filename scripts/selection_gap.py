@@ -45,7 +45,7 @@ from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus  # noqa: E402
 from nearnormal.discharging import run_audit  # noqa: E402
 from nearnormal.factor import choose_two_factor, enumerate_perfect_matchings, two_factor_from_matching  # noqa: E402
 from nearnormal.graph import girth  # noqa: E402
-from nearnormal.selection import find_optimal_selection  # noqa: E402
+from nearnormal.selection import _attachments, find_optimal_selection  # noqa: E402
 
 
 def _load(name: str):
@@ -95,8 +95,8 @@ def identity(name: str, seeds: range) -> None:
     print(line, flush=True)
 
 
-def _score(sel) -> tuple[int, int]:
-    return len(sel.selected), sum(1 for d in sel.degree_of_cycle if d == 2)
+def _score(tf, sel) -> tuple[int, int]:
+    return len(sel), sum(1 for ends in _attachments(tf, sel).values() if len(ends) == 2)
 
 
 def gap() -> None:
@@ -111,14 +111,14 @@ def gap() -> None:
                     continue
                 odd += 1
                 greedy, exact = find_optimal_selection(tf), reference_selection.find_optimal_selection(tf)
-                if _score(greedy) >= _score(exact):
+                if _score(tf, greedy) >= _score(tf, exact):
                     continue
                 below += 1
                 if not triangle_free:
                     continue
                 tf_below += 1
                 for i, sel in enumerate((greedy, exact)):
-                    con = construct_colouring(g, tf, sel)
+                    con = construct_colouring(tf, sel)
                     mediums[i] += medium_count(g, con.colouring)
                     audits += run_audit(con).passed
     print(f"corpus 2-factors with odd cycles: {odd}; greedy below the optimum on {below}; "
@@ -135,7 +135,7 @@ def j5001() -> None:
     start = time.perf_counter()
     _colouring, report = pipeline.colour_graph(g)
     total_s = time.perf_counter() - start
-    print(f"J5001 (n = {g.n}): selection of {len(sel.selected)} edges in {selection_s:.3f} s; "
+    print(f"J5001 (n = {g.n}): selection of {len(sel)} edges in {selection_s:.3f} s; "
           f"colour_graph {total_s:.2f} s, {report.base_branch}, {report.medium} medium edges "
           f"(bound {4 * g.n / 5:g}), audit passed: {report.audit_passed}", flush=True)
 

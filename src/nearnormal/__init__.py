@@ -26,14 +26,13 @@ from .graph import (
 )
 from .oracle import exists_normal, min_medium_exact, verify_conjecture_on
 from .pipeline import BoundViolation, colour_graph
-from .selection import EdgeSelection, SComponent, find_optimal_selection, s_components
+from .selection import SComponent, find_optimal_selection, s_components
 
 __all__ = [
     "BoundViolation",
     "Diagnosis",
     "EdgeColouring",
     "EdgeNeighbourhood",
-    "EdgeSelection",
     "GraphError",
     "MultiGraph",
     "SComponent",

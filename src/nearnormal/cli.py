@@ -2,6 +2,7 @@
 
 Exit codes: 0 on success, 1 when a bound or audit check fails (a violation
 the mathematics rules out, so it is flagged loudly), 2 on input errors.
+``batch`` also counts any other failed check on a graph as 1 and goes on.
 """
 
 from __future__ import annotations
@@ -140,8 +141,9 @@ def _cmd_batch(args) -> int:
             diag = exc.diagnosis
             print(f"{name}: skipped ({diag.reason}: {diag.detail})")
             continue
-        except BoundViolation as exc:
-            print(f"{name}: BOUND VIOLATION: {exc}")
+        except GraphError as exc:  # the bound or another internal check failed
+            kind = "BOUND VIOLATION" if isinstance(exc, BoundViolation) else "CHECK FAILED"
+            print(f"{name}: {kind}: {exc}")
             failures += 1
             continue
         processed += 1

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .factor import TwoFactor
 from .graph import GraphError, MultiGraph, _pairs_and_triangles, adjacent_edges
-from .selection import CYCLE, EdgeSelection, SComponent, s_components, selection_violation
+from .selection import CYCLE, SComponent, _attachments, s_components, selection_violation
 
 POOR = "poor"
 MEDIUM = "medium"
@@ -501,27 +501,18 @@ def try_3_edge_colouring(g: MultiGraph) -> EdgeColouring | None:
 @dataclass(frozen=True)
 class Construction:
     """What :func:`construct_colouring` builds, each artefact once: the
-    2-factor and selection it was handed, the selection's components
-    (:func:`selection.s_components`), the vertices where selected edges
-    attach to each cycle, the colour-3 edge of each odd cycle, and the
-    colouring.  The charge rules and the audit read them from here; the
-    graph is ``two_factor.graph``."""
+    2-factor and the set of selected edge ids it was handed, the selection's
+    components, the vertices where selected edges attach to each cycle (a
+    list as long as the cycle's selection degree), the colour-3 edge of each
+    odd cycle, and the colouring.  The charge rules and the audit read them
+    from here; the graph is ``two_factor.graph``."""
 
     two_factor: TwoFactor
-    selection: EdgeSelection
+    selection: frozenset[int]
     components: tuple[SComponent, ...]
     attachments: dict[int, list[int]]
     three_edges: dict[int, int]
     colouring: EdgeColouring
-
-
-def _attachments(tf: TwoFactor, sel: EdgeSelection) -> dict[int, list[int]]:
-    """Per cycle, the vertices where selected edges attach (sorted)."""
-    att: dict[int, list[int]] = {}
-    for e in sorted(sel.selected):
-        for x in tf.graph.edges[e]:
-            att.setdefault(tf.cycle_of_vertex[x], []).append(x)
-    return att
 
 
 def place_colour_3(tf: TwoFactor, attachments: dict[int, list[int]]) -> dict[int, int]:
@@ -616,8 +607,9 @@ def solve_path_phases(
     return colours
 
 
-def construct_colouring(g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> Construction:
-    """The 4-edge-colouring with the construction's five properties:
+def construct_colouring(tf: TwoFactor, selected: frozenset[int]) -> Construction:
+    """The 4-edge-colouring of ``tf.graph`` with the construction's four
+    properties:
 
     * matching edges are exactly the colour-4 edges;
     * colour 3 appears only on odd cycles, exactly once per odd cycle;
@@ -626,18 +618,17 @@ def construct_colouring(g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> Con
       odd cycle, and then it is the unique one there.
 
     It comes in a :class:`Construction`, with the artefacts it was built
-    from.  Only the input is checked here: the same graph, simple and
+    from.  Only the input is checked here: the graph simple and
     triangle-free, and the selection by :func:`selection.selection_violation`.
     The output's properties are checked by
     :func:`discharging.run_discharging`, whose rules rely on them, on the
     classes it computes anyway.
     """
-    if tf.graph != g:
-        raise ColouringError("two-factor belongs to a different graph")
+    g = tf.graph
     pairs, triangles = _pairs_and_triangles(g)
     if pairs or triangles:
         raise ColouringError(f"construction requires a {'simple' if pairs else 'triangle-free'} graph")
-    violation = selection_violation(tf, sel.selected)
+    violation = selection_violation(tf, selected)
     if violation is not None:
         raise ColouringError(f"invalid selection: {violation}")
     cols = [0] * g.m
@@ -647,21 +638,21 @@ def construct_colouring(g: MultiGraph, tf: TwoFactor, sel: EdgeSelection) -> Con
         if len(cyc) % 2 == 0:
             for t, e in enumerate(tf.cycle_edges[c]):
                 cols[e] = 1 + (t & 1)
-    attachments = _attachments(tf, sel)
+    attachments = _attachments(tf, selected)
     three = place_colour_3(tf, attachments)
     for c, e in three.items():
         cols[e] = 3
-    components = tuple(s_components(tf, sel))
+    components = tuple(s_components(tf, selected))
     for e, col in solve_path_phases(tf, components, three).items():
         cols[e] = col
-    return Construction(tf, sel, components, attachments, three, EdgeColouring(4, tuple(cols)))
+    return Construction(tf, selected, components, attachments, three, EdgeColouring(4, tuple(cols)))
 
 
 def bullet_violations(con: Construction, mediums: frozenset[int]) -> list[str]:
-    """Audit the five structural properties of the construction on its
+    """Audit the four structural properties of the construction on its
     colouring, and that each odd cycle's colour-3 edge is the one the
     record names; ``mediums`` is the set of the colouring's medium edges."""
-    tf, sel, c = con.two_factor, con.selection, con.colouring
+    tf, selected, c = con.two_factor, con.selection, con.colouring
     g = tf.graph
     out: list[str] = []
     for e in range(g.m):
@@ -676,13 +667,13 @@ def bullet_violations(con: Construction, mediums: frozenset[int]) -> list[str]:
         want = [con.three_edges[cyc]] if cyc in odd else []
         if threes != want:
             out.append(f"cycle {cyc}: colour-3 edges {threes}, expected {want}")
-    for e in sorted(sel.selected):
+    for e in sorted(selected):
         adj3 = sum(
             1 for x in adjacent_edges(g, e).adjacent_ids if c.colour_of[x] == 3
         )
         if adj3 != 2:
             out.append(f"selected edge {e}: adjacent to {adj3} colour-3 edges")
-    medium_sel = sel.selected & mediums
+    medium_sel = selected & mediums
     for comp in con.components:
         inside = medium_sel & comp.associated_edges
         odd_quotient = comp.shape == CYCLE and len(comp.cycles) % 2 == 1

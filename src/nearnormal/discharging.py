@@ -137,29 +137,29 @@ def apply_r2_r3_r4(ledger: ChargeLedger, con: Construction) -> ChargeLedger:
     degrees, attachment positions), never on current charges, so applying
     the three rules sequentially equals the simultaneous wave.
     """
-    tf, att, deg = con.two_factor, con.attachments, con.selection.degree_of_cycle
+    tf, att = con.two_factor, con.attachments
     plans = {"R2": [], "R3": [], "R4": []}
     for cyc in range(len(tf.cycles)):
         if tf.cycle_length(cyc) != 5:
             continue
-        if deg[cyc] == 0:
+        if cyc not in att:  # degree 0
             for v in tf.cycles[cyc]:
                 plans["R2"].append((cyc, tf.cycle_of_vertex[tf.partner[v]], v))
-        elif deg[cyc] == 1:
+        elif len(att[cyc]) == 1:
             a = att[cyc][0]
             pos = tf.position_on_cycle(cyc, a)
             ell = tf.cycle_length(cyc)
             for x in (tf.cycles[cyc][(pos - 1) % ell], tf.cycles[cyc][(pos + 1) % ell]):
                 partner = tf.partner[x]
                 target = tf.cycle_of_vertex[partner]
-                if not (tf.cycle_length(target) == 5 and deg[target] == 1):
+                if not (tf.cycle_length(target) == 5 and len(att.get(target, ())) == 1):
                     plans["R3"].append((cyc, target, x))
                 else:
                     w = att[target][0]
                     if _cyclic_distance(tf, target, partner, w) != 2:
                         continue
                     final = tf.cycle_of_vertex[tf.partner[w]]
-                    if deg[final] == 2:
+                    if len(att.get(final, ())) == 2:
                         plans["R4"].append((cyc, final, x))
     for rule in ("R2", "R3", "R4"):
         for source, target, via in plans[rule]:
@@ -262,7 +262,6 @@ def audit(ledger: ChargeLedger, con: Construction) -> AuditReport:
         edges_r1, cycles_r1 = ledger.snapshots["R1"]
         ok = all(t == 0 for t in edges_r1)
         checks.append(AuditCheck("edges-zero-after-R1", ok))
-        deg = con.selection.degree_of_cycle
         for cyc in range(len(tf.cycles)):
             ell = tf.cycle_length(cyc)
             charge = cycles_r1[cyc]
@@ -270,7 +269,7 @@ def audit(ledger: ChargeLedger, con: Construction) -> AuditReport:
                 ok = charge <= 5 * ell
                 bound = f"{charge} <= {5 * ell}"
             else:
-                cap = {0: 50, 1: 40, 2: 35}[deg[cyc]]
+                cap = (50, 40, 35)[len(con.attachments.get(cyc, ()))]
                 ok = charge <= cap
                 bound = f"{charge} <= {cap}"
             checks.append(

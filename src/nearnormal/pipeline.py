@@ -70,10 +70,10 @@ def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, Colourin
         base_branch = "3-colourable"
     else:
         base_branch = "constructed"
-        con = construct_colouring(base, tf, find_optimal_selection(tf))
+        con = construct_colouring(tf, find_optimal_selection(tf))
         colouring = con.colouring
         cycle_lengths = tuple(len(cyc) for cyc in con.two_factor.cycles)
-        selection_size = len(con.selection.selected)
+        selection_size = len(con.selection)
         shapes = tuple(comp.shape for comp in con.components)
         audit_report = run_audit(con)
 

@@ -1,5 +1,6 @@
-"""Edge selections: subsets of the perfect matching joining distinct odd
-cycles, at most two per cycle and consecutive when two.
+"""Edge selections: sets of perfect-matching edge ids joining distinct odd
+cycles, at most two per cycle and consecutive when two.  Each cycle's
+attachments, and so its degree, are read off the set by :func:`_attachments`.
 
 The selection is maximal, from one greedy pass, and not proven optimal
 (maximum size, then most degree-2 cycles): the charge audit certifies the
@@ -12,18 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .factor import TwoFactor
-from .graph import GraphError
 
 SINGLETON = "singleton"
 PATH = "path"
 CYCLE = "cycle"
 DOUBLE_EDGE = "double_edge"
-
-
-@dataclass(frozen=True)
-class EdgeSelection:
-    selected: frozenset[int]
-    degree_of_cycle: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -48,23 +42,14 @@ def eligible_edges(tf: TwoFactor) -> set[int]:
     return out
 
 
-def _end_on_cycle(tf: TwoFactor, e: int, c: int) -> int:
-    u, v = tf.graph.endpoints(e)
-    on = [x for x in (u, v) if tf.cycle_of_vertex[x] == c]
-    if len(on) != 1:
-        raise GraphError(f"edge {e} does not have exactly one endpoint on cycle {c}")
-    return on[0]
-
-
-def consecutive(tf: TwoFactor, e1: int, e2: int, c: int) -> bool:
-    """Whether the endpoints of ``e1`` and ``e2`` on cycle ``c`` are adjacent
-    in its cyclic order.  Chords are rejected by the one-endpoint rule."""
-    if e1 == e2:
-        raise GraphError("consecutiveness needs two distinct edges")
-    p1 = tf.position_on_cycle(c, _end_on_cycle(tf, e1, c))
-    p2 = tf.position_on_cycle(c, _end_on_cycle(tf, e2, c))
-    ell = tf.cycle_length(c)
-    return (p1 - p2) % ell in (1, ell - 1)
+def _attachments(tf: TwoFactor, selected) -> dict[int, list[int]]:
+    """Per cycle, the vertices where the selected edges attach, in edge-id
+    order; the list's length is the cycle's selection degree."""
+    att: dict[int, list[int]] = {}
+    for e in sorted(selected):
+        for x in tf.graph.edges[e]:
+            att.setdefault(tf.cycle_of_vertex[x], []).append(x)
+    return att
 
 
 def selection_violation(tf: TwoFactor, selected) -> str | None:
@@ -75,7 +60,6 @@ def selection_violation(tf: TwoFactor, selected) -> str | None:
     handed.
     """
     odd = set(tf.odd_cycles())
-    per_cycle: dict[int, list[int]] = {}
     for e in sorted(selected):
         if e not in tf.matching:
             return f"edge {e} is not a matching edge"
@@ -85,17 +69,16 @@ def selection_violation(tf: TwoFactor, selected) -> str | None:
             return f"edge {e} is a chord"
         if cu not in odd or cv not in odd:
             return f"edge {e} touches an even cycle"
-        per_cycle.setdefault(cu, []).append(e)
-        per_cycle.setdefault(cv, []).append(e)
-    for c, es in per_cycle.items():
-        if len(es) > 2:
-            return f"cycle {c} is incident to {len(es)} selected edges"
-        if len(es) == 2 and not consecutive(tf, es[0], es[1], c):
+    for c, ends in _attachments(tf, selected).items():
+        if len(ends) > 2:
+            return f"cycle {c} is incident to {len(ends)} selected edges"
+        ell = tf.cycle_length(c)
+        if len(ends) == 2 and (tf.position[ends[0]] - tf.position[ends[1]]) % ell not in (1, ell - 1):
             return f"selected edges at cycle {c} are not consecutive"
     return None
 
 
-def find_optimal_selection(tf: TwoFactor) -> EdgeSelection:
+def find_optimal_selection(tf: TwoFactor) -> frozenset[int]:
     """A maximal selection, by one greedy pass over the eligible edges.
 
     An edge's load is the number of eligible edges at its two cycles, added
@@ -128,15 +111,15 @@ def find_optimal_selection(tf: TwoFactor) -> EdgeSelection:
                 deg[c] += 1
                 first[c] = p  # read only while deg[c] == 1
             selected.append(e)
-    return EdgeSelection(selected=frozenset(selected), degree_of_cycle=tuple(deg))
+    return frozenset(selected)
 
 
-def s_components(tf: TwoFactor, sel: EdgeSelection) -> list[SComponent]:
+def s_components(tf: TwoFactor, selected: frozenset[int]) -> list[SComponent]:
     """Partition of all cycles under selected-edge adjacency, with the shape
     of each component's quotient multigraph."""
     ncyc = len(tf.cycles)
     adj: dict[int, list[tuple[int, int]]] = {c: [] for c in range(ncyc)}
-    for e in sorted(sel.selected):
+    for e in sorted(selected):
         u, v = tf.graph.endpoints(e)
         cu, cv = tf.cycle_of_vertex[u], tf.cycle_of_vertex[v]
         adj[cu].append((cv, e))

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from nearnormal.factor import TwoFactor
 from nearnormal.graph import GraphError
-from nearnormal.selection import EdgeSelection, eligible_edges, selection_violation
+from nearnormal.selection import eligible_edges, selection_violation
 
 
-def find_optimal_selection(tf: TwoFactor) -> EdgeSelection:
+def find_optimal_selection(tf: TwoFactor) -> frozenset[int]:
     """Exact branch-and-bound over the eligible edges.
 
     Pass one maximises the selection size; pass two, restricted to that
@@ -106,8 +106,4 @@ def find_optimal_selection(tf: TwoFactor) -> EdgeSelection:
     violation = selection_violation(tf, selected)
     if violation is not None:
         raise GraphError(f"search produced an invalid selection: {violation}")
-    degree = [0] * ncyc
-    for e in selected:
-        for x in g.endpoints(e):
-            degree[tf.cycle_of_vertex[x]] += 1
-    return EdgeSelection(selected=selected, degree_of_cycle=tuple(degree))
+    return selected

@@ -78,7 +78,7 @@ def constructed_instances(corpus_run):
             base, _records, _ids = reduce_fully(g)
             tf = choose_two_factor(base)
             sel = find_optimal_selection(tf)
-            instances.append((f"{report.name}(base)", construct_colouring(base, tf, sel)))
+            instances.append((f"{report.name}(base)", construct_colouring(tf, sel)))
     for factory in (
         odd_triangle_component,
         r3_pair,
@@ -91,7 +91,7 @@ def constructed_instances(corpus_run):
         g, mids = factory()
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
-        instances.append((factory.__name__, construct_colouring(g, tf, sel)))
+        instances.append((factory.__name__, construct_colouring(tf, sel)))
     return instances
 
 

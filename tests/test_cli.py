@@ -18,7 +18,7 @@ import nearnormal
 from nearnormal import cli, discharging, graphio, pipeline, reductions
 from nearnormal.cli import load_graph, main
 from nearnormal.colouring import construct_colouring
-from nearnormal.corpus import CORPUS_ORDERS, complete_graph_k4, load_cubic_corpus, petersen_graph, prism, triple_edge
+from nearnormal.corpus import CORPUS_ORDERS, complete_graph_k4, k33, load_cubic_corpus, petersen_graph, prism, triple_edge
 from nearnormal.discharging import audit, run_discharging
 from nearnormal.factor import choose_two_factor
 from nearnormal.graph import GraphError, build_graph, validate_input
@@ -227,7 +227,7 @@ def reference_audit(path: str) -> int:
     base, _records, _ids = reduce_fully(g)
     tf = choose_two_factor(base)
     sel = find_optimal_selection(tf)
-    constructed = construct_colouring(base, tf, sel)
+    constructed = construct_colouring(tf, sel)
     ledger = run_discharging(constructed)
     audit_report = audit(ledger, constructed)
     for chk in audit_report.checks:
@@ -375,7 +375,7 @@ class TestBatchCommand:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (out, err)
 
-    @pytest.mark.parametrize("error, code", [(BoundViolation, 1), (GraphError, 2)])
+    @pytest.mark.parametrize("error, code", [(BoundViolation, 1), (GraphError, 1)])
     def test_other_errors_are_not_skips(self, error, code, petersen_file, monkeypatch, capsys):
         def failing(g, name=""):
             raise error("raised for the test")
@@ -384,7 +384,22 @@ class TestBatchCommand:
         assert main(["batch", petersen_file]) == code
         captured = capsys.readouterr()
         assert "skipped" not in captured.out
-        assert "raised for the test" in (captured.out if error is BoundViolation else captured.err)
+        label = "BOUND VIOLATION" if error is BoundViolation else "CHECK FAILED"
+        assert f"line1: {label}: raised for the test\n" in captured.out
+
+    def test_an_internal_check_failure_is_counted(self, tmp_path, monkeypatch, capsys):
+        """A failed structural check on one graph is reported and counted,
+        and the batch goes on to the next line."""
+        path = tmp_path / "two.g6"
+        path.write_text(write_graph6(petersen_graph()) + "\n" + write_graph6(k33()) + "\n")
+        monkeypatch.setattr(discharging, "bullet_violations", lambda con, mediums: ["injected for the test"])
+        assert main(["batch", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[:2] == [
+            "line1: CHECK FAILED: constructed colouring violates: injected for the test",
+            "line2: n=6 branch=3-colourable medium=0",
+        ]
+        assert "processed 1 graphs" in captured.out and captured.err == ""
 
 
 class TestPetersenMapCommand:

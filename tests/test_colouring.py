@@ -8,7 +8,6 @@ from nearnormal.colouring import (
     RICH,
     ColouringError,
     EdgeColouring,
-    _attachments,
     bullet_violations,
     classify_all,
     classify_edge,
@@ -27,7 +26,7 @@ from nearnormal.factor import (
 )
 from nearnormal.graph import build_graph
 from nearnormal.oracle import exists_normal
-from nearnormal.selection import CYCLE, find_optimal_selection, s_components
+from nearnormal.selection import CYCLE, _attachments, find_optimal_selection, s_components
 from witnesses import (
     even_square_component,
     long_pair,
@@ -35,6 +34,7 @@ from witnesses import (
     odd_triangle_component,
     r3_pair,
     r4_chain,
+    selection_degrees,
     two_factor_of,
 )
 from reference_classify import is_proper
@@ -143,7 +143,7 @@ class TestPlaceColour3:
         for c, eid in placed.items():
             attachments = [
                 v
-                for e in sel.selected
+                for e in sel
                 for v in petersen.endpoints(e)
                 if tf.cycle_of_vertex[v] == c
             ]
@@ -160,7 +160,7 @@ class TestPlaceColour3:
             ends = set(prism5.endpoints(eid))
             attachments = {
                 v
-                for e in sel.selected
+                for e in sel
                 for v in prism5.endpoints(e)
                 if tf.cycle_of_vertex[v] == c
             }
@@ -171,7 +171,7 @@ class TestPlaceColour3:
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
         placed = place_colour_3(tf, _attachments(tf, sel))
-        deg0 = [c for c in tf.odd_cycles() if sel.degree_of_cycle[c] == 0]
+        deg0 = [c for c in tf.odd_cycles() if selection_degrees(tf, sel)[c] == 0]
         for c in deg0:
             assert placed[c] == tf.cycle_edges[c][0]
 
@@ -180,25 +180,25 @@ class TestSolvePathPhases:
     def test_path_component_all_selected_poor(self, petersen):
         tf = spoke_tf(petersen)
         sel = find_optimal_selection(tf)
-        col = construct_colouring(petersen, tf, sel).colouring
+        col = construct_colouring(tf, sel).colouring
         classes = classify_all(petersen, col)
-        for e in sel.selected:
+        for e in sel:
             assert classes[e] == POOR
 
     def test_double_edge_component_all_selected_poor(self, prism5):
         spokes = frozenset(e for e, (u, v) in enumerate(prism5.edges) if v - u == 5)
         tf = two_factor_from_matching(prism5, spokes)
         sel = find_optimal_selection(tf)
-        col = construct_colouring(prism5, tf, sel).colouring
+        col = construct_colouring(tf, sel).colouring
         classes = classify_all(prism5, col)
-        assert all(classes[e] == POOR for e in sel.selected)
+        assert all(classes[e] == POOR for e in sel)
 
     def test_odd_quotient_cycle_designates_smallest_edge(self):
         g, mids = odd_triangle_component()
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
-        classes = classify_all(g, construct_colouring(g, tf, sel).colouring)
-        assert {e for e in sel.selected if classes[e] == MEDIUM} == {min(sel.selected)}
+        classes = classify_all(g, construct_colouring(tf, sel).colouring)
+        assert {e for e in sel if classes[e] == MEDIUM} == {min(sel)}
 
     def test_even_quotient_cycle_closes_consistently(self):
         # the ring of four degree-2 cycles has one redundant constraint,
@@ -206,21 +206,21 @@ class TestSolvePathPhases:
         g, mids = even_square_component()
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
-        assert sel.selected == frozenset({0, 1, 2, 3})
+        assert sel == frozenset({0, 1, 2, 3})
         comp = next(c for c in s_components(tf, sel) if c.shape == CYCLE)
         assert len(comp.cycles) == 4
-        col = construct_colouring(g, tf, sel).colouring
+        col = construct_colouring(tf, sel).colouring
         classes = classify_all(g, col)
-        assert all(classes[e] == POOR for e in sel.selected)
+        assert all(classes[e] == POOR for e in sel)
 
     def test_longer_odd_quotient_cycle(self):
         g, mids = odd_pentagon_ring()
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
-        assert sel.selected == frozenset({0, 1, 2, 3, 4})
-        col = construct_colouring(g, tf, sel).colouring
+        assert sel == frozenset({0, 1, 2, 3, 4})
+        col = construct_colouring(tf, sel).colouring
         classes = classify_all(g, col)
-        mediums = [e for e in sel.selected if classes[e] == MEDIUM]
+        mediums = [e for e in sel if classes[e] == MEDIUM]
         assert mediums == [0]
 
 
@@ -251,12 +251,12 @@ class TestConstructColouring:
         assert validate_input(g).ok
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
-        assert construction_violations(construct_colouring(g, tf, sel)) == []
+        assert construction_violations(construct_colouring(tf, sel)) == []
 
     def test_petersen_mediums(self, petersen):
         tf = spoke_tf(petersen)
         sel = find_optimal_selection(tf)
-        col = construct_colouring(petersen, tf, sel).colouring
+        col = construct_colouring(tf, sel).colouring
         assert medium_count(petersen, col) == 8
 
     def test_prism_forced_five_cycles_stays_under_bound(self, prism5):
@@ -265,14 +265,14 @@ class TestConstructColouring:
         spokes = frozenset(e for e, (u, v) in enumerate(prism5.edges) if v - u == 5)
         tf = two_factor_from_matching(prism5, spokes)
         sel = find_optimal_selection(tf)
-        col = construct_colouring(prism5, tf, sel).colouring
+        col = construct_colouring(tf, sel).colouring
         assert medium_count(prism5, col) == 6 < 8
 
     def test_fact_one_counts(self):
         g, mids = r4_chain()
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
-        col = construct_colouring(g, tf, sel).colouring
+        col = construct_colouring(tf, sel).colouring
         classes = classify_all(g, col)
         for c, eids in enumerate(tf.cycle_edges):
             mediums = sum(1 for e in eids if classes[e] == MEDIUM)
@@ -283,7 +283,7 @@ class TestConstructColouring:
         tf = two_factor_from_matching(k4, m)
         sel = find_optimal_selection(tf)
         with pytest.raises(ColouringError, match="triangle"):
-            construct_colouring(k4, tf, sel)
+            construct_colouring(tf, sel)
 
     def test_rejects_a_triangle_far_from_edge_zero(self, petersen):
         # Petersen with vertex 9 truncated: simple, with one triangle, on
@@ -293,7 +293,7 @@ class TestConstructColouring:
         g = build_graph(12, edges + [(9, 10), (10, 11), (9, 11)])
         tf = choose_two_factor(g)
         with pytest.raises(ColouringError, match="^construction requires a triangle-free graph$"):
-            construct_colouring(g, tf, find_optimal_selection(tf))
+            construct_colouring(tf, find_optimal_selection(tf))
 
     @pytest.mark.parametrize("truncate", [False, True], ids=["digon", "digon-and-triangle"])
     def test_rejects_parallel_edges_first(self, petersen, truncate):
@@ -310,13 +310,13 @@ class TestConstructColouring:
         g = build_graph(n, edges)
         tf = choose_two_factor(g)
         with pytest.raises(ColouringError, match="^construction requires a simple graph$"):
-            construct_colouring(g, tf, find_optimal_selection(tf))
+            construct_colouring(tf, find_optimal_selection(tf))
 
     def test_exactly_one_medium_per_odd_quotient_component(self):
         g, mids = odd_triangle_component()
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
-        col = construct_colouring(g, tf, sel).colouring
+        col = construct_colouring(tf, sel).colouring
         classes = classify_all(g, col)
         comp = next(
             c for c in s_components(tf, sel) if c.shape == CYCLE
@@ -343,7 +343,7 @@ class TestConstructColouring:
                 for m in enumerate_perfect_matchings(g):
                     tf = two_factor_from_matching(g, m)
                     sel = find_optimal_selection(tf)
-                    assert construction_violations(construct_colouring(g, tf, sel)) == []
+                    assert construction_violations(construct_colouring(tf, sel)) == []
                     built += 1
         assert built > 50
 
@@ -353,9 +353,9 @@ class TestConstructColouring:
             g, mids = factory()
             tf = two_factor_of(g, mids)
             sel = find_optimal_selection(tf)
-            col = construct_colouring(g, tf, sel).colouring
+            col = construct_colouring(tf, sel).colouring
             classes = classify_all(g, col)
-            for e in sel.selected:
+            for e in sel:
                 flanks = []
                 for v in g.endpoints(e):
                     c = tf.cycle_of_vertex[v]

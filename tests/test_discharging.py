@@ -23,6 +23,7 @@ from witnesses import (
     odd_triangle_component,
     r3_pair,
     r4_chain,
+    selection_degrees,
     two_factor_of,
 )
 
@@ -31,13 +32,13 @@ def constructed(graph_and_matching):
     g, mids = graph_and_matching
     tf = two_factor_of(g, mids)
     sel = find_optimal_selection(tf)
-    return g, tf, sel, construct_colouring(g, tf, sel)
+    return g, tf, sel, construct_colouring(tf, sel)
 
 
 def petersen_setup(petersen):
     tf = two_factor_from_matching(petersen, frozenset(range(10, 15)))
     sel = find_optimal_selection(tf)
-    return petersen, tf, sel, construct_colouring(petersen, tf, sel)
+    return petersen, tf, sel, construct_colouring(tf, sel)
 
 
 class TestR0:
@@ -97,7 +98,7 @@ class TestR1:
         # whose colour-3 edges both touch it
         g, tf, sel, con = constructed(odd_triangle_component())
         classes = classify_all(g, con.colouring)
-        medium_sel = [e for e in sel.selected if classes[e] == MEDIUM]
+        medium_sel = [e for e in sel if classes[e] == MEDIUM]
         assert len(medium_sel) == 1
         ledger = run_discharging(con)
         splits = [
@@ -144,7 +145,7 @@ class TestR2R3R4:
         r2 = [t for t in ledger.log if t.rule == "R2"]
         deg0 = [
             c for c in tf.odd_cycles()
-            if sel.degree_of_cycle[c] == 0 and tf.cycle_length(c) == 5
+            if selection_degrees(tf, sel)[c] == 0 and tf.cycle_length(c) == 5
         ]
         assert len(deg0) == 1
         assert all(t.source == ("cycle", deg0[0]) and t.tenths == 2 for t in r2)
@@ -172,7 +173,7 @@ class TestR2R3R4:
         assert move.source == ("cycle", c_cycle)
         assert move.target == w_cycle
         assert move.via == 2
-        assert sel.degree_of_cycle[w_cycle] == 2
+        assert selection_degrees(tf, sel)[w_cycle] == 2
 
     def test_guards_are_pure(self):
         g, tf, sel, con = constructed(r4_chain())
@@ -275,7 +276,60 @@ class TestAudit:
                 for m in enumerate_perfect_matchings(g):
                     tf = two_factor_from_matching(g, m)
                     sel = find_optimal_selection(tf)
-                    report = run_audit(construct_colouring(g, tf, sel))
+                    report = run_audit(construct_colouring(tf, sel))
                     assert report.passed, (n, sorted(m), report.first_failure())
                     audited += 1
         assert audited == 2313
+
+
+class TestDegreesFollowTheSet:
+    """The post-R1 caps and the R2-R4 guards read each cycle's selection
+    degree off the validated edge set.  Here the degree k is counted from
+    the set's edge ends, for the greedy and the exact selection of every
+    triangle-free corpus 2-factor with odd cycles, and of the witnesses
+    (the corpus has no degree-0 odd cycle, and fires neither R2 nor R4)."""
+
+    WITNESSES = (odd_triangle_component, r3_pair, r4_chain, medium_chord,
+                 even_square_component, odd_pentagon_ring, long_pair)
+
+    @staticmethod
+    def two_factors():
+        from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus
+        from nearnormal.factor import enumerate_perfect_matchings
+        from nearnormal.graph import girth
+
+        for n in CORPUS_ORDERS:
+            for g in load_cubic_corpus(n):
+                if girth(g) < 4:
+                    continue
+                for m in enumerate_perfect_matchings(g):
+                    tf = two_factor_from_matching(g, m)
+                    if tf.odd_cycles():
+                        yield tf
+        for witness in TestDegreesFollowTheSet.WITNESSES:
+            yield two_factor_of(*witness())
+
+    def test_caps_and_guards(self):
+        import reference_selection
+
+        checked = 0
+        fired = {"R2": 0, "R3": 0, "R4": 0}
+        for tf in self.two_factors():
+            for sel in (find_optimal_selection(tf), reference_selection.find_optimal_selection(tf)):
+                k = selection_degrees(tf, sel)
+                con = construct_colouring(tf, sel)
+                ledger = run_discharging(con)
+                caps = {chk.name: chk.detail for chk in audit(ledger, con).checks}
+                for c in tf.odd_cycles():
+                    assert caps[f"post-R1:cycle{c}"].endswith(f" <= {(50, 40, 35)[k[c]]}")
+                senders = {rule: set() for rule in fired}
+                for t in ledger.log:
+                    if t.rule in senders:
+                        senders[t.rule].add(t.source[1])
+                        fired[t.rule] += 1
+                five = [c for c in range(len(tf.cycles)) if tf.cycle_length(c) == 5]
+                assert senders["R2"] == {c for c in five if k[c] == 0}
+                assert senders["R3"] | senders["R4"] <= {c for c in five if k[c] == 1}
+                checked += 1
+        assert checked == 2 * (292 + len(self.WITNESSES))
+        assert all(fired.values()), fired

@@ -14,7 +14,6 @@ from nearnormal import factor, pipeline
 from nearnormal.colouring import (
     ColouringError,
     EdgeColouring,
-    _attachments,
     _colour_counts,
     _path_edges,
     medium_count,
@@ -33,7 +32,7 @@ from nearnormal.graph import GraphError, build_graph
 from nearnormal.petersen import is_petersen_graph
 from nearnormal.pipeline import colour_graph
 from nearnormal.reductions import reduce_fully
-from nearnormal.selection import PATH, EdgeSelection, s_components, selection_violation
+from nearnormal.selection import PATH, _attachments, s_components, selection_violation
 from reference_classify import is_proper
 from test_reductions import insert_digon, truncate
 
@@ -355,7 +354,8 @@ class TestEachCheckOnce:
     once, where the construction uses it.  Both checks still run on the
     pipeline path.  The construction builds the selection's components and
     attachments once, and the rules and the audit read them from its
-    record."""
+    record; the selection check reads the attachments through the same
+    builder, once."""
 
     @THREE_CONSTRUCTED
     def test_classify_twice_and_check_the_selection_once(self, make, monkeypatch):
@@ -366,10 +366,26 @@ class TestEachCheckOnce:
 
     @THREE_CONSTRUCTED
     def test_components_and_attachments_built_once(self, make, monkeypatch):
-        calls = count_calls(monkeypatch, s_components, _attachments)
+        calls = count_calls(monkeypatch, s_components)
+        checking = []
+
+        def check(tf, selected):
+            checking.append(True)
+            try:
+                return selection_violation(tf, selected)
+            finally:
+                checking.pop()
+
+        def attachments(tf, selected):
+            calls["_attachments in the check" if checking else "_attachments"] += 1
+            return _attachments(tf, selected)
+
+        monkeypatch.setattr("nearnormal.colouring.selection_violation", check)
+        monkeypatch.setattr("nearnormal.colouring._attachments", attachments)
+        monkeypatch.setattr("nearnormal.selection._attachments", attachments)
         report = colour_graph(make())[1]
         assert report.base_branch == "constructed" and report.audit_passed is True
-        assert calls == {"s_components": 1, "_attachments": 1}
+        assert calls == {"s_components": 1, "_attachments": 1, "_attachments in the check": 1}
 
     @THREE_CONSTRUCTED
     def test_a_wrong_path_phase_is_caught(self, make, monkeypatch):
@@ -394,15 +410,15 @@ class TestEachCheckOnce:
     def test_structural_violation_is_caught(self, petersen, monkeypatch):
         construct = pipeline.construct_colouring
 
-        def swapped(g, tf, sel):
-            con = construct(g, tf, sel)
+        def swapped(tf, sel):
+            con = construct(tf, sel)
             three = con.colouring.colour_of.index(3)
-            bad = EdgeColouring(4, kempe_swap(g, con.colouring.colour_of, three, 3, 4))
+            bad = EdgeColouring(4, kempe_swap(tf.graph, con.colouring.colour_of, three, 3, 4))
             return dataclasses.replace(con, colouring=bad)
 
         monkeypatch.setattr(pipeline, "construct_colouring", swapped)
         tf = factor.choose_two_factor(petersen)
-        bad = swapped(petersen, tf, pipeline.find_optimal_selection(tf)).colouring
+        bad = swapped(tf, pipeline.find_optimal_selection(tf)).colouring
         assert is_proper(petersen, bad)
         with pytest.raises(ColouringError, match="^constructed colouring violates: "):
             colour_graph(petersen)
@@ -411,8 +427,7 @@ class TestEachCheckOnce:
         def two_spokes(tf):
             # any two matching edges of Petersen's 2-factor are consecutive
             # on at most one of its two 5-cycles
-            pair = frozenset(sorted(tf.matching)[:2])
-            return EdgeSelection(selected=pair, degree_of_cycle=(2, 2))
+            return frozenset(sorted(tf.matching)[:2])
 
         monkeypatch.setattr(pipeline, "find_optimal_selection", two_spokes)
         with pytest.raises(ColouringError, match="^invalid selection: selected edges at cycle"):

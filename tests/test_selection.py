@@ -10,7 +10,6 @@ import reference_selection as ref
 from nearnormal import selection
 from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus
 from nearnormal.factor import choose_two_factor, enumerate_perfect_matchings, two_factor_from_matching
-from nearnormal.graph import GraphError
 from nearnormal.pipeline import colour_graph
 from nearnormal.reductions import reduce_fully
 from nearnormal.selection import (
@@ -18,13 +17,12 @@ from nearnormal.selection import (
     DOUBLE_EDGE,
     PATH,
     SINGLETON,
-    consecutive,
     eligible_edges,
     find_optimal_selection,
     s_components,
     selection_violation,
 )
-from witnesses import odd_triangle_component, r4_chain, two_factor_of
+from witnesses import odd_triangle_component, r4_chain, selection_degrees, two_factor_of
 
 
 def petersen_tf(petersen):
@@ -82,33 +80,28 @@ class TestEligibleEdges:
 
 
 class TestConsecutive:
+    """Consecutiveness as :func:`selection_violation` decides it, on pairs
+    of Petersen spokes.  Each spoke's outer end comes first, so the outer
+    5-cycle is checked before the inner pentagram."""
+
     def test_outer_cycle_adjacent_spokes(self, petersen):
+        # the spokes at outer vertices 0 and 1 pass the outer cycle, so the
+        # first violation is on the inner one; at 0 and 2 they fail it
         tf = petersen_tf(petersen)
-        outer = tf.cycle_of_vertex[0]
-        e01 = matching_edge_at(tf, 0)
-        e11 = matching_edge_at(tf, 1)
-        assert consecutive(tf, e01, e11, outer)
+        outer, inner = tf.cycle_of_vertex[0], tf.cycle_of_vertex[5]
+        pair = {matching_edge_at(tf, 0), matching_edge_at(tf, 1)}
+        assert selection_violation(tf, pair) == f"selected edges at cycle {inner} are not consecutive"
+        pair = {matching_edge_at(tf, 0), matching_edge_at(tf, 2)}
+        assert selection_violation(tf, pair) == f"selected edges at cycle {outer} are not consecutive"
 
     def test_inner_pentagram_not_adjacent(self, petersen):
         # spokes landing on inner vertices 5 and 6 sit two apart in the
         # pentagram's cyclic order 5,7,9,6,8
         tf = petersen_tf(petersen)
         inner = tf.cycle_of_vertex[5]
-        e01 = matching_edge_at(tf, 5)
-        e11 = matching_edge_at(tf, 6)
-        assert not consecutive(tf, e01, e11, inner)
-
-    def test_same_edge_rejected(self, petersen):
-        tf = petersen_tf(petersen)
-        with pytest.raises(GraphError, match="distinct"):
-            consecutive(tf, 0, 0, 0)
-
-    def test_wrong_cycle_rejected(self, petersen):
-        tf = petersen_tf(petersen)
-        outer = tf.cycle_of_vertex[0]
-        inner_edge = tf.cycle_edges[tf.cycle_of_vertex[5]][0]
-        with pytest.raises(GraphError, match="endpoint"):
-            consecutive(tf, inner_edge, matching_edge_at(tf, 0), outer)
+        pair = {matching_edge_at(tf, 5), matching_edge_at(tf, 6)}
+        assert (tf.position[6] - tf.position[5]) % 5 in (2, 3)
+        assert selection_violation(tf, pair) == f"selected edges at cycle {inner} are not consecutive"
 
 
 class TestFindOptimalSelection:
@@ -118,14 +111,14 @@ class TestFindOptimalSelection:
         (size, deg2), best_sets = brute_force_optimum(tf)
         assert size == 1 and deg2 == 0
         sel = find_optimal_selection(tf)
-        assert len(sel.selected) == 1
-        assert sel.selected == min(best_sets, key=sorted)
+        assert len(sel) == 1
+        assert sel == min(best_sets, key=sorted)
 
     def test_no_odd_cycles_gives_empty(self, k_3_3):
         m = enumerate_perfect_matchings(k_3_3)[0]
         tf = two_factor_from_matching(k_3_3, m)
         sel = find_optimal_selection(tf)
-        assert sel.selected == frozenset()
+        assert sel == frozenset()
 
     def test_double_edge_witness(self, prism5):
         # the spoke matching of the pentagonal prism: all five spokes join
@@ -137,9 +130,9 @@ class TestFindOptimalSelection:
         (size, deg2), best_sets = brute_force_optimum(tf)
         assert (size, deg2) == (2, 2)
         sel = find_optimal_selection(tf)
-        assert len(sel.selected) == 2
-        assert sel.degree_of_cycle == (2, 2)
-        assert sel.selected == min(best_sets, key=sorted)
+        assert len(sel) == 2
+        assert selection_degrees(tf, sel) == (2, 2)
+        assert sel == min(best_sets, key=sorted)
 
     def test_matches_oracle_on_corpus(self):
         # on the 7 corpus bases the pipeline constructs, the greedy pass
@@ -149,16 +142,16 @@ class TestFindOptimalSelection:
             for tf in constructed_two_factors(n):
                 (size, deg2), best_sets = brute_force_optimum(tf)
                 sel = find_optimal_selection(tf)
-                got_deg2 = sum(1 for d in sel.degree_of_cycle if d == 2)
-                assert (len(sel.selected), got_deg2) == (size, deg2)
-                assert sel.selected == min(best_sets, key=sorted)
+                got_deg2 = selection_degrees(tf, sel).count(2)
+                assert (len(sel), got_deg2) == (size, deg2)
+                assert sel == min(best_sets, key=sorted)
                 checked += 1
         assert checked == 7
 
     def test_output_satisfies_properties(self, petersen):
         tf = petersen_tf(petersen)
         sel = find_optimal_selection(tf)
-        assert selection_violation(tf, sel.selected) is None
+        assert selection_violation(tf, sel) is None
 
     def test_maximality_no_edge_can_be_added(self):
         # adding any leftover eligible edge must break a property
@@ -166,8 +159,8 @@ class TestFindOptimalSelection:
             for m in enumerate_perfect_matchings(g)[:2]:
                 tf = two_factor_from_matching(g, m)
                 sel = find_optimal_selection(tf)
-                for e in eligible_edges(tf) - sel.selected:
-                    assert selection_violation(tf, sel.selected | {e}) is not None
+                for e in eligible_edges(tf) - sel:
+                    assert selection_violation(tf, sel | {e}) is not None
 
     def test_r4_witness_tiebreak(self):
         # two optimal selections tie on (size, degree-2 count); the edge-id
@@ -175,7 +168,7 @@ class TestFindOptimalSelection:
         g, mids = r4_chain()
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
-        assert sel.selected == frozenset({0, 1})
+        assert sel == frozenset({0, 1})
 
 
 def constructed_two_factors(n):
@@ -187,19 +180,13 @@ def constructed_two_factors(n):
 
 def assert_same_selection(tf):
     got, want = find_optimal_selection(tf), ref.find_optimal_selection(tf)
-    assert got.selected == want.selected
-    assert got.degree_of_cycle == want.degree_of_cycle
+    assert got == want
 
 
 def assert_valid_and_maximal(tf, sel):
-    assert selection_violation(tf, sel.selected) is None
-    for e in eligible_edges(tf) - sel.selected:
-        assert selection_violation(tf, sel.selected | {e}) is not None
-    deg = [0] * len(tf.cycles)
-    for e in sel.selected:
-        for x in tf.graph.endpoints(e):
-            deg[tf.cycle_of_vertex[x]] += 1
-    assert sel.degree_of_cycle == tuple(deg)
+    assert selection_violation(tf, sel) is None
+    for e in eligible_edges(tf) - sel:
+        assert selection_violation(tf, sel | {e}) is not None
 
 
 class TestAgainstTwoPassReference:
@@ -234,8 +221,8 @@ class TestSearchDepth:
         tf = choose_two_factor(bench_families.flower_snark(1001))
         assert len(eligible_edges(tf)) == 1001
         sel = find_optimal_selection(tf)
-        assert selection_violation(tf, sel.selected) is None
-        assert len(sel.selected) >= 1
+        assert selection_violation(tf, sel) is None
+        assert len(sel) >= 1
 
     def test_j5001_within_two_seconds(self):
         tf = choose_two_factor(bench_families.flower_snark(5001))
@@ -288,7 +275,7 @@ class TestSComponents:
         g, mids = odd_triangle_component()
         tf = two_factor_of(g, mids)
         sel = find_optimal_selection(tf)
-        assert sel.selected == frozenset({0, 1, 2})
+        assert sel == frozenset({0, 1, 2})
         comps = s_components(tf, sel)
         shapes = sorted(c.shape for c in comps)
         assert shapes.count(CYCLE) == 1
@@ -296,7 +283,7 @@ class TestSComponents:
         assert len(triangle.cycles) == 3
         assert triangle.associated_edges == frozenset({0, 1, 2})
         # a cycle-shaped quotient forces degree exactly 2 everywhere
-        assert all(sel.degree_of_cycle[c] == 2 for c in triangle.cycles)
+        assert all(selection_degrees(tf, sel)[c] == 2 for c in triangle.cycles)
 
     def test_partition_covers_all_cycles(self, petersen):
         tf = petersen_tf(petersen)
@@ -312,6 +299,6 @@ class TestSComponents:
         comps = s_components(tf, sel)
         owners = [
             sum(1 for comp in comps if e in comp.associated_edges)
-            for e in sel.selected
+            for e in sel
         ]
-        assert owners == [1] * len(sel.selected)
+        assert owners == [1] * len(sel)

@@ -179,3 +179,13 @@ def medium_chord() -> tuple[MultiGraph, list[int]]:
 
 def two_factor_of(g: MultiGraph, matching_ids: list[int]) -> TwoFactor:
     return two_factor_from_matching(g, frozenset(matching_ids))
+
+
+def selection_degrees(tf: TwoFactor, selected) -> tuple[int, ...]:
+    """Per cycle, how many ends of the selected edges lie on it, counted
+    here from the edge set itself."""
+    degree = [0] * len(tf.cycles)
+    for e in selected:
+        for x in tf.graph.endpoints(e):
+            degree[tf.cycle_of_vertex[x]] += 1
+    return tuple(degree)
