@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 when a bound or audit check fails (a violation
-the mathematics rules out, so it is flagged loudly), 2 on input errors.
-``batch`` also counts any other failed check on a graph as 1 and goes on.
+Exit codes: 0 on success, 1 when a bound, audit or other internal check
+fails (a violation the mathematics rules out, so it is flagged loudly as
+``BOUND VIOLATION`` or ``CHECK FAILED``), 2 on input errors.  ``batch``
+reports such a failure on the graph's line and goes on.
 """
 
 from __future__ import annotations
@@ -60,9 +61,24 @@ def load_graph(path: str) -> MultiGraph:
     return parse_graph6(lines[0] if lines else "")
 
 
+class _CheckFailed(Exception):
+    """``colour_graph`` failed an internal check on a valid input."""
+
+
+def _colour_file(path: str):
+    """The graph in ``path`` with its colouring and report; an internal
+    check failure becomes :class:`_CheckFailed`, apart from input errors."""
+    g = load_graph(path)
+    try:
+        return g, *colour_graph(g, name=Path(path).name)
+    except (InvalidInput, BoundViolation):
+        raise
+    except GraphError as exc:
+        raise _CheckFailed(exc) from exc
+
+
 def _cmd_colour(args) -> int:
-    g = load_graph(args.graph)
-    colouring, report = colour_graph(g, name=Path(args.graph).name)
+    g, colouring, report = _colour_file(args.graph)
     if args.oracle:
         minimum, _ = min_medium_exact(g, 4)
         report = dataclasses.replace(report, oracle_minimum=minimum)
@@ -108,8 +124,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    g = load_graph(args.graph)
-    colouring, report = colour_graph(g, name=Path(args.graph).name)
+    _g, _colouring, report = _colour_file(args.graph)
     if report.base_branch != "constructed":
         print(
             f"pipeline used the {report.base_branch} branch; "
@@ -248,8 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BoundViolation as exc:
-        print(f"BOUND VIOLATION: {exc}", file=sys.stderr)
+    except (BoundViolation, _CheckFailed) as exc:
+        kind = "BOUND VIOLATION" if isinstance(exc, BoundViolation) else "CHECK FAILED"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 1
     except (FormatError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

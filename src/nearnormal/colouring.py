@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .factor import TwoFactor
 from .graph import GraphError, MultiGraph, _pairs_and_triangles, adjacent_edges
-from .selection import CYCLE, SComponent, _attachments, s_components, selection_violation
+from .selection import CYCLE, SComponent, _attachments, s_components
 
 POOR = "poor"
 MEDIUM = "medium"
@@ -619,7 +619,8 @@ def construct_colouring(tf: TwoFactor, selected: frozenset[int]) -> Construction
 
     It comes in a :class:`Construction`, with the artefacts it was built
     from.  Only the input is checked here: the graph simple and
-    triangle-free, and the selection by :func:`selection.selection_violation`.
+    triangle-free, and the selection by :func:`selection._attachments`,
+    which builds the attachment lists as it checks them.
     The output's properties are checked by
     :func:`discharging.run_discharging`, whose rules rely on them, on the
     classes it computes anyway.
@@ -628,9 +629,9 @@ def construct_colouring(tf: TwoFactor, selected: frozenset[int]) -> Construction
     pairs, triangles = _pairs_and_triangles(g)
     if pairs or triangles:
         raise ColouringError(f"construction requires a {'simple' if pairs else 'triangle-free'} graph")
-    violation = selection_violation(tf, selected)
-    if violation is not None:
-        raise ColouringError(f"invalid selection: {violation}")
+    attachments = _attachments(tf, selected)
+    if isinstance(attachments, str):
+        raise ColouringError(f"invalid selection: {attachments}")
     cols = [0] * g.m
     for e in tf.matching:
         cols[e] = 4
@@ -638,7 +639,6 @@ def construct_colouring(tf: TwoFactor, selected: frozenset[int]) -> Construction
         if len(cyc) % 2 == 0:
             for t, e in enumerate(tf.cycle_edges[c]):
                 cols[e] = 1 + (t & 1)
-    attachments = _attachments(tf, selected)
     three = place_colour_3(tf, attachments)
     for c, e in three.items():
         cols[e] = 3

@@ -6,6 +6,7 @@ decomposition together with a fixed cyclic ordering of each cycle.
 
 :func:`choose_two_factor` takes M from Edmonds' augmenting-path search, in
 polynomial time, and looks further only when every cycle of F has length 5.
+:func:`connected_and_bridgeless` reads both properties of G off F.
 :func:`enumerate_perfect_matchings` lists matchings up to a cap; the
 pipeline does not use it, the tests do.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import GraphError, MultiGraph
+from .graph import GraphError, MultiGraph, _lowpoint_search
 
 DEFAULT_MATCHING_LIMIT = 10_000
 
@@ -61,6 +62,19 @@ class TwoFactor:
         u, v = self.graph.edges[e]
         p = self.position_on_cycle(c, u)  # raises on a matching edge, where c = -1
         return p if self.cycle_edges[c][p] == e else self.position[v]
+
+
+def connected_and_bridgeless(tf: TwoFactor) -> bool:
+    """Whether G = ``tf.graph`` is connected and bridgeless, decided on the
+    quotient Q with one vertex per cycle and one edge per matching edge
+    joining two cycles.  No edge on a cycle of G is a bridge, chords
+    included, and contracting the cycles keeps components and bridges, so G
+    is connected and bridgeless iff Q is.  Q has at most n/2 edges."""
+    cyc, edges = tf.cycle_of_vertex, tf.graph.edges
+    ends = ((cyc[u], cyc[v]) for u, v in map(edges.__getitem__, tf.matching))
+    q = MultiGraph(len(tf.cycles), [(a, b) for a, b in ends if a != b])
+    reached, bridges = _lowpoint_search(q)
+    return reached == q.n and not bridges
 
 
 def enumerate_perfect_matchings(g: MultiGraph, limit: int = DEFAULT_MATCHING_LIMIT) -> list[frozenset[int]]:

@@ -76,7 +76,7 @@ class MultiGraph:
         return [self.other_end(e, v) for e in self.incident_edges(v)]
 
     def is_cubic(self) -> bool:
-        return self.n > 0 and all(len(es) == 3 for es in self._incident)
+        return set(map(len, self._incident)) == {3}
 
     def is_simple(self) -> bool:
         return len(set(self.edges)) == len(self.edges)

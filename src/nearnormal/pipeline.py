@@ -1,7 +1,11 @@
 """End-to-end colouring pipeline.
 
-Reduce parallel pairs and triangles until the graph is simple and
-triangle-free (or the 2-vertex base case), then choose the 2-factor.  A
+Check that the input is cubic, reduce parallel pairs and triangles until
+the graph is simple and triangle-free (or the 2-vertex base case), then
+choose the 2-factor.  Its quotient, one vertex per cycle, certifies the
+base connected and bridgeless, and the reductions carry both properties
+back to the input (:func:`factor.connected_and_bridgeless`); only when a
+step fails does :func:`validate_input` run, to name what the input lacks.  A
 2-factor with no odd cycle is a 3-edge-colouring; one with odd cycles is
 repaired into one by Kempe chain swaps, which may give up after a fixed
 number of moves.  Either way the base is reported 3-colourable with no
@@ -26,7 +30,7 @@ from .colouring import (
     try_3_edge_colouring,
 )
 from .discharging import run_audit
-from .factor import choose_two_factor
+from .factor import choose_two_factor, connected_and_bridgeless
 from .graph import Diagnosis, GraphError, MultiGraph, validate_input
 from .petersen import is_petersen_graph
 from .report import ColouringReport
@@ -50,17 +54,27 @@ class BoundViolation(GraphError):
 
 
 def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, ColouringReport]:
-    diag = validate_input(g)
-    if not diag.ok:
-        raise InvalidInput(diag)
-
     from .reductions import lift, reduce_fully
 
-    base, records, base_edges = reduce_fully(g)
+    base = None
+    try:
+        if not g.is_cubic():
+            raise GraphError("input is not cubic")
+        base, records, base_edges = reduce_fully(g)
+        tf = choose_two_factor(base)  # by Petersen's theorem, fails only with a bridge
+        if not connected_and_bridgeless(tf):
+            raise GraphError("base is disconnected or has a bridge")
+    except GraphError:
+        diag = validate_input(g)
+        if not diag.ok:
+            raise InvalidInput(diag) from None
+        # g is valid and the rewrites preserve validity: a bug
+        diag = diag if base is None else validate_input(base)
+        if diag.ok:
+            raise
+        raise GraphError(f"reduction produced an invalid base ({diag.reason}): {diag.detail}") from None
 
     cycle_lengths = selection_size = shapes = audit_report = None
-
-    tf = choose_two_factor(base)
     try:
         colouring = kempe_3_colouring(tf) or try_3_edge_colouring(base)
         three_colouring = "refuted" if colouring is None else "found"

@@ -20,19 +20,20 @@ Candidates wait in heaps.  A step deletes edges only at the vertices it
 deletes, so a candidate whose vertices live is still one, and only its new
 edges are scanned for new ones: constant work per step besides the heaps.
 
-Validity.  Each step checks that the vertices it touches keep degree 3;
-connectivity and bridges are checked once, on the base, as each step keeps
-both in both directions.  Write c(H) for the number of components of H; an
-edge e is a bridge iff c(H - e) > c(H).  A triangle step contracts the
-connected triangle T, which keeps c: c(G) = c(G') and c(G - e) = c(G' - e)
-for every edge e off T (a spoke stands for its star edge at x), and the
-edges of T lie on a cycle.  A pair step replaces the subgraph D (v1, v2, the
-pair, spokes v1u1, v2u2) by an edge f = u1u2; D meets the rest only at u1
-and u2 and joins them, as f does, so again c(G) = c(G') and c(G - e) =
-c(G' - e) for every edge e outside D.  G - v1u1 leaves v1, v2 hanging at
-u2, so c(G - v1u1) = c(G - {v1, v2}) = c(G' - f), likewise for v2u2, and
-the pair lies on a 2-cycle.  So a connected bridgeless base makes every
-graph before it connected and bridgeless.
+Validity.  Each step checks that the vertices it touches keep degree 3.
+Connectivity and bridges are not checked here: each step keeps both in both
+directions, so the caller certifies the base, and with it the input, once
+(:func:`pipeline.colour_graph` reads both off the base's 2-factor).  Write
+c(H) for the number of components of H; an edge e is a bridge iff c(H - e) >
+c(H).  A triangle step contracts the connected triangle T, which keeps c:
+c(G) = c(G') and c(G - e) = c(G' - e) for every edge e off T (a spoke stands
+for its star edge at x), and the edges of T lie on a cycle.  A pair step
+replaces the subgraph D (v1, v2, the pair, spokes v1u1, v2u2) by an edge f =
+u1u2; D meets the rest only at u1 and u2 and joins them, as f does, so again
+c(G) = c(G') and c(G - e) = c(G' - e) for every edge e outside D.  G - v1u1
+leaves v1, v2 hanging at u2, so c(G - v1u1) = c(G - {v1, v2}) = c(G' - f),
+likewise for v2u2, and the pair lies on a 2-cycle.  So the base is connected
+and bridgeless iff the input is.
 
 Lifts.  A colouring is one list indexed by working edge id.  Removed and new
 edges have different ids, so once :func:`lift` has written the removed edges
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .colouring import MEDIUM, _edge_class
-from .graph import GraphError, MultiGraph, _pairs_and_triangles, validate_input
+from .graph import GraphError, MultiGraph, _pairs_and_triangles
 
 MULTI_EDGE = "multi_edge"
 TRIANGLE = "triangle"
@@ -258,6 +259,8 @@ def _next_site(heap: list, valid):
 def reduce_fully(g: MultiGraph) -> tuple[MultiGraph, list[ReductionRecord], tuple[int, ...]]:
     """Exhaust multi-edge reductions before triangle contractions (each
     contraction can create new parallel pairs, so the loop interleaves).
+    ``g`` must be cubic.  The base is connected and bridgeless iff ``g`` is
+    (see Validity above); certifying that is left to the caller.
 
     Returns the base, one record per rewrite, and the working id of each
     base edge; ids below ``g.m`` are the input's own edges.  An input with
@@ -285,9 +288,6 @@ def reduce_fully(g: MultiGraph) -> tuple[MultiGraph, list[ReductionRecord], tupl
                 wg.push_candidates(e, pairs, triangles)
         records.append(rec)
     base, base_edges = wg.compact()
-    diag = validate_input(base)
-    if not diag.ok:  # the rewrites preserve validity; failing here is a bug
-        raise GraphError(f"reduction produced an invalid base ({diag.reason}): {diag.detail}")
     return base, records, base_edges
 
 

@@ -1,6 +1,7 @@
 """Edge selections: sets of perfect-matching edge ids joining distinct odd
 cycles, at most two per cycle and consecutive when two.  Each cycle's
-attachments, and so its degree, are read off the set by :func:`_attachments`.
+attachments, and so its degree, are read off the set by :func:`_attachments`,
+which checks the set as it builds them.
 
 The selection is maximal, from one greedy pass, and not proven optimal
 (maximum size, then most degree-2 cycles): the charge audit certifies the
@@ -42,24 +43,14 @@ def eligible_edges(tf: TwoFactor) -> set[int]:
     return out
 
 
-def _attachments(tf: TwoFactor, selected) -> dict[int, list[int]]:
+def _attachments(tf: TwoFactor, selected) -> dict[int, list[int]] | str:
     """Per cycle, the vertices where the selected edges attach, in edge-id
-    order; the list's length is the cycle's selection degree."""
-    att: dict[int, list[int]] = {}
-    for e in sorted(selected):
-        for x in tf.graph.edges[e]:
-            att.setdefault(tf.cycle_of_vertex[x], []).append(x)
-    return att
-
-
-def selection_violation(tf: TwoFactor, selected) -> str | None:
-    """Name the first violated defining property, or None if valid.
-
-    This re-checks the three properties directly from the definitions;
-    :func:`colouring.construct_colouring` runs it on every selection it is
-    handed.
-    """
+    order, the list's length being the cycle's selection degree; or, when
+    the selection is invalid, the message naming its first violated
+    defining property.  Both callers read this one build: the check and
+    the construction."""
     odd = set(tf.odd_cycles())
+    att: dict[int, list[int]] = {}
     for e in sorted(selected):
         if e not in tf.matching:
             return f"edge {e} is not a matching edge"
@@ -69,13 +60,22 @@ def selection_violation(tf: TwoFactor, selected) -> str | None:
             return f"edge {e} is a chord"
         if cu not in odd or cv not in odd:
             return f"edge {e} touches an even cycle"
-    for c, ends in _attachments(tf, selected).items():
+        att.setdefault(cu, []).append(u)
+        att.setdefault(cv, []).append(v)
+    for c, ends in att.items():
         if len(ends) > 2:
             return f"cycle {c} is incident to {len(ends)} selected edges"
         ell = tf.cycle_length(c)
         if len(ends) == 2 and (tf.position[ends[0]] - tf.position[ends[1]]) % ell not in (1, ell - 1):
             return f"selected edges at cycle {c} are not consecutive"
-    return None
+    return att
+
+
+def selection_violation(tf: TwoFactor, selected) -> str | None:
+    """Name the first violated defining property, or None if valid: the
+    three properties, re-checked directly from the definitions."""
+    att = _attachments(tf, selected)
+    return att if isinstance(att, str) else None
 
 
 def find_optimal_selection(tf: TwoFactor) -> frozenset[int]:
@@ -91,7 +91,7 @@ def find_optimal_selection(tf: TwoFactor) -> frozenset[int]:
     joining two long cycles can block two edges that each join one of them
     to a 5-cycle.
     The result is not checked here: :func:`colouring.construct_colouring`
-    checks every selection it is handed with :func:`selection_violation`.
+    checks every selection it is handed with :func:`_attachments`.
     """
     edges = eligible_edges(tf)
     # per edge, the (cycle, position on it) of both endpoints

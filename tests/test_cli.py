@@ -27,6 +27,7 @@ from nearnormal.oracle import exists_normal
 from nearnormal.pipeline import BoundViolation, colour_graph
 from nearnormal.reductions import reduce_fully
 from nearnormal.selection import find_optimal_selection
+from test_factor import disjoint_union
 
 
 @pytest.fixture()
@@ -328,8 +329,8 @@ class TestBatchCommand:
         assert "Petersen detections: 1" in capsys.readouterr().out
 
     def test_validates_each_graph_once(self, tmp_path, monkeypatch, capsys):
-        """One ``validate_input`` call per input graph, and one more on each
-        reduced base; the skip lines name the same failed property."""
+        """``validate_input`` runs once on each skipped graph and never on
+        a valid one; the skip lines name the same failed property."""
         graphs = load_cubic_corpus(8, bridgeless_only=False) + load_cubic_corpus(10, bridgeless_only=False)
         path = tmp_path / "mixed.g6"
         path.write_text("".join(write_graph6(g) + "\n" for g in graphs))
@@ -338,8 +339,7 @@ class TestBatchCommand:
             diag = validate_input(g)
             if not diag.ok:
                 skips.append(f"line{lineno}: skipped ({diag.reason}: {diag.detail})")
-        reduced = sum(bool(colour_graph(g)[1].reductions) for g in graphs if validate_input(g).ok)
-        assert skips and reduced
+        assert skips and any(colour_graph(g)[1].reductions for g in graphs if validate_input(g).ok)
 
         calls = Counter()
 
@@ -352,7 +352,7 @@ class TestBatchCommand:
         assert main(["batch", str(path)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert [line for line in out if "skipped" in line] == skips
-        assert calls["validate_input"] == len(graphs) + reduced
+        assert calls["validate_input"] == len(skips)
 
     @pytest.mark.parametrize("text, out, err", [
         (
@@ -441,6 +441,23 @@ class TestExitCodes:
         assert main([args[0], *(str(files[a]) for a in args[1:])]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not UTF-8" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["colour", "audit"])
+    def test_an_internal_check_failure_exits_1(self, command, petersen_file, monkeypatch, capsys):
+        """A failed internal check is not an input error: it prints
+        ``CHECK FAILED`` and exits 1, as ``batch`` counts it."""
+        monkeypatch.setattr(discharging, "bullet_violations", lambda con, mediums: ["injected for the test"])
+        assert main([command, petersen_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "CHECK FAILED: constructed colouring violates: injected for the test\n"
+
+    @pytest.mark.parametrize("command", ["colour", "audit"])
+    def test_an_invalid_graph_still_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "two-k4.txt"
+        path.write_text(edge_list_text(disjoint_union(complete_graph_k4(), complete_graph_k4())))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == "error: invalid input (connected): graph is disconnected\n"
 
     def test_huge_vertex_count_is_refused_before_building(self, tmp_path, monkeypatch, capsys):
         def build_graph(*args):

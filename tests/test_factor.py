@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+from collections import Counter
 import re
 
 import pytest
@@ -11,10 +12,11 @@ import bench_families
 import reference_factor as ref
 from reference_factor import is_perfect_matching
 from nearnormal import factor
-from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, prism
+from nearnormal.corpus import CORPUS_ORDERS, complete_graph_k4, k33, load_cubic_corpus, prism, triple_edge
 from nearnormal.colouring import kempe_3_colouring
 from nearnormal.factor import (
     choose_two_factor,
+    connected_and_bridgeless,
     enumerate_perfect_matchings,
     two_factor_from_matching,
 )
@@ -376,3 +378,69 @@ class TestSameAsTheReference:
                 ref.two_factor_from_matching(g, frozenset(m))
             with pytest.raises(GraphError, match=f"^{re.escape(str(want.value))}$"):
                 two_factor_from_matching(g, frozenset(m))
+
+
+def disjoint_union(*graphs):
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(u + n, v + n) for u, v in g.edges]
+        n += g.n
+    return build_graph(n, edges)
+
+
+def dumbbell():
+    """Two digons, each closed into a triangle-shaped end, joined by the
+    bridge 2-5: the smallest cubic multigraph with a bridge."""
+    return build_graph(6, [(0, 1), (0, 1), (0, 2), (1, 2), (2, 5), (3, 4), (3, 4), (3, 5), (4, 5)])
+
+
+SMALL = {"theta": triple_edge(), "K4": complete_graph_k4(), "K33": k33(), "prism": prism(3)}
+# every cubic corpus graph with n <= 10 (one has a bridge), the 2-vertex
+# base case, a bridged multigraph, and disjoint unions of small graphs
+LEMMA_GRAPHS = {
+    **{f"corpus{n}-{i}": g for n in (4, 6, 8, 10) for i, g in enumerate(load_cubic_corpus(n, bridgeless_only=False))},
+    **SMALL,
+    "dumbbell": dumbbell(),
+    "dumbbell+K4": disjoint_union(dumbbell(), complete_graph_k4()),
+    **{f"{a}+{b}": disjoint_union(SMALL[a], SMALL[b])
+       for a, b in itertools.combinations_with_replacement(SMALL, 2)},
+    "theta+K4+K33": disjoint_union(*(SMALL[a] for a in ("theta", "K4", "K33"))),
+}
+
+
+def components(n, edges):
+    """The number of components, by union-find."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in edges:
+        root[find(u)] = find(v)
+    return sum(root[v] == v for v in range(n))
+
+
+def connected_and_bridgeless_by_brute_force(g):
+    """Connected, and still connected with any one edge deleted."""
+    return components(g.n, g.edges) == 1 and all(
+        components(g.n, g.edges[:e] + g.edges[e + 1:]) == 1 for e in range(g.m))
+
+
+class TestConnectedAndBridgeless:
+    """The certificate read off the 2-factor agrees with the graph itself,
+    for every perfect matching, not only for the one the matcher picks."""
+
+    def test_every_matching_of_every_graph(self):
+        verdicts = Counter()
+        for name, g in LEMMA_GRAPHS.items():
+            want = connected_and_bridgeless_by_brute_force(g)
+            assert want == validate_input(g).ok, name
+            matchings = enumerate_perfect_matchings(g)
+            assert matchings, name
+            for m in matchings:
+                assert connected_and_bridgeless(two_factor_from_matching(g, m)) == want, (name, sorted(m))
+                verdicts[want, g.n == 2] += 1
+        # both verdicts, each on several matchings, and the 2-vertex base case
+        assert verdicts[True, False] > 100 and verdicts[False, False] > 100 and verdicts[True, True] == 3

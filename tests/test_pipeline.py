@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bench_families
-from nearnormal import factor, pipeline
+from nearnormal import factor, graph, pipeline, reductions
 from nearnormal.colouring import (
     ColouringError,
     EdgeColouring,
@@ -28,12 +28,13 @@ from nearnormal.corpus import (
     prism,
     triple_edge,
 )
-from nearnormal.graph import GraphError, build_graph
+from nearnormal.graph import GraphError, build_graph, validate_input
 from nearnormal.petersen import is_petersen_graph
-from nearnormal.pipeline import colour_graph
+from nearnormal.pipeline import InvalidInput, colour_graph
 from nearnormal.reductions import reduce_fully
 from nearnormal.selection import PATH, _attachments, s_components, selection_violation
 from reference_classify import is_proper
+from test_factor import LEMMA_GRAPHS, disjoint_union, dumbbell
 from test_reductions import insert_digon, truncate
 
 
@@ -354,38 +355,22 @@ class TestEachCheckOnce:
     once, where the construction uses it.  Both checks still run on the
     pipeline path.  The construction builds the selection's components and
     attachments once, and the rules and the audit read them from its
-    record; the selection check reads the attachments through the same
-    builder, once."""
+    record; the attachments come from the builder that checks the
+    selection, so that one call is also the check."""
 
     @THREE_CONSTRUCTED
     def test_classify_twice_and_check_the_selection_once(self, make, monkeypatch):
-        calls = count_calls(monkeypatch, _colour_counts, selection_violation)
+        calls = count_calls(monkeypatch, _colour_counts, _attachments, selection_violation)
         report = colour_graph(make())[1]
         assert report.base_branch == "constructed" and report.audit_passed is True
-        assert calls == {"_colour_counts": 2, "selection_violation": 1}
+        assert calls == {"_colour_counts": 2, "_attachments": 1}
 
     @THREE_CONSTRUCTED
     def test_components_and_attachments_built_once(self, make, monkeypatch):
-        calls = count_calls(monkeypatch, s_components)
-        checking = []
-
-        def check(tf, selected):
-            checking.append(True)
-            try:
-                return selection_violation(tf, selected)
-            finally:
-                checking.pop()
-
-        def attachments(tf, selected):
-            calls["_attachments in the check" if checking else "_attachments"] += 1
-            return _attachments(tf, selected)
-
-        monkeypatch.setattr("nearnormal.colouring.selection_violation", check)
-        monkeypatch.setattr("nearnormal.colouring._attachments", attachments)
-        monkeypatch.setattr("nearnormal.selection._attachments", attachments)
+        calls = count_calls(monkeypatch, s_components, _attachments)
         report = colour_graph(make())[1]
         assert report.base_branch == "constructed" and report.audit_passed is True
-        assert calls == {"s_components": 1, "_attachments": 1, "_attachments in the check": 1}
+        assert calls == {"s_components": 1, "_attachments": 1}
 
     @THREE_CONSTRUCTED
     def test_a_wrong_path_phase_is_caught(self, make, monkeypatch):
@@ -476,3 +461,89 @@ class TestGrownMultigraphs:
         if report.base_branch == "constructed":
             assert report.audit_passed is True
         assert report.medium == medium_count(g, colouring_)
+
+
+def joined_by_a_bridge(g, h):
+    """``g`` and ``h`` with edge 0 of each subdivided, the two new vertices
+    joined by a bridge."""
+    (a, b), (c, d) = g.edges[0], h.edges[0]
+    x, y, n = g.n + h.n, g.n + h.n + 1, g.n
+    edges = [(a, x), (b, x), *g.edges[1:], (c + n, y), (d + n, y), *((u + n, v + n) for u, v in h.edges[1:]), (x, y)]
+    return build_graph(g.n + h.n + 2, edges)
+
+
+INVALID = {
+    **{name: g for name, g in LEMMA_GRAPHS.items() if not validate_input(g).ok},
+    "empty": build_graph(0, []),
+    "one-vertex": build_graph(1, []),
+    "C6": build_graph(6, [(i, (i + 1) % 6) for i in range(6)]),
+    "K4-minus-an-edge": build_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    "K5": build_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)]),
+    "petersen-plus-a-chord": build_graph(10, [*petersen_graph().edges, (0, 2)]),
+    "K4+C3": disjoint_union(complete_graph_k4(), build_graph(3, [(0, 1), (1, 2), (0, 2)])),
+    # larger, so that the reducer runs many steps before anything fails
+    "J5+truncated-petersen": disjoint_union(
+        bench_families.flower_snark(5), expand_vertex_to_triangle(petersen_graph(), 0)),
+    "bridged-truncated-petersens": joined_by_a_bridge(
+        expand_vertex_to_triangle(petersen_graph(), 3), expand_vertex_to_triangle(prism(4), 0)),
+    "bridged-random": joined_by_a_bridge(bench_families.random_cubic(60, 1), bench_families.random_cubic(80, 2)),
+}
+
+
+class TestInputCertificate:
+    """The input is certified connected and bridgeless from the 2-factor of
+    its reduced base; ``validate_input`` runs only to diagnose a failure."""
+
+    @pytest.mark.parametrize("name", INVALID)
+    def test_an_invalid_input_gets_the_diagnosis_of_validate_input(self, name):
+        g = INVALID[name]
+        want = validate_input(g)
+        assert not want.ok
+        with pytest.raises(InvalidInput) as caught:  # any other exception fails the test
+            colour_graph(g)
+        assert caught.value.diagnosis == want
+        assert str(caught.value) == f"invalid input ({want.reason}): {want.detail}"
+
+    def test_the_invalid_families(self):
+        assert {d.reason for d in map(validate_input, INVALID.values())} == {"connected", "cubic", "bridge"}
+        assert len(INVALID) > 20
+
+    @pytest.mark.parametrize("make", [
+        petersen_graph,
+        triple_edge,
+        lambda: prism(50),
+        lambda: expand_vertex_to_triangle(petersen_graph(), 0),
+        lambda: insert_digon(insert_digon(k33(), 0), 3),
+        lambda: bench_families.random_cubic(300, 3),
+        lambda: bench_families.flower_snark(9),
+    ], ids=["petersen", "theta", "prism50", "truncated-petersen", "k33-two-digons", "random300", "J9"])
+    def test_a_valid_input_is_certified_by_one_small_search(self, make, monkeypatch):
+        g = make()
+        calls = count_calls(monkeypatch, validate_input)
+        searched = []
+        lowpoint_search = graph._lowpoint_search
+
+        def recorded(q):
+            searched.append(q)
+            return lowpoint_search(q)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("nearnormal") and getattr(mod, "_lowpoint_search", None) is lowpoint_search:
+                monkeypatch.setattr(mod, "_lowpoint_search", recorded)
+        colour_graph(g)
+        assert calls == {}
+        assert len(searched) == 1 and searched[0].m <= g.n // 2
+
+    @pytest.mark.parametrize("base", [
+        joined_by_a_bridge(complete_graph_k4(), complete_graph_k4()),
+        disjoint_union(complete_graph_k4(), complete_graph_k4()),
+        dumbbell(),
+    ], ids=["bridged", "disconnected", "bridged-multigraph"])
+    def test_an_invalid_base_of_a_valid_input_is_a_bug(self, base, monkeypatch):
+        want = validate_input(base)
+        assert not want.ok
+        monkeypatch.setattr(reductions, "reduce_fully", lambda g: (base, [], tuple(range(base.m))))
+        with pytest.raises(GraphError) as caught:
+            colour_graph(petersen_graph())
+        assert type(caught.value) is GraphError
+        assert str(caught.value) == f"reduction produced an invalid base ({want.reason}): {want.detail}"
