@@ -629,9 +629,7 @@ def construct_colouring(tf: TwoFactor, selected: frozenset[int]) -> Construction
     pairs, triangles = _pairs_and_triangles(g)
     if pairs or triangles:
         raise ColouringError(f"construction requires a {'simple' if pairs else 'triangle-free'} graph")
-    attachments = _attachments(tf, selected)
-    if isinstance(attachments, str):
-        raise ColouringError(f"invalid selection: {attachments}")
+    attachments = _attachments(tf, selected)  # raises on an invalid selection
     cols = [0] * g.m
     for e in tf.matching:
         cols[e] = 4

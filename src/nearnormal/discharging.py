@@ -226,8 +226,14 @@ def audit(ledger: ChargeLedger, con: Construction) -> AuditReport:
             checks.append(AuditCheck(f"snapshot:{rule}", False, "rule never applied"))
             continue
         edges, cycles = ledger.snapshots[rule]
-        now = sum(edges) + sum(cycles)
-        checks.append(AuditCheck(f"conservation:{rule}", now == total, f"total {now} tenths vs {total}"))
+        ok = sum(edges) + sum(cycles) == total
+        checks.append(
+            AuditCheck(
+                f"conservation:{rule}",
+                ok,
+                f"total {sum(edges) + sum(cycles)} tenths vs {total}",
+            )
+        )
 
     replay_edges = [10 if e in ledger.medium_edges else 0 for e in range(g.m)]
     replay_cycles = [0] * len(tf.cycles)
@@ -244,8 +250,13 @@ def audit(ledger: ChargeLedger, con: Construction) -> AuditReport:
                 replay_cycles[idx] -= tr.tenths
             replay_cycles[tr.target] += tr.tenths
         replayed[rule] = (tuple(replay_edges), tuple(replay_cycles))
-    ok = all(replayed[r] == ledger.snapshots.get(r) for r in RULES)
-    checks.append(AuditCheck("log-replay", ok, "summing the transfer log reproduces every snapshot"))
+    checks.append(
+        AuditCheck(
+            "log-replay",
+            all(replayed[r] == ledger.snapshots.get(r) for r in RULES),
+            "summing the transfer log reproduces every snapshot",
+        )
+    )
 
     if "R1" in ledger.snapshots:
         edges_r1, cycles_r1 = ledger.snapshots["R1"]
@@ -261,7 +272,9 @@ def audit(ledger: ChargeLedger, con: Construction) -> AuditReport:
                 cap = (50, 40, 35)[len(con.attachments.get(cyc, ()))]
                 ok = charge <= cap
                 bound = f"{charge} <= {cap}"
-            checks.append(AuditCheck(f"post-R1:cycle{cyc}", ok, f"tenths {bound}"))
+            checks.append(
+                AuditCheck(f"post-R1:cycle{cyc}", ok, f"tenths {bound}")
+            )
 
     final_cycles = ledger.cycle_tenths
     for comp in con.components:
@@ -271,15 +284,35 @@ def audit(ledger: ChargeLedger, con: Construction) -> AuditReport:
         strict = any(tf.cycle_length(cyc) != 5 for cyc in comp.cycles)
         ok = charge < limit if strict else charge <= limit
         rel = "<" if strict else "<="
-        detail = f"charge {charge} {rel} {limit} tenths over cycles {sorted(comp.cycles)}"
-        checks.append(AuditCheck(f"component:{min(comp.cycles)}", ok, detail))
+        checks.append(
+            AuditCheck(
+                f"component:{min(comp.cycles)}",
+                ok,
+                f"charge {charge} {rel} {limit} tenths over cycles {sorted(comp.cycles)}",
+            )
+        )
         if comp.shape == CYCLE and len(comp.cycles) % 2 == 1:
             t = len(comp.cycles)
-            detail = f"5 + 13*{t} = {5 + 13 * t} < {3 * total_len}"
-            checks.append(AuditCheck(f"odd-quotient:{min(comp.cycles)}", 5 + 13 * t < 3 * total_len, detail))
+            ok = 5 + 13 * t < 3 * total_len
+            checks.append(
+                AuditCheck(
+                    f"odd-quotient:{min(comp.cycles)}",
+                    ok,
+                    f"5 + 13*{t} = {5 + 13 * t} < {3 * total_len}",
+                )
+            )
 
-    ok = ledger.total_tenths() == total and 10 * len(ledger.medium_edges) <= 8 * g.n
-    checks.append(AuditCheck("global-bound", ok, f"{len(ledger.medium_edges)} medium edges vs 4/5 * {g.n}"))
+    grand_ok = (
+        ledger.total_tenths() == total
+        and 10 * len(ledger.medium_edges) <= 8 * g.n
+    )
+    checks.append(
+        AuditCheck(
+            "global-bound",
+            grand_ok,
+            f"{len(ledger.medium_edges)} medium edges vs 4/5 * {g.n}",
+        )
+    )
     return AuditReport(tuple(checks), all(chk.ok for chk in checks), ledger.total_tenths())
 
 

@@ -6,7 +6,8 @@ decomposition together with a fixed cyclic ordering of each cycle.
 
 :func:`choose_two_factor` takes M from Edmonds' augmenting-path search, in
 polynomial time, and looks further only when every cycle of F has length 5.
-:func:`connected_and_bridgeless` reads both properties of G off F.
+:func:`connected_and_bridgeless` reads both properties of G off F, and
+:func:`choose_two_factor` refuses a G that lacks either.
 :func:`enumerate_perfect_matchings` lists matchings up to a cap; the
 pipeline does not use it, the tests do.
 """
@@ -206,7 +207,9 @@ def choose_two_factor(g: MultiGraph) -> TwoFactor:
     2-factor has length 5, force each edge outside its matching in id order
     and take the first forced matching whose 2-factor has such a cycle; when
     none has, keep the first one.  Raises :class:`GraphError` when there is
-    no perfect matching.
+    no perfect matching, or when the first 2-factor shows G disconnected or
+    bridged (:func:`connected_and_bridgeless`), before any forcing: so the
+    result certifies G, and a disconnected or bridged G costs one 2-factor.
     """
     if g.n % 2:
         raise GraphError("graph has no perfect matching")
@@ -214,6 +217,8 @@ def choose_two_factor(g: MultiGraph) -> TwoFactor:
     if not matcher.match_all():
         raise GraphError("graph has no perfect matching")
     first = two_factor_from_matching(g, matcher.mate_edge)
+    if not connected_and_bridgeless(first):
+        raise GraphError("graph is disconnected or has a bridge")
     if any(len(cyc) != 5 for cyc in first.cycles):
         return first
     mate_edge, blocked, xor = matcher.mate_edge, matcher.blocked, matcher.xor

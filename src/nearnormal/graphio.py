@@ -50,15 +50,23 @@ def parse_graph6(line: str) -> MultiGraph:
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) != need:
-        raise FormatError(f"graph6 body has {len(body)} bytes, expected {need} for n={n}")
+        raise FormatError(
+            f"graph6 body has {len(body)} bytes, expected {need} for n={n}"
+        )
     bits = []
     for ch in body:
         v = ord(ch) - 63
         if v < 0 or v > 63:
             raise FormatError(f"invalid graph6 byte {ch!r}")
         bits.extend((v >> shift) & 1 for shift in range(5, -1, -1))
-    upper = iter(bits)  # the upper triangle, column by column
-    return build_graph(n, [(i, j) for j in range(1, n) for i in range(j) if next(upper)])
+    edges = []
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx]:
+                edges.append((i, j))
+            idx += 1
+    return build_graph(n, edges)
 
 
 def write_graph6(g: MultiGraph) -> str:
@@ -75,9 +83,18 @@ def write_graph6(g: MultiGraph) -> str:
     else:
         raise FormatError("graph too large for graph6")
     present = set(g.edges)
-    bits = "".join("1" if (i, j) in present else "0" for j in range(1, n) for i in range(j))
-    bits += "0" * (-len(bits) % 6)
-    return head + "".join(chr(63 + int(bits[i:i + 6], 2)) for i in range(0, len(bits), 6))
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(1 if (i, j) in present else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    body = "".join(
+        chr(63 + (bits[i] << 5 | bits[i + 1] << 4 | bits[i + 2] << 3
+                  | bits[i + 3] << 2 | bits[i + 4] << 1 | bits[i + 5]))
+        for i in range(0, len(bits), 6)
+    )
+    return head + body
 
 
 def iter_graph6_lines(text: str):
@@ -167,4 +184,7 @@ def parse_colouring(text: str, g: MultiGraph) -> EdgeColouring:
 
 
 def format_colouring(g: MultiGraph, c: EdgeColouring) -> str:
-    return "\n".join(f"{u} {v} {c.colour_of[eid]}" for eid, (u, v) in enumerate(g.edges)) + "\n"
+    lines = [
+        f"{u} {v} {c.colour_of[eid]}" for eid, (u, v) in enumerate(g.edges)
+    ]
+    return "\n".join(lines) + "\n"

@@ -3,9 +3,10 @@
 Check that the input is cubic, reduce parallel pairs and triangles until
 the graph is simple and triangle-free (or the 2-vertex base case), then
 choose the 2-factor.  Its quotient, one vertex per cycle, certifies the
-base connected and bridgeless, and the reductions carry both properties
-back to the input (:func:`factor.connected_and_bridgeless`); only when a
-step fails does :func:`validate_input` run, to name what the input lacks.  A
+base connected and bridgeless before the 2-factor is chosen further
+(:func:`factor.choose_two_factor` refuses the base otherwise), and the
+reductions carry both properties back to the input; only when a step
+fails does :func:`validate_input` run, to name what the input lacks.  A
 2-factor with no odd cycle is a 3-edge-colouring; one with odd cycles is
 repaired into one by Kempe chain swaps, which may give up after a fixed
 number of moves.  Either way the base is reported 3-colourable with no
@@ -30,7 +31,7 @@ from .colouring import (
     try_3_edge_colouring,
 )
 from .discharging import run_audit
-from .factor import choose_two_factor, connected_and_bridgeless
+from .factor import choose_two_factor
 from .graph import Diagnosis, GraphError, MultiGraph, validate_input
 from .petersen import is_petersen_graph
 from .report import ColouringReport
@@ -61,9 +62,7 @@ def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, Colourin
         if not g.is_cubic():
             raise GraphError("input is not cubic")
         base, records, base_edges = reduce_fully(g)
-        tf = choose_two_factor(base)  # by Petersen's theorem, fails only with a bridge
-        if not connected_and_bridgeless(tf):
-            raise GraphError("base is disconnected or has a bridge")
+        tf = choose_two_factor(base)  # certifies the base, and so g, connected and bridgeless
     except GraphError:
         diag = validate_input(g)
         if not diag.ok:

@@ -43,39 +43,38 @@ def eligible_edges(tf: TwoFactor) -> set[int]:
     return out
 
 
-def _attachments(tf: TwoFactor, selected) -> dict[int, list[int]] | str:
+def _invalid(violation: str) -> Exception:
+    from .colouring import ColouringError  # colouring imports this module
+
+    return ColouringError(f"invalid selection: {violation}")
+
+
+def _attachments(tf: TwoFactor, selected) -> dict[int, list[int]]:
     """Per cycle, the vertices where the selected edges attach, in edge-id
-    order, the list's length being the cycle's selection degree; or, when
-    the selection is invalid, the message naming its first violated
-    defining property.  Both callers read this one build: the check and
-    the construction."""
+    order; the list's length is the cycle's selection degree.  The lists
+    are checked as they are built: an invalid selection raises
+    :class:`colouring.ColouringError` naming its first violated defining
+    property."""
     odd = set(tf.odd_cycles())
     att: dict[int, list[int]] = {}
     for e in sorted(selected):
         if e not in tf.matching:
-            return f"edge {e} is not a matching edge"
+            raise _invalid(f"edge {e} is not a matching edge")
         u, v = tf.graph.edges[e]
         cu, cv = tf.cycle_of_vertex[u], tf.cycle_of_vertex[v]
         if cu == cv:
-            return f"edge {e} is a chord"
+            raise _invalid(f"edge {e} is a chord")
         if cu not in odd or cv not in odd:
-            return f"edge {e} touches an even cycle"
+            raise _invalid(f"edge {e} touches an even cycle")
         att.setdefault(cu, []).append(u)
         att.setdefault(cv, []).append(v)
     for c, ends in att.items():
         if len(ends) > 2:
-            return f"cycle {c} is incident to {len(ends)} selected edges"
+            raise _invalid(f"cycle {c} is incident to {len(ends)} selected edges")
         ell = tf.cycle_length(c)
         if len(ends) == 2 and (tf.position[ends[0]] - tf.position[ends[1]]) % ell not in (1, ell - 1):
-            return f"selected edges at cycle {c} are not consecutive"
+            raise _invalid(f"selected edges at cycle {c} are not consecutive")
     return att
-
-
-def selection_violation(tf: TwoFactor, selected) -> str | None:
-    """Name the first violated defining property, or None if valid: the
-    three properties, re-checked directly from the definitions."""
-    att = _attachments(tf, selected)
-    return att if isinstance(att, str) else None
 
 
 def find_optimal_selection(tf: TwoFactor) -> frozenset[int]:

@@ -12,9 +12,20 @@ from (corpus bases, flower snarks and Petersen inflations).
 
 from __future__ import annotations
 
+from nearnormal.colouring import ColouringError
 from nearnormal.factor import TwoFactor
 from nearnormal.graph import GraphError
-from nearnormal.selection import eligible_edges, selection_violation
+from nearnormal.selection import _attachments, eligible_edges
+
+
+def selection_violation(tf: TwoFactor, selected) -> str | None:
+    """The first violated defining property of ``selected``, as
+    ``selection._attachments`` names it, or None if the selection is valid."""
+    try:
+        _attachments(tf, selected)
+    except ColouringError as exc:
+        return str(exc).removeprefix("invalid selection: ")
+    return None
 
 
 def find_optimal_selection(tf: TwoFactor) -> frozenset[int]:

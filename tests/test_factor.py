@@ -211,6 +211,11 @@ class TestChooseTwoFactor:
             with pytest.raises(GraphError, match="no perfect matching"):
                 choose_two_factor(g)
 
+    def test_disconnected_or_bridged(self, petersen):
+        for g in (disjoint_union(petersen, petersen), dumbbell()):
+            with pytest.raises(GraphError, match="^graph is disconnected or has a bridge$"):
+                choose_two_factor(g)
+
 
 def has_non_five_cycle(tf):
     return any(len(c) != 5 for c in tf.cycles)

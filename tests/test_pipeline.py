@@ -32,7 +32,7 @@ from nearnormal.graph import GraphError, build_graph, validate_input
 from nearnormal.petersen import is_petersen_graph
 from nearnormal.pipeline import InvalidInput, colour_graph
 from nearnormal.reductions import reduce_fully
-from nearnormal.selection import PATH, _attachments, s_components, selection_violation
+from nearnormal.selection import PATH, _attachments, s_components
 from reference_classify import is_proper
 from test_factor import LEMMA_GRAPHS, disjoint_union, dumbbell
 from test_reductions import insert_digon, truncate
@@ -360,7 +360,7 @@ class TestEachCheckOnce:
 
     @THREE_CONSTRUCTED
     def test_classify_twice_and_check_the_selection_once(self, make, monkeypatch):
-        calls = count_calls(monkeypatch, _colour_counts, _attachments, selection_violation)
+        calls = count_calls(monkeypatch, _colour_counts, _attachments)
         report = colour_graph(make())[1]
         assert report.base_branch == "constructed" and report.audit_passed is True
         assert calls == {"_colour_counts": 2, "_attachments": 1}
@@ -507,6 +507,16 @@ class TestInputCertificate:
     def test_the_invalid_families(self):
         assert {d.reason for d in map(validate_input, INVALID.values())} == {"connected", "cubic", "bridge"}
         assert len(INVALID) > 20
+
+    def test_many_petersen_copies_are_refused_after_one_2_factor(self, monkeypatch):
+        # every 2-factor of the Petersen graph is two 5-cycles: were the
+        # first one not certified, the edges of each copy would be forced
+        # one by one, each with a 2-factor of the whole graph
+        g = disjoint_union(*[petersen_graph()] * 200)
+        calls = count_calls(monkeypatch, factor.two_factor_from_matching)
+        with pytest.raises(InvalidInput, match=r"^invalid input \(connected\): "):
+            colour_graph(g)
+        assert calls == {"two_factor_from_matching": 1}
 
     @pytest.mark.parametrize("make", [
         petersen_graph,
