@@ -23,14 +23,13 @@ The families are the ``class1_random`` and ``snarks`` workloads of the
 benchmark at seed 47 (``class1_random`` also at seeds 0-39), seeded
 triangle-free random graphs with n = 120, 400 and 1,000, and two random
 graphs on which the exact search alone takes seconds.
-``bench/generators.py`` and ``bench/workloads.py`` are loaded by path and
-only read.  The package is imported from this checkout's ``src``.  Standard
-library only.
+``bench/generators.py`` and ``bench/workloads.py`` are loaded by path, by
+``tests/bench_families.py``, and only read.  The package is imported from
+this checkout's ``src``.  Standard library only.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import random
 import sys
 import time
@@ -38,7 +37,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from bench_families import generators, workloads  # noqa: E402
 from nearnormal import build_graph, colouring  # noqa: E402
 from nearnormal.factor import choose_two_factor  # noqa: E402
 from nearnormal.reductions import reduce_fully  # noqa: E402
@@ -46,18 +47,6 @@ from nearnormal.reductions import reduce_fully  # noqa: E402
 SEED = 47
 UNCAPPED = 1000
 RANDOM_FAMILIES = ((120, range(40)), (400, range(30)), (1000, range(20)))
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # workloads.py imports generators by name
-    spec.loader.exec_module(module)
-    return module
-
-
-generators = _load("generators")
-workloads = _load("workloads")
 
 
 def _repair(tf, budget: int):

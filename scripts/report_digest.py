@@ -11,34 +11,23 @@ print the same last line produce byte-identical reports (colourings,
 classes, branches, audits) on those graphs, so a change meant to be pure
 speed can be checked with one command on each side.
 
-``bench/generators.py`` and ``bench/workloads.py`` are loaded by path and
-only read.  The package is imported from this checkout's ``src``.  Standard
-library only.
+``bench/generators.py`` and ``bench/workloads.py`` are loaded by path, by
+``tests/bench_families.py``, and only read.  The package is imported from
+this checkout's ``src``.  Standard library only.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from bench_families import workloads  # noqa: E402
 from nearnormal.pipeline import colour_graph  # noqa: E402
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # workloads.py imports generators by name
-    spec.loader.exec_module(module)
-    return module
-
-
-generators = _load("generators")
-workloads = _load("workloads")
 
 
 def main(argv: list[str]) -> int:

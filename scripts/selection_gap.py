@@ -20,15 +20,14 @@ Prints three parts.
   inflation with n = 9,900 and on a seeded triangle-free random graph with
   n = 10,000.
 
-``bench/generators.py`` and ``bench/workloads.py`` are loaded by path and
-only read.  The package is imported from this checkout's ``src``.  Standard
-library only.
+``bench/generators.py`` and ``bench/workloads.py`` are loaded by path, by
+``tests/bench_families.py``, and only read.  The package is imported from
+this checkout's ``src``.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import random
 import sys
 import time
@@ -39,6 +38,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 import reference_selection  # noqa: E402
+from bench_families import generators, workloads  # noqa: E402
 from nearnormal import build_graph, pipeline  # noqa: E402
 from nearnormal.colouring import construct_colouring, medium_count  # noqa: E402
 from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus  # noqa: E402
@@ -46,18 +46,6 @@ from nearnormal.discharging import run_audit  # noqa: E402
 from nearnormal.factor import choose_two_factor, enumerate_perfect_matchings, two_factor_from_matching  # noqa: E402
 from nearnormal.graph import girth  # noqa: E402
 from nearnormal.selection import _attachments, find_optimal_selection  # noqa: E402
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # workloads.py imports generators by name
-    spec.loader.exec_module(module)
-    return module
-
-
-generators = _load("generators")
-workloads = _load("workloads")
 
 
 def _seeds(text: str) -> range:

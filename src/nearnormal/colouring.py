@@ -29,16 +29,12 @@ from collections import deque
 from dataclasses import dataclass
 
 from .factor import TwoFactor
-from .graph import GraphError, MultiGraph, _pairs_and_triangles, adjacent_edges
-from .selection import CYCLE, SComponent, _attachments, s_components
+from .graph import ColouringError, MultiGraph, _pairs_and_triangles, adjacent_edges
+from .selection import SComponent, _attachments, s_components
 
 POOR = "poor"
 MEDIUM = "medium"
 RICH = "rich"
-
-
-class ColouringError(GraphError):
-    """Improper colouring or an infeasible construction step."""
 
 
 @dataclass(frozen=True)
@@ -517,93 +513,71 @@ class Construction:
 
 def place_colour_3(tf: TwoFactor, attachments: dict[int, list[int]]) -> dict[int, int]:
     """Choose the colour-3 edge of every odd cycle from the attachment
-    vertices of a valid selection.
-
-    The chosen edge must be adjacent to every selected edge at the cycle:
-    for degree 2 that forces the edge between the two (consecutive)
-    attachment vertices; for degree 1 we fix the successor edge at the
-    attachment; for degree 0 the edge between positions 0 and 1.
-    """
+    vertices of a valid selection: an edge adjacent to every selected edge
+    at the cycle.  It leaves position 0 at degree 0, the attachment's
+    position p at degree 1, and at degree 2, with positions p and q in
+    edge-id order, p if q - p = 1 modulo the length, else q."""
     placed: dict[int, int] = {}
     for c in tf.odd_cycles():
-        ell = tf.cycle_length(c)
-        points = attachments.get(c, [])
-        if not points:
-            placed[c] = tf.cycle_edges[c][0]
-        elif len(points) == 1:
-            p = tf.position_on_cycle(c, points[0])
-            placed[c] = tf.cycle_edges[c][p]
-        else:
-            p1 = tf.position_on_cycle(c, points[0])
-            p2 = tf.position_on_cycle(c, points[1])
-            placed[c] = tf.cycle_edges[c][p1 if (p2 - p1) % ell == 1 else p2]
+        at = [tf.position[x] for x in attachments.get(c, ())] or [0]
+        p = at[0] if len(at) == 1 or (at[1] - at[0]) % len(tf.cycles[c]) == 1 else at[1]
+        placed[c] = tf.cycle_edges[c][p]
     return placed
-
-
-def _path_edges(tf: TwoFactor, c: int, three_edge: int) -> list[int]:
-    """Cycle edges of ``c`` minus the colour-3 edge, in traversal order
-    starting just after it."""
-    eids = tf.cycle_edges[c]
-    i = tf.edge_position(three_edge)
-    ell = len(eids)
-    return [eids[(i + 1 + t) % ell] for t in range(ell - 1)]
-
-
-def _flank_parity(tf: TwoFactor, c: int, vertex: int, three_edge: int) -> int:
-    """Position parity, along the {1,2} path, of the cycle edge at ``vertex``
-    that is not the colour-3 edge.  The parity decides which of the two
-    alternating colours the flank receives for a given phase."""
-    p = tf.position_on_cycle(c, vertex)
-    j = p - 1 if tf.cycle_edges[c][p] == three_edge else p
-    return ((j - tf.edge_position(three_edge) - 1) % tf.cycle_length(c)) & 1
 
 
 def solve_path_phases(
     tf: TwoFactor, components: tuple[SComponent, ...], three_edges: dict[int, int]
 ) -> dict[int, int]:
-    """Colour the odd-cycle paths with {1,2}.
+    """The colour of every cycle edge except the colour-3 edges.
 
-    One boolean phase per odd cycle; every selected edge imposes an
-    equality/inequality constraint between the phases of its two cycles
-    (equal flank colours make it poor).  Components whose quotient is not an
-    odd cycle admit an all-poor solution; on an odd quotient cycle exactly
-    one constraint must break, and it is placed on the smallest associated
-    edge id, whose constraint is left out.  Returns the path colours.
+    Cycle c alternates 1, 2 from position s_c, 0 on an even cycle and one
+    past the colour-3 edge on an odd one, or 2, 1 when its phase is 1.  A
+    selected edge is poor when its two flanks, the cycle edges at its ends
+    other than colour-3 edges, get one colour; a flank at position p has
+    parity ((p - s_c) mod length) mod 2, or 1 at the colour-3 edge's first
+    end.  So each selected edge ties the phases of its two cycles, spread by
+    one breadth-first search per component from its smallest cycle.  On an
+    odd quotient cycle one tie must break: the smallest edge's, left out.
     Nothing is checked here: :func:`discharging.run_discharging` checks the
     outcome (one medium selected edge per odd-quotient component, none
     elsewhere) on the colouring.
     """
-    g = tf.graph
+    edges, cyc, pos = tf.graph.edges, tf.cycle_of_vertex, tf.position
+    length = list(map(len, tf.cycles))
+    start = [0] * len(length)
+    for c, e in three_edges.items():
+        u, v = edges[e]
+        start[c] = pos[v] if (pos[v] - pos[u]) % length[c] == 1 else pos[u]
+
+    def flank(x: int) -> int:
+        c = cyc[x]
+        return min((pos[x] - start[c]) % length[c], length[c] - 2) & 1
+
     phase: dict[int, int] = {}
     for comp in components:
         if not comp.associated_edges:
             continue
-        skip = None
-        if comp.shape == CYCLE and len(comp.cycles) % 2 == 1:
-            skip = min(comp.associated_edges)
-        constraints: dict[int, list[tuple[int, int]]] = {c: [] for c in comp.cycles}
+        skip = min(comp.associated_edges) if comp.odd_quotient else None
+        links: dict[int, list[tuple[int, int]]] = {c: [] for c in comp.cycles}
         for e in sorted(comp.associated_edges - {skip}):
-            u, v = g.endpoints(e)
-            cu, cv = tf.cycle_of_vertex[u], tf.cycle_of_vertex[v]
-            rel = _flank_parity(tf, cu, u, three_edges[cu]) ^ _flank_parity(
-                tf, cv, v, three_edges[cv]
-            )
-            constraints[cu].append((cv, rel))
-            constraints[cv].append((cu, rel))
+            u, v = edges[e]
+            rel = flank(u) ^ flank(v)
+            links[cyc[u]].append((cyc[v], rel))
+            links[cyc[v]].append((cyc[u], rel))
         root = min(comp.cycles)
         phase[root] = 0
         queue = deque([root])
         while queue:
             c = queue.popleft()
-            for d, rel in constraints[c]:
+            for d, rel in links[c]:
                 if d not in phase:
                     phase[d] = phase[c] ^ rel
                     queue.append(d)
     colours: dict[int, int] = {}
-    for c in tf.odd_cycles():
-        b = phase.get(c, 0)
-        for t, e in enumerate(_path_edges(tf, c, three_edges[c])):
-            colours[e] = 1 + ((t & 1) ^ b)
+    for c, eids in enumerate(tf.cycle_edges):
+        s, b = start[c], phase.get(c, 0)
+        path = (eids[s:] + eids[:s])[: length[c] - length[c] % 2]  # the colour-3 edge comes last
+        colours.update(zip(path, itertools.cycle((1 + b, 2 - b))))
     return colours
 
 
@@ -630,19 +604,13 @@ def construct_colouring(tf: TwoFactor, selected: frozenset[int]) -> Construction
     if pairs or triangles:
         raise ColouringError(f"construction requires a {'simple' if pairs else 'triangle-free'} graph")
     attachments = _attachments(tf, selected)  # raises on an invalid selection
-    cols = [0] * g.m
-    for e in tf.matching:
-        cols[e] = 4
-    for c, cyc in enumerate(tf.cycles):
-        if len(cyc) % 2 == 0:
-            for t, e in enumerate(tf.cycle_edges[c]):
-                cols[e] = 1 + (t & 1)
     three = place_colour_3(tf, attachments)
-    for c, e in three.items():
-        cols[e] = 3
     components = tuple(s_components(tf, selected))
+    cols = [4] * g.m  # every edge off the cycles is a matching edge
     for e, col in solve_path_phases(tf, components, three).items():
         cols[e] = col
+    for e in three.values():
+        cols[e] = 3
     return Construction(tf, selected, components, attachments, three, EdgeColouring(4, tuple(cols)))
 
 
@@ -674,8 +642,7 @@ def bullet_violations(con: Construction, mediums: frozenset[int]) -> list[str]:
     medium_sel = selected & mediums
     for comp in con.components:
         inside = medium_sel & comp.associated_edges
-        odd_quotient = comp.shape == CYCLE and len(comp.cycles) % 2 == 1
-        want = 1 if odd_quotient else 0
+        want = int(comp.odd_quotient)
         if len(inside) != want:
             out.append(
                 f"component {sorted(comp.cycles)}: {len(inside)} medium selected "

@@ -15,7 +15,6 @@ from .colouring import MEDIUM, ColouringError, Construction, classify_all
 from .colouring import bullet_violations, fact_one_violations
 from .factor import TwoFactor
 from .graph import GraphError
-from .selection import CYCLE
 
 RULES = ("R0", "R1", "R2", "R3", "R4")
 
@@ -291,7 +290,7 @@ def audit(ledger: ChargeLedger, con: Construction) -> AuditReport:
                 f"charge {charge} {rel} {limit} tenths over cycles {sorted(comp.cycles)}",
             )
         )
-        if comp.shape == CYCLE and len(comp.cycles) % 2 == 1:
+        if comp.odd_quotient:
             t = len(comp.cycles)
             ok = 5 + 13 * t < 3 * total_len
             checks.append(

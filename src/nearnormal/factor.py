@@ -8,8 +8,10 @@ decomposition together with a fixed cyclic ordering of each cycle.
 polynomial time, and looks further only when every cycle of F has length 5.
 :func:`connected_and_bridgeless` reads both properties of G off F, and
 :func:`choose_two_factor` refuses a G that lacks either.
-:func:`enumerate_perfect_matchings` lists matchings up to a cap; the
-pipeline does not use it, the tests do.
+:func:`enumerate_perfect_matchings` lists matchings up to a cap.  The
+pipeline does not use it; it stays because ``bench/tracing.py`` wraps it by
+name (guarded by ``tests/test_bench_hooks.py``) and
+``scripts/selection_gap.py`` calls it, until ROADMAP item 1 removes it.
 """
 
 from __future__ import annotations

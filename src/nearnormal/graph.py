@@ -19,6 +19,10 @@ class GraphError(ValueError):
     """Structurally invalid graph, edge reference, or query."""
 
 
+class ColouringError(GraphError):
+    """Improper colouring or an infeasible construction step."""
+
+
 class MultiGraph:
     """Loopless multigraph on vertices ``0..n-1``.
 

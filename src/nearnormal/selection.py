@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .factor import TwoFactor
+from .graph import ColouringError
 
 SINGLETON = "singleton"
 PATH = "path"
@@ -30,6 +31,11 @@ class SComponent:
     associated_edges: frozenset[int]
     shape: str
 
+    @property
+    def odd_quotient(self) -> bool:
+        """Whether the quotient is a cycle of odd length."""
+        return self.shape == CYCLE and len(self.cycles) % 2 == 1
+
 
 def eligible_edges(tf: TwoFactor) -> set[int]:
     """Matching edges whose endpoints lie on two distinct odd cycles."""
@@ -43,37 +49,30 @@ def eligible_edges(tf: TwoFactor) -> set[int]:
     return out
 
 
-def _invalid(violation: str) -> Exception:
-    from .colouring import ColouringError  # colouring imports this module
-
-    return ColouringError(f"invalid selection: {violation}")
-
-
 def _attachments(tf: TwoFactor, selected) -> dict[int, list[int]]:
     """Per cycle, the vertices where the selected edges attach, in edge-id
     order; the list's length is the cycle's selection degree.  The lists
     are checked as they are built: an invalid selection raises
-    :class:`colouring.ColouringError` naming its first violated defining
-    property."""
+    :class:`ColouringError` naming its first violated defining property."""
     odd = set(tf.odd_cycles())
     att: dict[int, list[int]] = {}
     for e in sorted(selected):
         if e not in tf.matching:
-            raise _invalid(f"edge {e} is not a matching edge")
+            raise ColouringError(f"invalid selection: edge {e} is not a matching edge")
         u, v = tf.graph.edges[e]
         cu, cv = tf.cycle_of_vertex[u], tf.cycle_of_vertex[v]
         if cu == cv:
-            raise _invalid(f"edge {e} is a chord")
+            raise ColouringError(f"invalid selection: edge {e} is a chord")
         if cu not in odd or cv not in odd:
-            raise _invalid(f"edge {e} touches an even cycle")
+            raise ColouringError(f"invalid selection: edge {e} touches an even cycle")
         att.setdefault(cu, []).append(u)
         att.setdefault(cv, []).append(v)
     for c, ends in att.items():
         if len(ends) > 2:
-            raise _invalid(f"cycle {c} is incident to {len(ends)} selected edges")
+            raise ColouringError(f"invalid selection: cycle {c} is incident to {len(ends)} selected edges")
         ell = tf.cycle_length(c)
         if len(ends) == 2 and (tf.position[ends[0]] - tf.position[ends[1]]) % ell not in (1, ell - 1):
-            raise _invalid(f"selected edges at cycle {c} are not consecutive")
+            raise ColouringError(f"invalid selection: selected edges at cycle {c} are not consecutive")
     return att
 
 

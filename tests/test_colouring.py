@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+import bench_families
+import reference_construction
+import reference_selection
+from nearnormal import graph
 from nearnormal.colouring import (
     MEDIUM,
     POOR,
@@ -17,19 +21,20 @@ from nearnormal.colouring import (
     place_colour_3,
     try_3_edge_colouring,
 )
-from nearnormal.corpus import load_cubic_corpus
+from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus
 from nearnormal.discharging import initial_ledger
 from nearnormal.factor import (
     choose_two_factor,
     enumerate_perfect_matchings,
     two_factor_from_matching,
 )
-from nearnormal.graph import build_graph
+from nearnormal.graph import build_graph, girth
 from nearnormal.oracle import exists_normal
 from nearnormal.selection import CYCLE, _attachments, find_optimal_selection, s_components
 from witnesses import (
     even_square_component,
     long_pair,
+    medium_chord,
     odd_pentagon_ring,
     odd_triangle_component,
     r3_pair,
@@ -367,3 +372,65 @@ class TestConstructColouring:
                     assert len(cols) == 1
                     flanks.append(cols[0])
                 assert (classes[e] == POOR) == (flanks[0] == flanks[1])
+
+
+def test_colouring_error_is_defined_once():
+    # selection.py raises it without importing colouring.py
+    assert ColouringError is graph.ColouringError
+
+
+def corpus_odd_two_factors():
+    """Every 2-factor with an odd cycle, from every perfect matching of the
+    triangle-free corpus graphs."""
+    for n in CORPUS_ORDERS:
+        for g in load_cubic_corpus(n):
+            if girth(g) >= 4:
+                for m in enumerate_perfect_matchings(g):
+                    tf = two_factor_from_matching(g, m)
+                    if tf.odd_cycles():
+                        yield tf
+
+
+def assert_same_construction(tf, sel):
+    con = construct_colouring(tf, sel)
+    three, cols = reference_construction.construct(tf, sel)
+    assert con.three_edges == three
+    assert con.colouring.colour_of == cols
+
+
+class TestAgainstReferenceConstruction:
+    """The construction places colour 3 and sets the path phases as the
+    earlier code in ``tests/reference_construction.py`` did.  The corpus
+    2-factors are the only inputs that reach degree-2 cycles."""
+
+    @pytest.mark.parametrize(
+        "select, degree_two",
+        [(find_optimal_selection, 37), (reference_selection.find_optimal_selection, 189)],
+        ids=["greedy", "two-pass"],
+    )
+    def test_corpus_two_factors(self, select, degree_two):
+        seen = with_degree_two = 0
+        for tf in corpus_odd_two_factors():
+            sel = select(tf)
+            assert_same_construction(tf, sel)
+            seen += 1
+            with_degree_two += 2 in selection_degrees(tf, sel)
+        assert (seen, with_degree_two) == (292, degree_two)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [odd_triangle_component, r3_pair, r4_chain, even_square_component,
+         odd_pentagon_ring, long_pair, medium_chord],
+    )
+    def test_witnesses(self, factory):
+        tf = two_factor_of(*factory())
+        assert_same_construction(tf, find_optimal_selection(tf))
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: bench_families.flower_snark(5001), lambda: bench_families.petersen_inflation(360, seed=360)],
+        ids=["J5001", "inflation-360"],
+    )
+    def test_large_graphs(self, make):
+        tf = choose_two_factor(make())
+        assert_same_construction(tf, find_optimal_selection(tf))

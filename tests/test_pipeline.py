@@ -15,7 +15,6 @@ from nearnormal.colouring import (
     ColouringError,
     EdgeColouring,
     _colour_counts,
-    _path_edges,
     medium_count,
     solve_path_phases,
 )
@@ -382,8 +381,9 @@ class TestEachCheckOnce:
         def one_phase_flipped(tf, components, three_edges):
             cols = solve_path_phases(tf, components, three_edges)
             c = min(next(comp for comp in components if comp.shape == PATH).cycles)
-            for e in _path_edges(tf, c, three_edges[c]):
-                cols[e] = 3 - cols[e]
+            for e in tf.cycle_edges[c]:
+                if e != three_edges[c]:
+                    cols[e] = 3 - cols[e]
             flipped.append(c)
             return cols
 
