@@ -8,7 +8,6 @@ brute-force oracles for cross-checking.
 
 from .colouring import (
     EdgeColouring,
-    classify_edge,
     construct_colouring,
     medium_count,
     try_3_edge_colouring,
@@ -16,15 +15,12 @@ from .colouring import (
 from .factor import TwoFactor, choose_two_factor, enumerate_perfect_matchings, two_factor_from_matching
 from .graph import (
     Diagnosis,
-    EdgeNeighbourhood,
     GraphError,
     MultiGraph,
-    adjacent_edges,
     build_graph,
-    find_bridges,
     validate_input,
 )
-from .oracle import exists_normal, min_medium_exact, verify_conjecture_on
+from .oracle import exists_normal, min_medium_exact
 from .pipeline import BoundViolation, colour_graph
 from .selection import SComponent, find_optimal_selection, s_components
 
@@ -32,20 +28,16 @@ __all__ = [
     "BoundViolation",
     "Diagnosis",
     "EdgeColouring",
-    "EdgeNeighbourhood",
     "GraphError",
     "MultiGraph",
     "SComponent",
     "TwoFactor",
-    "adjacent_edges",
     "build_graph",
     "choose_two_factor",
-    "classify_edge",
     "colour_graph",
     "construct_colouring",
     "enumerate_perfect_matchings",
     "exists_normal",
-    "find_bridges",
     "find_optimal_selection",
     "medium_count",
     "min_medium_exact",
@@ -53,7 +45,6 @@ __all__ = [
     "try_3_edge_colouring",
     "two_factor_from_matching",
     "validate_input",
-    "verify_conjecture_on",
 ]
 
 __version__ = "0.1.0"

@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 when a bound, audit or other internal check
 fails (a violation the mathematics rules out, so it is flagged loudly as
 ``BOUND VIOLATION`` or ``CHECK FAILED``), 2 on input errors.  ``batch``
-reports such a failure on the graph's line and goes on.
+reports such a failure on the graph's line and goes on.  A closed pipe
+(``nearnormal batch FILE | head``) ends any command quietly with 141.
 """
 
 from __future__ import annotations
@@ -262,7 +263,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # send what is still buffered to the null device: the exit flush stays quiet
+        import os
+
+        try:
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+        except OSError:
+            return 141  # no descriptor, as under a test's capture
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 141
     except (BoundViolation, _CheckFailed) as exc:
         kind = "BOUND VIOLATION" if isinstance(exc, BoundViolation) else "CHECK FAILED"
         print(f"{kind}: {exc}", file=sys.stderr)

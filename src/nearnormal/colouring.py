@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .factor import TwoFactor
-from .graph import ColouringError, MultiGraph, _pairs_and_triangles, adjacent_edges
+from .graph import ColouringError, MultiGraph, _pairs_and_triangles
 from .selection import SComponent, _attachments, s_components
 
 POOR = "poor"
@@ -63,15 +63,6 @@ def _edge_class(colour_of, e: int, nbrs) -> str:
         raise ColouringError(f"colouring is not proper at edge {e}")
     count = seen.bit_count()
     return POOR if count == 2 else RICH if count == 4 else MEDIUM
-
-
-def classify_edge(g: MultiGraph, c: EdgeColouring, e: int) -> str:
-    """poor / medium / rich from the colours adjacent to ``e``; raises
-    :class:`ColouringError` when ``c`` does not colour exactly ``g``'s edges
-    or is not proper at ``e``."""
-    if len(c.colour_of) != g.m:
-        raise ColouringError(f"{len(c.colour_of)} colours for {g.m} edges")
-    return _edge_class(c.colour_of, e, adjacent_edges(g, e).adjacent_ids)
 
 
 def _colour_masks(g: MultiGraph, colour_of) -> list[int]:
@@ -634,9 +625,8 @@ def bullet_violations(con: Construction, mediums: frozenset[int]) -> list[str]:
         if threes != want:
             out.append(f"cycle {cyc}: colour-3 edges {threes}, expected {want}")
     for e in sorted(selected):
-        adj3 = sum(
-            1 for x in adjacent_edges(g, e).adjacent_ids if c.colour_of[x] == 3
-        )
+        u, v = g.edges[e]
+        adj3 = sum(1 for x in g._incident[u] + g._incident[v] if x != e and c.colour_of[x] == 3)
         if adj3 != 2:
             out.append(f"selected edge {e}: adjacent to {adj3} colour-3 edges")
     medium_sel = selected & mediums

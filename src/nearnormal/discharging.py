@@ -202,9 +202,6 @@ class AuditReport:
     passed: bool
     total_tenths: int
 
-    def first_failure(self) -> AuditCheck | None:
-        return next((chk for chk in self.checks if not chk.ok), None)
-
 
 def audit(ledger: ChargeLedger, con: Construction) -> AuditReport:
     """Replay every charge bound the counting argument asserts.

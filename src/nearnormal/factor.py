@@ -59,13 +59,6 @@ class TwoFactor:
             raise GraphError(f"vertex {v} is not on cycle {c}")
         return self.position[v]
 
-    def edge_position(self, e: int) -> int:
-        """The index of cycle edge ``e`` in ``cycle_edges[cycle_of_edge[e]]``."""
-        c = self.cycle_of_edge[e]
-        u, v = self.graph.edges[e]
-        p = self.position_on_cycle(c, u)  # raises on a matching edge, where c = -1
-        return p if self.cycle_edges[c][p] == e else self.position[v]
-
 
 def connected_and_bridgeless(tf: TwoFactor) -> bool:
     """Whether G = ``tf.graph`` is connected and bridgeless, decided on the

@@ -5,8 +5,9 @@ ids assigned in input order, so parallel edges stay distinguishable and all
 downstream maps are keyed by edge id, never by endpoint pair (graph rewrites
 create and destroy parallel edges).
 
-The module also holds the structural queries a run needs: validation with
-bridge finding, triangles, and the girth that ``is_petersen_graph`` reads.
+The module also holds the structural queries a run needs: input validation
+by one lowpoint search, the doubled pairs and triangles that reduction
+removes, and the girth that ``is_petersen_graph`` reads.
 """
 
 from __future__ import annotations
@@ -106,18 +107,6 @@ class MultiGraph:
 
 
 @dataclass(frozen=True)
-class EdgeNeighbourhood:
-    """The edges sharing at least one endpoint with ``edge_id``.
-
-    Four elements in a simple cubic graph; two or three when parallel edges
-    eat up incidences.
-    """
-
-    edge_id: int
-    adjacent_ids: frozenset[int]
-
-
-@dataclass(frozen=True)
 class Diagnosis:
     """Outcome of :func:`validate_input`; ``reason`` names the first
     violated property when ``ok`` is false."""
@@ -130,13 +119,6 @@ class Diagnosis:
 def build_graph(vertex_count: int, edge_list) -> MultiGraph:
     """Build a loopless multigraph; edge ids follow input order."""
     return MultiGraph(vertex_count, edge_list)
-
-
-def adjacent_edges(g: MultiGraph, e: int) -> EdgeNeighbourhood:
-    u, v = g.endpoints(e)
-    ids = set(g.incident_edges(u)) | set(g.incident_edges(v))
-    ids.discard(e)
-    return EdgeNeighbourhood(e, frozenset(ids))
 
 
 def _lowpoint_search(g: MultiGraph) -> tuple[int, set[int]]:
@@ -185,14 +167,6 @@ def _lowpoint_search(g: MultiGraph) -> tuple[int, set[int]]:
     return counter, bridges
 
 
-def find_bridges(g: MultiGraph) -> set[int]:
-    """Cut edges of a connected multigraph (iterative lowpoint search)."""
-    reached, bridges = _lowpoint_search(g)
-    if reached != g.n:
-        raise GraphError("bridge search requires a connected graph")
-    return bridges
-
-
 def validate_input(g: MultiGraph) -> Diagnosis:
     """Accept exactly the connected bridgeless cubic loopless multigraphs.
 
@@ -213,11 +187,6 @@ def validate_input(g: MultiGraph) -> Diagnosis:
         e = min(bridges)
         return Diagnosis(False, "bridge", f"edge {e} = {g.endpoints(e)} is a bridge")
     return Diagnosis(True)
-
-
-def find_triangles(g: MultiGraph) -> list[tuple[int, int, int]]:
-    """Every triangle of ``g`` as a sorted vertex triple, in sorted order."""
-    return _pairs_and_triangles(g)[1]
 
 
 def _pairs_and_triangles(g: MultiGraph) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:

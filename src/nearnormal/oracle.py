@@ -13,9 +13,7 @@ budget, so both always decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .colouring import EdgeColouring, _min_medium_search, classify_all, MEDIUM
+from .colouring import EdgeColouring, _min_medium_search
 from .graph import GraphError, MultiGraph, validate_input
 
 
@@ -68,26 +66,3 @@ def exists_normal(g: MultiGraph, k: int) -> EdgeColouring | None:
     _check_oracle_input(g, k)
     found = _min_medium_search(g, k, 1)
     return None if found is None else EdgeColouring(k, found[1])
-
-
-@dataclass(frozen=True)
-class ConjectureReport:
-    normal_exists: bool
-    petersen_map_valid: bool | None
-    classification: str | None
-    medium_edges_of_witness: int | None
-
-
-def verify_conjecture_on(g: MultiGraph) -> ConjectureReport:
-    """Search for a normal 5-colouring and cross-check the induced Petersen
-    colouring.  Every bridgeless cubic graph is conjectured to admit one, so
-    a graph where the search comes up empty would be a counterexample."""
-    from .petersen import classify_petersen_colouring, normal_to_petersen
-
-    witness = exists_normal(g, 5)
-    if witness is None:
-        return ConjectureReport(False, None, None, None)
-    mediums = classify_all(g, witness).count(MEDIUM)
-    pc = normal_to_petersen(g, witness)  # raises on an invalid map
-    kind = classify_petersen_colouring(pc).kind
-    return ConjectureReport(True, True, kind, mediums)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .colouring import MEDIUM, EdgeColouring, classify_all
-from .graph import GraphError, MultiGraph, build_graph, girth
+from .graph import GraphError, MultiGraph, girth
 
 TRIVIAL = "trivial"
 SURJECTIVE = "surjective"
@@ -29,9 +29,6 @@ class KneserPetersen:
     vertex_subsets: tuple[tuple[int, int], ...]
     edges: tuple[tuple[int, int], ...]
     label: tuple[int, ...]
-
-    def graph(self) -> MultiGraph:
-        return build_graph(len(self.vertex_subsets), list(self.edges))
 
     def vertex_of_subset(self, pair) -> int:
         return self.vertex_subsets.index(tuple(sorted(pair)))

@@ -5,7 +5,7 @@ neighbour colours per edge."""
 from __future__ import annotations
 
 from nearnormal.colouring import MEDIUM, POOR, RICH, ColouringError, EdgeColouring
-from nearnormal.graph import MultiGraph, adjacent_edges
+from nearnormal.graph import MultiGraph
 
 
 def is_proper(g: MultiGraph, c: EdgeColouring) -> bool:
@@ -24,10 +24,9 @@ def check_proper(g: MultiGraph, c: EdgeColouring) -> None:
 
 
 def classify_edge(g: MultiGraph, c: EdgeColouring, e: int) -> str:
-    nbhd = adjacent_edges(g, e)
     own = c.colour_of[e]
     seen = set()
-    for x in nbhd.adjacent_ids:
+    for x in {x for w in g.endpoints(e) for x in g.incident_edges(w) if x != e}:
         if c.colour_of[x] == own:
             raise ColouringError(f"edges {e} and {x} share a vertex and a colour")
         seen.add(c.colour_of[x])

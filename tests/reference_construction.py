@@ -3,12 +3,13 @@
 ``colouring.construct_colouring``.
 
 It places each odd cycle's colour-3 edge through the checked position
-accessors, colours each odd cycle's {1,2} path in traversal order from just
-after that edge, ties the phases together with one constraint per selected
-edge, and assembles the matching, the even cycles, the colour-3 edges and
-the paths in separate loops.  No benchmarked graph builds a degree-2
-selection, so the report digest cannot show the new code unchanged on that
-path; comparing the two on the corpus 2-factors can.
+accessors, reads that edge's position off its two ends, colours each odd
+cycle's {1,2} path in traversal order from just after that edge, ties the
+phases together with one constraint per selected edge, and assembles the
+matching, the even cycles, the colour-3 edges and the paths in separate
+loops.  No benchmarked graph builds a degree-2 selection, so the report
+digest cannot show the new code unchanged on that path; comparing the two
+on the corpus 2-factors can.
 """
 
 from __future__ import annotations
@@ -48,17 +49,21 @@ def _path_edges(tf: TwoFactor, c: int, three_edge: int) -> list[int]:
     """Cycle edges of ``c`` minus the colour-3 edge, in traversal order
     starting just after it."""
     eids = tf.cycle_edges[c]
-    i = tf.edge_position(three_edge)
     ell = len(eids)
+    u, v = tf.graph.edges[three_edge]
+    i = tf.position[u] if (tf.position[v] - tf.position[u]) % ell == 1 else tf.position[v]
     return [eids[(i + 1 + t) % ell] for t in range(ell - 1)]
 
 
 def _flank_parity(tf: TwoFactor, c: int, vertex: int, three_edge: int) -> int:
     """Position parity, along the {1,2} path, of the cycle edge at ``vertex``
     that is not the colour-3 edge."""
+    ell = tf.cycle_length(c)
     p = tf.position_on_cycle(c, vertex)
     j = p - 1 if tf.cycle_edges[c][p] == three_edge else p
-    return ((j - tf.edge_position(three_edge) - 1) % tf.cycle_length(c)) & 1
+    u, v = tf.graph.edges[three_edge]
+    i = tf.position[u] if (tf.position[v] - tf.position[u]) % ell == 1 else tf.position[v]
+    return ((j - i - 1) % ell) & 1
 
 
 def solve_path_phases(

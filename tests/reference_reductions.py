@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from nearnormal.colouring import EdgeColouring, medium_count
-from nearnormal.graph import GraphError, MultiGraph, adjacent_edges, find_bridges
+from nearnormal.graph import GraphError, MultiGraph, _lowpoint_search
 from nearnormal.pipeline import colour_graph
 from nearnormal import reductions
 from reference_classify import check_proper
@@ -66,7 +66,7 @@ def _assert_still_valid(g: MultiGraph, what: str) -> None:
         raise GraphError(f"{what} produced a disconnected graph")
     if not g.is_cubic():
         raise GraphError(f"{what} produced a non-cubic graph")
-    if find_bridges(g):
+    if _lowpoint_search(g)[1]:
         raise GraphError(f"{what} produced a bridge")
 
 
@@ -307,7 +307,7 @@ def live_ids(m: int, records) -> list[list[int]]:
 
 
 def _neighbourhoods(g: MultiGraph, ids: list[int]) -> dict[int, set[int]]:
-    return {ids[e]: {ids[f] for f in adjacent_edges(g, e).adjacent_ids} for e in range(g.m)}
+    return {ids[e]: {ids[f] for w in ends for f in g.incident_edges(w) if f != e} for e, ends in enumerate(g.edges)}
 
 
 def outside_vertices(ref: ReductionRecord) -> tuple[tuple[int, ...], tuple[int, ...]]:

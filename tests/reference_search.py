@@ -10,7 +10,7 @@ the same results and the same witnesses.
 from __future__ import annotations
 
 from nearnormal.colouring import EdgeColouring, _search_order
-from nearnormal.graph import GraphError, MultiGraph, adjacent_edges, validate_input
+from nearnormal.graph import GraphError, MultiGraph, validate_input
 
 
 def search_order_choices(g: MultiGraph, order: list[int]) -> list[set[int]]:
@@ -46,7 +46,7 @@ def try_3_edge_colouring(g: MultiGraph) -> EdgeColouring | None:
     if g.n and g.degree(0) == 3:
         for col, e in enumerate(sorted(g.incident_edges(0)), start=1):
             forced[e] = col
-    nbr_ids = [adjacent_edges(g, e).adjacent_ids for e in range(g.m)]
+    nbr_ids = [{x for w in ends for x in g.incident_edges(w) if x != e} for e, ends in enumerate(g.edges)]
     colours = [0] * g.m
 
     def place(i: int) -> bool:
@@ -72,7 +72,7 @@ def try_3_edge_colouring(g: MultiGraph) -> EdgeColouring | None:
 def _prepare(g: MultiGraph, symmetry_break: bool):
     order = _search_order(g)
     pos = {e: i for i, e in enumerate(order)}
-    nbrs = [tuple(adjacent_edges(g, e).adjacent_ids) for e in range(g.m)]
+    nbrs = [tuple({x for w in ends for x in g.incident_edges(w) if x != e}) for e, ends in enumerate(g.edges)]
     finalize_at: list[list[int]] = [[] for _ in range(g.m)]
     for e in range(g.m):
         finalize_at[max(pos[x] for x in nbrs[e])].append(e)

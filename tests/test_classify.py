@@ -1,13 +1,16 @@
 """The one-pass edge classification against the two-pass one it replaced
 (``tests/reference_classify.py``): equal classes on proper colourings, and a
-``ColouringError`` from both on improper ones."""
+``ColouringError`` from both on improper ones.  ``_edge_class``, which the
+lift reads through ``_site_mediums``, must agree with the reference's
+per-edge classes on every edge, and answer wherever the colouring is proper
+around the edge, even when it is improper elsewhere."""
 
 from __future__ import annotations
 
 import pytest
 
 import reference_classify as ref
-from nearnormal.colouring import ColouringError, EdgeColouring, classify_all, classify_edge
+from nearnormal.colouring import ColouringError, EdgeColouring, _edge_class, class_counts, classify_all
 from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, triple_edge
 from nearnormal.graph import build_graph
 from nearnormal.oracle import exists_normal, min_medium_exact
@@ -27,8 +30,9 @@ def assert_same_classes(g, c):
     assert _outcome(classify_all, g, c) == _outcome(ref.classify_all, g, c)
     if len(c.colour_of) != g.m:
         return
-    for e in range(g.m):
-        assert _outcome(classify_edge, g, c, e) == _outcome(ref.classify_edge, g, c, e)
+    for e, (u, v) in enumerate(g.edges):
+        around = g.incident_edges(u) + g.incident_edges(v)
+        assert _outcome(_edge_class, c.colour_of, e, around) == _outcome(ref.classify_edge, g, c, e)
 
 
 def recolourings(c):
@@ -77,11 +81,37 @@ def test_improper_raises_in_both(name):
 
 
 @pytest.mark.parametrize("name", ["too-short", "too-long"])
-def test_classify_edge_rejects_a_list_of_the_wrong_length(name):
+def test_classify_all_rejects_a_list_of_the_wrong_length(name):
     g, c = IMPROPER[name]
-    for e in range(g.m):
+    for classify in (classify_all, class_counts):
         with pytest.raises(ColouringError, match="colours for"):
-            classify_edge(g, c, e)
+            classify(g, c)
+
+
+def test_edge_class_answers_where_the_colouring_is_proper_around_the_edge(petersen):
+    """Giving edge f the colour of its neighbour x makes ``classify_all``
+    raise, yet every edge with neither f nor a neighbour of f around it
+    keeps its class; at f and x ``_edge_class`` raises as the reference
+    does."""
+    c = exists_normal(petersen, 5)
+    f = 0
+    u, v = petersen.edges[f]
+    near = set(petersen.incident_edges(u) + petersen.incident_edges(v))
+    x = min(near - {f})
+    clash = EdgeColouring(5, (c.colour_of[x],) + c.colour_of[1:])
+    with pytest.raises(ColouringError):
+        classify_all(petersen, clash)
+    far = 0
+    for e, (a, b) in enumerate(petersen.edges):
+        around = petersen.incident_edges(a) + petersen.incident_edges(b)
+        got = _outcome(_edge_class, clash.colour_of, e, around)
+        assert got == _outcome(ref.classify_edge, petersen, clash, e)
+        if near.isdisjoint(around):
+            assert got == _edge_class(c.colour_of, e, around)
+            far += 1
+        elif e in (f, x):
+            assert got == "improper"
+    assert far > 0
 
 
 def test_lift_check_uses_the_same_rule():

@@ -401,6 +401,39 @@ class TestBatchCommand:
         ]
         assert "processed 1 graphs" in captured.out and captured.err == ""
 
+    def test_a_closed_stdout_exits_141_quietly(self, tmp_path, monkeypatch, capsys):
+        """A write to a closed pipe ends the batch with 141 and prints no
+        ``error:`` line: it is not an input error."""
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        path = tmp_path / "eight.g6"
+        path.write_text("".join(write_graph6(g) + "\n" for g in load_cubic_corpus(8)))
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["batch", str(path)]) == 141
+        assert capsys.readouterr().err == ""
+
+    def test_a_pipe_closed_before_the_first_line_exits_141_quietly(self, petersen_file):
+        """The reader has gone before the command writes anything: the
+        command exits 141 with nothing on stderr, not even the interpreter's
+        report of a failed flush at exit.  Standard output is block-buffered,
+        as it is on a pipe unless ``PYTHONUNBUFFERED`` is set, so the output
+        is still buffered when the command returns."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(nearnormal.__file__).parent.parent)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nearnormal", "batch", petersen_file],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
+
 
 class TestPetersenMapCommand:
     def test_strong_colouring_is_surjective(self, tmp_path, petersen_file, capsys):

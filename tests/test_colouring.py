@@ -12,9 +12,9 @@ from nearnormal.colouring import (
     RICH,
     ColouringError,
     EdgeColouring,
+    _edge_class,
     bullet_violations,
     classify_all,
-    classify_edge,
     construct_colouring,
     fact_one_violations,
     medium_count,
@@ -98,7 +98,7 @@ class TestClassification:
         bad = EdgeColouring(4, (1,) * 6)
         assert not is_proper(k4, bad)
         with pytest.raises(ColouringError):
-            classify_edge(k4, bad, 0)
+            _edge_class(bad.colour_of, 0, k4.incident_edges(0) + k4.incident_edges(1))
 
     def test_classification_invariant_under_colour_renaming(self):
         g, col, _ = known_eight_medium_colouring()

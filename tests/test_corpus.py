@@ -21,7 +21,7 @@ from nearnormal.corpus import (
     petersen_graph,
     prism,
 )
-from nearnormal.graph import find_bridges, validate_input
+from nearnormal.graph import validate_input
 from nearnormal.graphio import write_graph6
 from nearnormal.petersen import is_petersen_graph
 from reference_isomorphism import graphs_isomorphic
@@ -40,8 +40,9 @@ def _load_script():
 generate_corpus = _load_script()
 generate_connected_cubic = generate_corpus.generate_connected_cubic
 
-# bridgeless subsets of the packaged corpus, frozen from find_bridges (which
-# is itself checked against the edge-deletion oracle in test_graph)
+# bridgeless subsets of the packaged corpus, frozen from validate_input's
+# lowpoint search (which is itself checked against the edge-deletion oracle
+# in test_graph)
 BRIDGELESS_COUNTS = {4: 1, 6: 2, 8: 5, 10: 18, 12: 81, 14: 480}
 
 
@@ -90,7 +91,7 @@ class TestPackagedCorpus:
         full = load_cubic_corpus(10, bridgeless_only=False)
         bridged = [g for g in full if not validate_input(g).ok]
         assert len(bridged) == 1
-        assert find_bridges(bridged[0])
+        assert validate_input(bridged[0]).reason == "bridge"
 
     def test_data_matches_generator_up_to_ten(self, tmp_path, monkeypatch, capsys):
         # the packaged files are regenerable by the script (self-containment)

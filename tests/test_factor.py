@@ -156,7 +156,9 @@ class TestTwoFactorFromMatching:
     @pytest.mark.parametrize("n", CORPUS_ORDERS)
     def test_stored_positions_on_corpus(self, n):
         """The stored positions and edge cycles equal the ``tuple.index``
-        lookups they replace, on every 2-factor of every corpus graph."""
+        lookups they replace, and cycle edge i joins the vertices at
+        positions i and i + 1, which ``solve_path_phases`` reads an edge's
+        position from, on every 2-factor of every corpus graph."""
         for g in load_cubic_corpus(n):
             for m in enumerate_perfect_matchings(g):
                 tf = two_factor_from_matching(g, m)
@@ -165,14 +167,16 @@ class TestTwoFactorFromMatching:
                         assert tf.position_on_cycle(c, v) == cyc.index(v)
                     for e in eids:
                         assert tf.cycle_of_edge[e] == c
-                        assert tf.edge_position(e) == eids.index(e)
+                        u, v = g.edges[e]
+                        i = eids.index(e)
+                        assert {tf.position[u], tf.position[v]} == {i, (i + 1) % len(cyc)}
                 assert all(tf.cycle_of_edge[e] == -1 for e in m)
 
     def test_stored_positions_on_two_cycles(self):
         g = build_graph(4, [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)])
         tf = two_factor_from_matching(g, frozenset({4, 5}))
         for c, eids in enumerate(tf.cycle_edges):
-            assert [tf.edge_position(e) for e in eids] == [0, 1]
+            assert [sorted(tf.position[x] for x in g.edges[e]) for e in eids] == [[0, 1], [0, 1]]
             assert [tf.position_on_cycle(c, v) for v in tf.cycles[c]] == [0, 1]
 
     def test_position_off_the_cycle_rejected(self, petersen):
@@ -180,8 +184,6 @@ class TestTwoFactorFromMatching:
         v = tf.cycles[1][0]
         with pytest.raises(GraphError, match="not on cycle"):
             tf.position_on_cycle(0, v)
-        with pytest.raises(GraphError):
-            tf.edge_position(next(iter(tf.matching)))
 
 
 class TestChooseTwoFactor:

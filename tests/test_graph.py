@@ -11,10 +11,9 @@ from nearnormal.graph import (
     Diagnosis,
     GraphError,
     MultiGraph,
-    adjacent_edges,
+    _lowpoint_search,
+    _pairs_and_triangles,
     build_graph,
-    find_bridges,
-    find_triangles,
     girth,
     validate_input,
 )
@@ -96,35 +95,43 @@ class TestBuildGraph:
 
 
 class TestAdjacentEdges:
+    """The edges around edge ``e`` = uv as the run reads them
+    (``_colour_counts``, ``bullet_violations``): the incidence lists of u and
+    v, less ``e``."""
+
     def test_petersen_every_edge_has_four(self, petersen):
-        for e in range(petersen.m):
-            assert len(adjacent_edges(petersen, e).adjacent_ids) == 4
+        for e, (u, v) in enumerate(petersen.edges):
+            assert len(set(petersen.incident_edges(u) + petersen.incident_edges(v)) - {e}) == 4
 
     def test_triple_edge_has_two(self, triple):
-        assert adjacent_edges(triple, 0).adjacent_ids == frozenset({1, 2})
+        assert set(triple.incident_edges(0) + triple.incident_edges(1)) - {0} == {1, 2}
 
     def test_double_edge_site_has_three(self):
         # doubled pair 0,1 with spokes to a doubled pair 2,3
         g = build_graph(4, [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)])
-        assert adjacent_edges(g, 0).adjacent_ids == frozenset({1, 2, 3})
+        assert set(g.incident_edges(0) + g.incident_edges(1)) - {0} == {1, 2, 3}
 
     def test_symmetry(self, petersen, triple):
         for g in (petersen, triple):
-            for e in range(g.m):
-                for x in adjacent_edges(g, e).adjacent_ids:
-                    assert e in adjacent_edges(g, x).adjacent_ids
+            for e, (u, v) in enumerate(g.edges):
+                for x in set(g.incident_edges(u) + g.incident_edges(v)) - {e}:
+                    a, b = g.edges[x]
+                    assert e in g.incident_edges(a) + g.incident_edges(b)
 
     def test_invalid_id(self, k4):
         with pytest.raises(GraphError):
-            adjacent_edges(k4, 99)
+            k4.endpoints(99)
 
 
 class TestFindBridges:
+    """``_lowpoint_search``, the one search behind ``validate_input``: the
+    vertices it reaches from vertex 0 and the cut edges among them."""
+
     def test_k4_none(self, k4):
-        assert find_bridges(k4) == set()
+        assert _lowpoint_search(k4) == (4, set())
 
     def test_petersen_none(self, petersen):
-        assert find_bridges(petersen) == set()
+        assert _lowpoint_search(petersen) == (10, set())
 
     def test_joined_blocks_yield_the_joining_edge(self):
         # two K4-minus-an-edge blocks, one edge across
@@ -132,27 +139,27 @@ class TestFindBridges:
         other = [(u + 4, v + 4) for u, v in block]
         g = build_graph(8, block + other + [(0, 4)])
         bridge = g.m - 1
-        assert find_bridges(g) == {bridge}
-        assert find_bridges(g) == bridges_by_deletion(g)
+        assert _lowpoint_search(g) == (8, {bridge})
+        assert _lowpoint_search(g)[1] == bridges_by_deletion(g)
 
     def test_parallel_edges_never_bridges(self):
         g = build_graph(3, [(0, 1), (0, 1), (1, 2), (1, 2)])
-        assert find_bridges(g) == set()
+        assert _lowpoint_search(g) == (3, set())
 
     def test_disconnected_rejected(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(GraphError, match="connected"):
-            find_bridges(g)
+        assert _lowpoint_search(g) == (2, {0})
+        assert validate_input(g).reason == "connected"
 
     def test_matches_deletion_oracle_on_corpus(self):
         # includes the bridged cubic graphs that validation later rejects
         for g in load_cubic_corpus(12, bridgeless_only=False):
-            assert find_bridges(g) == bridges_by_deletion(g)
+            assert _lowpoint_search(g) == (g.n, bridges_by_deletion(g))
 
     @settings(max_examples=150, deadline=None)
     @given(g=connected_multigraphs())
     def test_matches_deletion_oracle_on_random_multigraphs(self, g):
-        assert find_bridges(g) == bridges_by_deletion(g)
+        assert _lowpoint_search(g) == (g.n, bridges_by_deletion(g))
 
 
 class TestValidateInput:
@@ -242,20 +249,25 @@ def triangles_through(g, e: int) -> list[tuple[int, int, int]]:
 
 
 class TestFindTriangles:
+    """The triangles from ``_pairs_and_triangles``, the scan that reduction
+    and the construction's input check run."""
+
     def by_edge(self, g):
         return sorted({t for e in range(g.m) for t in triangles_through(g, e)})
 
     def test_small_graphs(self, petersen, k4, triple):
-        assert find_triangles(petersen) == [] == find_triangles(triple)
-        assert find_triangles(k4) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-        assert find_triangles(build_graph(4, [(0, 1), (0, 1), (0, 2), (1, 2), (2, 3), (3, 1)])) == [(0, 1, 2), (1, 2, 3)]
+        assert _pairs_and_triangles(petersen) == ([], [])
+        assert _pairs_and_triangles(triple) == ([(0, 1)], [])
+        assert _pairs_and_triangles(k4)[1] == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        g = build_graph(4, [(0, 1), (0, 1), (0, 2), (1, 2), (2, 3), (3, 1)])
+        assert _pairs_and_triangles(g) == ([(0, 1)], [(0, 1, 2), (1, 2, 3)])
 
     def test_matches_the_per_edge_scan_on_corpus(self):
         for n in CORPUS_ORDERS:
             for g in load_cubic_corpus(n):
-                assert find_triangles(g) == self.by_edge(g)
+                assert _pairs_and_triangles(g)[1] == self.by_edge(g)
 
     @given(connected_multigraphs())
     @settings(max_examples=60, deadline=None)
     def test_matches_the_per_edge_scan_on_random_multigraphs(self, g):
-        assert find_triangles(g) == self.by_edge(g)
+        assert _pairs_and_triangles(g)[1] == self.by_edge(g)

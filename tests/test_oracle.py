@@ -13,7 +13,8 @@ from nearnormal.colouring import (
 )
 from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus
 from nearnormal.graph import GraphError, build_graph
-from nearnormal.oracle import exists_normal, min_medium_exact, verify_conjecture_on
+from nearnormal.oracle import exists_normal, min_medium_exact
+from nearnormal.petersen import SURJECTIVE, TRIVIAL, classify_petersen_colouring, normal_to_petersen
 
 
 class TestMinMediumExact:
@@ -94,20 +95,24 @@ class TestUpperBoundAgainstPipeline:
 
 
 class TestVerifyConjecture:
+    """The conjecture check: a normal 5-colouring, whose induced Petersen
+    colouring ``normal_to_petersen`` builds and checks (it raises on an
+    invalid map), then classifies."""
+
     def test_petersen_holds(self, petersen):
-        rep = verify_conjecture_on(petersen)
-        assert rep.normal_exists and rep.petersen_map_valid
-        assert rep.classification == "surjective"
-        assert rep.medium_edges_of_witness == 0
+        witness = exists_normal(petersen, 5)
+        assert witness is not None
+        assert classify_petersen_colouring(normal_to_petersen(petersen, witness)).kind == SURJECTIVE
+        assert medium_count(petersen, witness) == 0
 
     def test_k4_holds_trivially(self, k4):
-        rep = verify_conjecture_on(k4)
-        assert rep.normal_exists and rep.petersen_map_valid
-        assert rep.classification == "trivial"
+        witness = exists_normal(k4, 5)
+        assert witness is not None
+        assert classify_petersen_colouring(normal_to_petersen(k4, witness)).kind == TRIVIAL
 
     def test_small_corpus_holds(self):
         for g in load_cubic_corpus(8):
-            assert verify_conjecture_on(g).normal_exists
+            assert exists_normal(g, 5) is not None
 
 
 class TestThreeColouringConsistency:

@@ -30,7 +30,7 @@ class TestKneserModel:
         assert len(kp.edges) == 15
 
     def test_three_regular_girth_five(self):
-        g = build_kneser_petersen().graph()
+        g = build_graph(10, build_kneser_petersen().edges)
         assert g.is_cubic()
         assert girth(g) == 5
 
@@ -47,12 +47,11 @@ class TestKneserModel:
         # three pairwise-disjoint edges per label (6 covered vertices); the
         # five classes partition the edge set
         kp = build_kneser_petersen()
-        g = kp.graph()
         seen = []
         for lab in range(1, 6):
             class_edges = [e for e in range(15) if kp.label[e] == lab]
             assert len(class_edges) == 3
-            covered = [v for e in class_edges for v in g.endpoints(e)]
+            covered = [v for e in class_edges for v in kp.edges[e]]
             assert len(set(covered)) == 6
             seen.extend(class_edges)
         assert sorted(seen) == list(range(15))
@@ -117,7 +116,7 @@ class TestPetersenToNormal:
 
 class TestClassification:
     def test_identity_on_petersen_is_surjective(self):
-        g = build_kneser_petersen().graph()
+        g = build_graph(10, build_kneser_petersen().edges)
         pc = PetersenColouring(tuple(range(15)))
         assert petersen_colouring_violation(g, pc) is None
         assert classify_petersen_colouring(pc).kind == SURJECTIVE
@@ -139,7 +138,7 @@ class TestClassification:
 
 class TestIsPetersenGraph:
     def test_kneser_model(self):
-        assert is_petersen_graph(build_kneser_petersen().graph())
+        assert is_petersen_graph(build_graph(10, build_kneser_petersen().edges))
 
     def test_classic_drawing(self, petersen):
         assert is_petersen_graph(petersen)
@@ -160,14 +159,14 @@ class TestIsPetersenGraph:
 
     def test_agrees_with_isomorphism_on_corpus(self):
         # n = 10 with the bridged graphs: the girth-5 rule against backtracking
-        model = build_kneser_petersen().graph()
+        model = build_graph(10, build_kneser_petersen().edges)
         graphs = load_cubic_corpus(10, bridgeless_only=False)
         assert sum(is_petersen_graph(g) for g in graphs) == 1
         for g in graphs:
             assert is_petersen_graph(g) == graphs_isomorphic(g, model)
 
     def test_agrees_with_isomorphism_on_relabellings(self, petersen):
-        model = build_kneser_petersen().graph()
+        model = build_graph(10, build_kneser_petersen().edges)
         rng = random.Random(10)
         for _ in range(20):
             perm = list(range(10))

@@ -10,7 +10,7 @@ import reference_reductions as ref
 from nearnormal import reductions
 from nearnormal.colouring import MEDIUM, POOR, RICH, EdgeColouring, medium_count
 from nearnormal.corpus import CORPUS_ORDERS, complete_graph_k4, k33, load_cubic_corpus, petersen_graph, prism
-from nearnormal.graph import GraphError, adjacent_edges, build_graph, validate_input
+from nearnormal.graph import GraphError, build_graph, validate_input
 from nearnormal.pipeline import colour_graph
 from nearnormal.reductions import (
     MULTI_EDGE,
@@ -69,7 +69,7 @@ def grown_graphs():
 
 def proper_colourings(g, k=4):
     """Every proper k-edge-colouring (exhaustive backtracking)."""
-    nbrs = [adjacent_edges(g, e).adjacent_ids for e in range(g.m)]
+    nbrs = [{x for w in ends for x in g.incident_edges(w) if x != e} for e, ends in enumerate(g.edges)]
     colours = [0] * g.m
     out = []
 
@@ -311,7 +311,7 @@ def kempe_recolourings(g, c, edges, rng, count):
         q = rng.choice([col for col in range(1, c.k + 1) if col != p])
         chain, stack = {e}, [e]
         while stack:
-            for f in adjacent_edges(g, stack.pop()).adjacent_ids:
+            for f in (f for w in g.edges[stack.pop()] for f in g.incident_edges(w)):
                 if f not in chain and cols[f] in (p, q):
                     chain.add(f)
                     stack.append(f)
@@ -323,9 +323,9 @@ def kempe_recolourings(g, c, edges, rng, count):
 
 def reference_neighbours(graph, ids, local):
     """Working id -> the working ids of its neighbours, for each edge of
-    ``local`` (ids of ``graph``), from ``adjacent_edges`` on the
+    ``local`` (ids of ``graph``), from the incidence lists of the
     reference's whole graph."""
-    return {ids[e]: [ids[f] for f in adjacent_edges(graph, e).adjacent_ids] for e in local}
+    return {ids[e]: [ids[f] for w in graph.edges[e] for f in graph.incident_edges(w) if f != e] for e in local}
 
 
 def reference_classes(neighbours, colours):
@@ -367,7 +367,7 @@ def reduced_colourings(base, base_edges, steps, rng):
             found = proper_colourings(old.reduced)
         else:
             c = EdgeColouring(4, tuple(colours[w] for w in after))
-            near = sorted({f for e in ref.added_edges(old) for f in adjacent_edges(old.reduced, e).adjacent_ids})
+            near = sorted({f for e in ref.added_edges(old) for w in old.reduced.edges[e] for f in old.reduced.incident_edges(w) if f != e})
             found = [c, *kempe_recolourings(old.reduced, c, near, rng, 2)]
         lists = []
         for c in found:
