@@ -4,7 +4,8 @@ Exit codes: 0 on success, 1 when a bound, audit or other internal check
 fails (a violation the mathematics rules out, so it is flagged loudly as
 ``BOUND VIOLATION`` or ``CHECK FAILED``), 2 on input errors.  ``batch``
 reports such a failure on the graph's line and goes on.  A closed pipe
-(``nearnormal batch FILE | head``) ends any command quietly with 141.
+(``nearnormal batch FILE | head``) ends any command quietly with 141, or
+with its own code when it has failed.
 """
 
 from __future__ import annotations
@@ -264,25 +265,28 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
-        return code
-    except BrokenPipeError:  # send what is still buffered to the null device: the exit flush stays quiet
-        import os
-
-        try:
-            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
-        except OSError:
-            return 141  # no descriptor, as under a test's capture
-        os.dup2(devnull, fd)
-        os.close(devnull)
-        return 141
+    except BrokenPipeError:
+        code = 141
     except (BoundViolation, _CheckFailed) as exc:
         kind = "BOUND VIOLATION" if isinstance(exc, BoundViolation) else "CHECK FAILED"
         print(f"{kind}: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except (FormatError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    try:
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+    except BrokenPipeError:  # send what is still buffered to the null device: the exit flush stays quiet
+        import os
+
+        code = code or 141
+        try:
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+        except OSError:
+            return code  # no descriptor, as under a test's capture
+        os.dup2(devnull, fd)
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

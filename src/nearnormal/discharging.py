@@ -34,12 +34,14 @@ class Transfer:
 
 @dataclass
 class ChargeLedger:
-    """Exact charges in integer tenths, with a snapshot after every rule."""
+    """Exact charges in integer tenths and the log of every transfer.  Each
+    rule records the total at its end; R1 also records the cycle charges."""
 
     medium_edges: frozenset[int]
     edge_tenths: list[int]
     cycle_tenths: list[int]
-    snapshots: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=dict)
+    rule_totals: dict[str, int] = field(default_factory=dict)
+    cycles_after_r1: tuple[int, ...] | None = None
     log: list[Transfer] = field(default_factory=list)
 
     def move_from_edge(self, rule: str, e: int, target: int, tenths: int) -> None:
@@ -54,8 +56,10 @@ class ChargeLedger:
         self.cycle_tenths[target] += tenths
         self.log.append(Transfer(rule, ("cycle", c), target, tenths, via))
 
-    def snapshot(self, rule: str) -> None:
-        self.snapshots[rule] = (tuple(self.edge_tenths), tuple(self.cycle_tenths))
+    def end_rule(self, rule: str) -> None:
+        self.rule_totals[rule] = self.total_tenths()
+        if rule == "R1":
+            self.cycles_after_r1 = tuple(self.cycle_tenths)
 
     def total_tenths(self) -> int:
         return sum(self.edge_tenths) + sum(self.cycle_tenths)
@@ -78,7 +82,7 @@ def apply_r0(ledger: ChargeLedger, con: Construction) -> ChargeLedger:
     for e in sorted(ledger.medium_edges):
         if tf.cycle_of_edge[e] >= 0:
             ledger.move_from_edge("R0", e, tf.cycle_of_edge[e], 10)
-    ledger.snapshot("R0")
+    ledger.end_rule("R0")
     return ledger
 
 
@@ -119,7 +123,7 @@ def apply_r1(ledger: ChargeLedger, con: Construction) -> ChargeLedger:
             ledger.move_from_edge("R1", e, other, 5)
         else:
             ledger.move_from_edge("R1", e, main, 10)
-    ledger.snapshot("R1")
+    ledger.end_rule("R1")
     return ledger
 
 
@@ -163,7 +167,7 @@ def apply_r2_r3_r4(ledger: ChargeLedger, con: Construction) -> ChargeLedger:
     for rule in ("R2", "R3", "R4"):
         for source, target, via in plans[rule]:
             ledger.move_from_cycle(rule, source, target, 2, via)
-        ledger.snapshot(rule)
+        ledger.end_rule(rule)
     return ledger
 
 
@@ -203,112 +207,97 @@ class AuditReport:
     total_tenths: int
 
 
+def _post_r1_cap(con: Construction, cyc: int) -> int:
+    """A cycle's cap after R1 in tenths: l/2 if even, else 5, 4, 7/2 by degree."""
+    ell = con.two_factor.cycle_length(cyc)
+    return 5 * ell if ell % 2 == 0 else (50, 40, 35)[len(con.attachments.get(cyc, ()))]
+
+
+def _family(family: str, margins: list[tuple[int, int]], bound) -> list[AuditCheck]:
+    """One check for a family of bounds, then each failed bound in full.
+    ``margins`` holds (margin, key) per bound, which holds iff its margin is
+    at least 0; ``bound(key)`` gives that bound's own name and detail."""
+    failed = [AuditCheck(name, False, detail)
+              for name, detail in (bound(key) for margin, key in margins if margin < 0)]
+    detail = f"{len(margins) - len(failed)} of {len(margins)} held"
+    if margins:
+        detail += "; tightest {}: {}".format(*bound(min(margins)[1]))
+    return [AuditCheck(family, not failed, detail), *failed]
+
+
 def audit(ledger: ChargeLedger, con: Construction) -> AuditReport:
     """Replay every charge bound the counting argument asserts.
 
-    Conservation at each snapshot; all edges discharged after R1; the
-    post-R1 cycle bounds (even <= l/2; odd <= 5, 4, 7/2 by selection
-    degree); the final per-component bound of 4/5 per vertex, strict as
-    soon as a member cycle has length other than 5; and for components
-    whose quotient is an odd cycle of t cycles, 5 + 13t < 3 * sum of
-    lengths.  Everything is exact integer arithmetic in tenths.
+    Conservation at the end of each rule; one replay of the log, in rule
+    order and with edges giving charge in R0 and R1 only, that reproduces
+    the post-R1 cycle charges and the final ledger; all edges discharged;
+    the post-R1 cycle bounds (even <= l/2; odd <= 5, 4, 7/2 by selection
+    degree); the final per-component bound of 4/5 per vertex, strict as soon
+    as a member cycle has length other than 5; and for components whose
+    quotient is an odd cycle of t cycles, 5 + 13t < 3 * sum of lengths, all
+    in integer tenths.  The last three are one check per family (``post-R1``,
+    ``component``, ``odd-quotient``) that counts the bounds that held and
+    names the tightest (least room); each failed bound is also listed on its
+    own, as ``post-R1:cycle{c}``, ``component:{c}`` or ``odd-quotient:{c}``
+    (``c`` the component's least cycle).
     """
     tf, g = con.two_factor, con.two_factor.graph
-    checks: list[AuditCheck] = []
     total = 10 * len(ledger.medium_edges)
-
-    for rule in RULES:
-        if rule not in ledger.snapshots:
-            checks.append(AuditCheck(f"snapshot:{rule}", False, "rule never applied"))
-            continue
-        edges, cycles = ledger.snapshots[rule]
-        ok = sum(edges) + sum(cycles) == total
-        checks.append(
-            AuditCheck(
-                f"conservation:{rule}",
-                ok,
-                f"total {sum(edges) + sum(cycles)} tenths vs {total}",
-            )
-        )
+    checks = [
+        AuditCheck(f"conservation:{rule}", got == total, f"total {got} tenths vs {total}")
+        if (got := ledger.rule_totals.get(rule)) is not None
+        else AuditCheck(f"snapshot:{rule}", False, "rule never applied")
+        for rule in RULES
+    ]
 
     replay_edges = [10 if e in ledger.medium_edges else 0 for e in range(g.m)]
     replay_cycles = [0] * len(tf.cycles)
-    replayed: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    by_rule: dict[str, list[Transfer]] = {rule: [] for rule in RULES}
+    after_r1, last, in_order = None, 0, True
     for tr in ledger.log:
-        by_rule[tr.rule].append(tr)
-    for rule in RULES:
-        for tr in by_rule[rule]:
-            kind, idx = tr.source
-            if kind == "edge":
-                replay_edges[idx] -= tr.tenths
-            else:
-                replay_cycles[idx] -= tr.tenths
-            replay_cycles[tr.target] += tr.tenths
-        replayed[rule] = (tuple(replay_edges), tuple(replay_cycles))
-    checks.append(
-        AuditCheck(
-            "log-replay",
-            all(replayed[r] == ledger.snapshots.get(r) for r in RULES),
-            "summing the transfer log reproduces every snapshot",
+        k = RULES.index(tr.rule)
+        if k > 1 and after_r1 is None:
+            after_r1 = tuple(replay_cycles)
+        kind, idx = tr.source
+        in_order = in_order and last <= k and (kind == "cycle" or k <= 1)
+        last = k
+        if kind == "edge":
+            replay_edges[idx] -= tr.tenths
+        else:
+            replay_cycles[idx] -= tr.tenths
+        replay_cycles[tr.target] += tr.tenths
+    replayed = in_order and replay_edges == ledger.edge_tenths and replay_cycles == ledger.cycle_tenths
+    replayed = replayed and (after_r1 or tuple(replay_cycles)) == ledger.cycles_after_r1
+    checks.append(AuditCheck("log-replay", replayed, "summing the log reproduces the post-R1 and final charges"))
+    # no rule after R1 takes charge from an edge, so these are the post-R1 charges
+    checks.append(AuditCheck("edges-zero-after-R1", not any(ledger.edge_tenths)))
+
+    r1 = ledger.cycles_after_r1
+    if r1 is not None:
+        checks += _family(
+            "post-R1",
+            [(_post_r1_cap(con, cyc) - charge, cyc) for cyc, charge in enumerate(r1)],
+            lambda cyc: (f"post-R1:cycle{cyc}", f"tenths {r1[cyc]} <= {_post_r1_cap(con, cyc)}"),
         )
+
+    comps = con.components
+    length = [sum(map(tf.cycle_length, comp.cycles)) for comp in comps]
+    charge = [sum(ledger.cycle_tenths[cyc] for cyc in comp.cycles) for comp in comps]
+    strict = [any(tf.cycle_length(cyc) != 5 for cyc in comp.cycles) for comp in comps]
+    checks += _family(  # 4/5 per vertex is 8 tenths; a strict bound has one tenth less room
+        "component",
+        [(8 * length[i] - charge[i] - strict[i], i) for i in range(len(comps))],
+        lambda i: (f"component:{min(comps[i].cycles)}", f"charge {charge[i]} {'<' if strict[i] else '<='} "
+                   f"{8 * length[i]} tenths over cycles {sorted(comps[i].cycles)}"),
+    )
+    checks += _family(
+        "odd-quotient",
+        [(3 * length[i] - 6 - 13 * len(comp.cycles), i) for i, comp in enumerate(comps) if comp.odd_quotient],
+        lambda i: (f"odd-quotient:{min(comps[i].cycles)}",
+                   f"5 + 13*{len(comps[i].cycles)} = {5 + 13 * len(comps[i].cycles)} < {3 * length[i]}"),
     )
 
-    if "R1" in ledger.snapshots:
-        edges_r1, cycles_r1 = ledger.snapshots["R1"]
-        ok = all(t == 0 for t in edges_r1)
-        checks.append(AuditCheck("edges-zero-after-R1", ok))
-        for cyc in range(len(tf.cycles)):
-            ell = tf.cycle_length(cyc)
-            charge = cycles_r1[cyc]
-            if ell % 2 == 0:
-                ok = charge <= 5 * ell
-                bound = f"{charge} <= {5 * ell}"
-            else:
-                cap = (50, 40, 35)[len(con.attachments.get(cyc, ()))]
-                ok = charge <= cap
-                bound = f"{charge} <= {cap}"
-            checks.append(
-                AuditCheck(f"post-R1:cycle{cyc}", ok, f"tenths {bound}")
-            )
-
-    final_cycles = ledger.cycle_tenths
-    for comp in con.components:
-        total_len = sum(tf.cycle_length(cyc) for cyc in comp.cycles)
-        charge = sum(final_cycles[cyc] for cyc in comp.cycles)
-        limit = 8 * total_len  # 4/5 per vertex, in tenths
-        strict = any(tf.cycle_length(cyc) != 5 for cyc in comp.cycles)
-        ok = charge < limit if strict else charge <= limit
-        rel = "<" if strict else "<="
-        checks.append(
-            AuditCheck(
-                f"component:{min(comp.cycles)}",
-                ok,
-                f"charge {charge} {rel} {limit} tenths over cycles {sorted(comp.cycles)}",
-            )
-        )
-        if comp.odd_quotient:
-            t = len(comp.cycles)
-            ok = 5 + 13 * t < 3 * total_len
-            checks.append(
-                AuditCheck(
-                    f"odd-quotient:{min(comp.cycles)}",
-                    ok,
-                    f"5 + 13*{t} = {5 + 13 * t} < {3 * total_len}",
-                )
-            )
-
-    grand_ok = (
-        ledger.total_tenths() == total
-        and 10 * len(ledger.medium_edges) <= 8 * g.n
-    )
-    checks.append(
-        AuditCheck(
-            "global-bound",
-            grand_ok,
-            f"{len(ledger.medium_edges)} medium edges vs 4/5 * {g.n}",
-        )
-    )
+    grand_ok = ledger.total_tenths() == total and 10 * len(ledger.medium_edges) <= 8 * g.n
+    checks.append(AuditCheck("global-bound", grand_ok, f"{len(ledger.medium_edges)} medium edges vs 4/5 * {g.n}"))
     return AuditReport(tuple(checks), all(chk.ok for chk in checks), ledger.total_tenths())
 
 

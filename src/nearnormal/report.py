@@ -16,8 +16,10 @@ class ColouringReport:
     Fields that only make sense on the construction branch are None on the
     other branches; the JSON schema is identical for every graph.  ``audit``
     is the discharging audit the pipeline ran on the constructed base
-    colouring: every check, the verdict and the ledger's total charge in
-    tenths.  ``audit_passed`` and ``audit_failures`` summarise it.
+    colouring: its checks (one per family of per-cycle or per-component
+    bounds, with the count that held and the tightest, and each failed
+    bound on its own), the verdict and the ledger's total charge in tenths.
+    ``audit_passed`` and ``audit_failures`` summarise it.
     """
 
     name: str

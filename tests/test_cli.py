@@ -415,10 +415,10 @@ class TestBatchCommand:
         assert main(["batch", str(path)]) == 141
         assert capsys.readouterr().err == ""
 
-    def test_a_pipe_closed_before_the_first_line_exits_141_quietly(self, petersen_file):
-        """The reader has gone before the command writes anything: the
-        command exits 141 with nothing on stderr, not even the interpreter's
-        report of a failed flush at exit.  Standard output is block-buffered,
+    @staticmethod
+    def batch_on_a_closed_pipe(path: str) -> subprocess.CompletedProcess:
+        """``nearnormal batch path`` in a subprocess whose stdout is a pipe
+        with its read end already closed.  Standard output is block-buffered,
         as it is on a pipe unless ``PYTHONUNBUFFERED`` is set, so the output
         is still buffered when the command returns."""
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -426,13 +426,28 @@ class TestBatchCommand:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "nearnormal", "batch", petersen_file],
+            return subprocess.run(
+                [sys.executable, "-m", "nearnormal", "batch", path],
                 stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
             )
         finally:
             os.close(write_end)
+
+    def test_a_pipe_closed_before_the_first_line_exits_141_quietly(self, petersen_file):
+        """The reader has gone before the command writes anything: the
+        command exits 141 with nothing on stderr, not even the interpreter's
+        report of a failed flush at exit."""
+        proc = self.batch_on_a_closed_pipe(petersen_file)
         assert (proc.returncode, proc.stderr) == (141, "")
+
+    def test_an_input_error_on_a_closed_pipe_keeps_exit_2(self, tmp_path, petersen):
+        """The Petersen line is still buffered when the second line turns out
+        not to be graph6: the command exits 2 with its ``error:`` line alone
+        on stderr, and the interpreter's flush at exit reports nothing."""
+        path = tmp_path / "bad.g6"
+        path.write_text(write_graph6(petersen) + "\n!!bad!!\n")
+        proc = self.batch_on_a_closed_pipe(str(path))
+        assert (proc.returncode, proc.stderr) == (2, "error: line 2: invalid graph6 byte '!'\n")
 
 
 class TestPetersenMapCommand:

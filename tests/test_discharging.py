@@ -4,8 +4,11 @@ import dataclasses
 
 import pytest
 
+import bench_families
 from nearnormal.colouring import MEDIUM, ColouringError, classify_all, construct_colouring
 from nearnormal.discharging import (
+    RULES,
+    _post_r1_cap,
     apply_r0,
     apply_r1,
     audit,
@@ -14,7 +17,8 @@ from nearnormal.discharging import (
     run_discharging,
 )
 from nearnormal.factor import two_factor_from_matching
-from nearnormal.selection import find_optimal_selection
+from nearnormal.pipeline import colour_graph
+from nearnormal.selection import CYCLE, find_optimal_selection
 from witnesses import (
     even_square_component,
     long_pair,
@@ -246,12 +250,14 @@ class TestAudit:
         assert not report.passed
         assert not all(chk.ok for chk in report.checks)
 
-    def test_conservation_at_every_snapshot(self):
+    def test_conservation_at_the_end_of_every_rule(self):
         g, tf, sel, con = constructed(r4_chain())
         ledger = run_discharging(con)
         total = 10 * len(ledger.medium_edges)
-        for edges, cycles in ledger.snapshots.values():
-            assert sum(edges) + sum(cycles) == total
+        assert ledger.rule_totals == {rule: total for rule in RULES}
+        # after R1 every edge is discharged, so the cycles hold the whole total
+        assert len(ledger.cycles_after_r1) == len(tf.cycles)
+        assert sum(ledger.cycles_after_r1) == total
 
     def test_exactness_no_floats(self, petersen):
         g, tf, sel, con = petersen_setup(petersen)
@@ -280,6 +286,139 @@ class TestAudit:
                     assert report.passed, (n, sorted(m), [chk for chk in report.checks if not chk.ok])
                     audited += 1
         assert audited == 2313
+
+
+def failed(report) -> set[str]:
+    assert report.passed is False
+    return {chk.name for chk in report.checks if not chk.ok}
+
+
+class TestSeededFailures:
+    """A tampered ledger or construction fails the audit, and the failed
+    bound is named on its own next to its family's check.  The witness fires
+    every rule, so the log holds transfers of R0-R4."""
+
+    @pytest.fixture
+    def setup(self):
+        g, tf, sel, con = constructed(r4_chain())
+        ledger = run_discharging(con)
+        assert {t.rule for t in ledger.log} == set(RULES)
+        return tf, con, ledger
+
+    def test_every_family_reports_once_and_names_its_tightest_bound(self, setup):
+        tf, con, ledger = setup
+        report = audit(ledger, con)
+        assert report.passed
+        assert [chk.name for chk in report.checks] == [
+            *(f"conservation:{rule}" for rule in RULES), "log-replay", "edges-zero-after-R1",
+            "post-R1", "component", "odd-quotient", "global-bound",
+        ]
+        details = {chk.name: chk.detail for chk in report.checks}
+        assert details["post-R1"] == f"{len(tf.cycles)} of {len(tf.cycles)} held; tightest post-R1:cycle0: tenths 40 <= 40"
+        assert details["odd-quotient"] == "0 of 0 held"
+
+    def test_a_post_r1_charge_over_its_cap(self, setup):
+        tf, con, ledger = setup
+        c = tf.odd_cycles()[0]
+        cap = _post_r1_cap(con, c)
+        after = list(ledger.cycles_after_r1)
+        after[c] = cap + 1
+        ledger.cycles_after_r1 = tuple(after)
+        report = audit(ledger, con)
+        # the replay no longer reproduces the recorded charges either
+        assert failed(report) == {"post-R1", f"post-R1:cycle{c}", "log-replay"}
+        assert f"post-R1:cycle{c}: tenths {cap + 1} <= {cap}" in {f"{chk.name}: {chk.detail}" for chk in report.checks}
+
+    @pytest.mark.parametrize("length, over", [(5, 1), (14, 0)], ids=["over", "at-a-strict-bound"])
+    def test_a_component_over_four_fifths_per_vertex(self, setup, length, over):
+        # the bound is strict on a component with a cycle of length other
+        # than 5, so the lone 14-cycle fails at exactly 4/5 per vertex
+        tf, con, ledger = setup
+        (target,) = next(
+            comp.cycles for comp in con.components
+            if len(comp.cycles) == 1 and tf.cycle_length(min(comp.cycles)) == length
+        )
+        room = 8 * length - ledger.cycle_tenths[target]
+        source = next(c for c in range(len(tf.cycles)) if c != target)
+        # a transfer logged under R4 keeps the log, the totals and the
+        # post-R1 charges consistent: only the component bound breaks
+        ledger.move_from_cycle("R4", source, target, room + over, tf.cycles[source][0])
+        assert failed(audit(ledger, con)) == {"component", f"component:{target}"}
+
+    def test_a_component_at_exactly_four_fifths_of_five_cycles_passes(self, setup):
+        tf, con, ledger = setup
+        (target,) = next(comp.cycles for comp in con.components if len(comp.cycles) == 1)
+        assert tf.cycle_length(target) == 5
+        source = next(c for c in range(len(tf.cycles)) if c != target)
+        ledger.move_from_cycle("R4", source, target, 40 - ledger.cycle_tenths[target], tf.cycles[source][0])
+        report = audit(ledger, con)
+        assert report.passed
+        details = {chk.name: chk.detail for chk in report.checks}
+        assert details["component"] == (
+            f"{len(con.components)} of {len(con.components)} held; "
+            f"tightest component:{target}: charge 40 <= 40 tenths over cycles [{target}]"
+        )
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_a_changed_total_at_the_end_of_a_rule(self, setup, rule):
+        tf, con, ledger = setup
+        ledger.rule_totals[rule] += 10
+        assert failed(audit(ledger, con)) == {f"conservation:{rule}"}
+
+    def test_a_dropped_log_entry(self, setup):
+        tf, con, ledger = setup
+        del ledger.log[-1]
+        assert failed(audit(ledger, con)) == {"log-replay"}
+
+    def test_a_changed_transfer(self, setup):
+        tf, con, ledger = setup
+        ledger.log[0] = dataclasses.replace(ledger.log[0], tenths=ledger.log[0].tenths - 1)
+        assert failed(audit(ledger, con)) == {"log-replay"}
+
+    def test_a_log_out_of_rule_order(self, setup):
+        tf, con, ledger = setup
+        first_r1 = next(i for i, t in enumerate(ledger.log) if t.rule == "R1")
+        ledger.log[first_r1 - 1], ledger.log[first_r1] = ledger.log[first_r1], ledger.log[first_r1 - 1]
+        assert failed(audit(ledger, con)) == {"log-replay"}
+
+    def test_an_edge_giving_charge_under_r2(self, setup):
+        # the last R1 transfer is logged under R2 and the recorded post-R1
+        # charges are lowered to match: the replay reproduces every recorded
+        # charge, but an edge then held charge after R1
+        tf, con, ledger = setup
+        i = max(i for i, t in enumerate(ledger.log) if t.rule == "R1")
+        tr = ledger.log[i]
+        assert tr.source[0] == "edge" and ledger.log[i + 1].rule == "R2"
+        ledger.log[i] = dataclasses.replace(tr, rule="R2")
+        after = list(ledger.cycles_after_r1)
+        after[tr.target] -= tr.tenths
+        ledger.cycles_after_r1 = tuple(after)
+        assert failed(audit(ledger, con)) == {"log-replay"}
+
+    def test_an_odd_quotient_that_breaks_the_inequality(self, setup):
+        # the inequality holds on every real odd quotient (t >= 3 cycles),
+        # so a one-cycle component on a 5-cycle is relabelled a quotient
+        # cycle: 5 + 13 = 18 < 15 fails
+        tf, con, ledger = setup
+        i, comp = next(
+            (i, comp) for i, comp in enumerate(con.components)
+            if len(comp.cycles) == 1 and tf.cycle_length(min(comp.cycles)) == 5
+        )
+        comps = list(con.components)
+        comps[i] = dataclasses.replace(comp, shape=CYCLE)
+        report = audit(ledger, dataclasses.replace(con, components=tuple(comps)))
+        c = min(comp.cycles)
+        assert failed(report) == {"odd-quotient", f"odd-quotient:{c}"}
+        assert dict((chk.name, chk.detail) for chk in report.checks)[f"odd-quotient:{c}"] == "5 + 13*1 = 18 < 15"
+
+
+def test_the_audit_reports_as_many_checks_at_n_10008_as_on_petersen(petersen):
+    # at the parent of the family checks this audit listed 1,754 checks
+    big = colour_graph(bench_families.petersen_inflation(1112, seed=1112))[1]
+    small = colour_graph(petersen)[1]
+    assert big.n == 10008 and big.base_branch == "constructed"
+    assert big.audit.passed and big.audit_failures == ()
+    assert len(big.audit.checks) == len(small.audit.checks) == 11
 
 
 class TestDegreesFollowTheSet:
@@ -319,9 +458,9 @@ class TestDegreesFollowTheSet:
                 k = selection_degrees(tf, sel)
                 con = construct_colouring(tf, sel)
                 ledger = run_discharging(con)
-                caps = {chk.name: chk.detail for chk in audit(ledger, con).checks}
+                assert audit(ledger, con).passed
                 for c in tf.odd_cycles():
-                    assert caps[f"post-R1:cycle{c}"].endswith(f" <= {(50, 40, 35)[k[c]]}")
+                    assert _post_r1_cap(con, c) == (50, 40, 35)[k[c]]
                 senders = {rule: set() for rule in fired}
                 for t in ledger.log:
                     if t.rule in senders:
