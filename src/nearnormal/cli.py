@@ -223,11 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("colour", help="run the full pipeline on one graph")
     p.add_argument("graph")
-    p.add_argument("--json", action="store_true", help="structured report")
+    # the JSON report's ``colours`` field already holds the colouring
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true", help="structured report")
+    output.add_argument("--emit-colouring", action="store_true", help="print the colouring file")
     p.add_argument("--oracle", action="store_true", help="also run the exact oracle")
-    p.add_argument(
-        "--emit-colouring", action="store_true", help="print the colouring file"
-    )
     p.set_defaults(func=_cmd_colour)
 
     p = sub.add_parser("verify", help="classify a supplied colouring")

@@ -2,14 +2,16 @@
 
 Every medium edge starts with charge 1; rules R0-R4 move charge onto and
 between cycles of the 2-factor, and the audit then checks the bound that
-each component's cycles hold at most 4/5 of a unit per vertex.  All amounts
-are multiples of 1/10, so the ledger works in integer tenths throughout; no
-floating point is involved anywhere.
+each component's cycles hold at most 4/5 of a unit per vertex.  Each rule
+plans its moves and makes them with :meth:`ChargeLedger.apply`, the one
+place charges change.  All amounts are multiples of 1/10, so the ledger
+works in integer tenths throughout, with no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .colouring import MEDIUM, ColouringError, Construction, classify_all
 from .colouring import bullet_violations, fact_one_violations
@@ -23,19 +25,18 @@ class DischargingError(GraphError):
     """A rule hit a configuration the construction is supposed to exclude."""
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     rule: str
     source: tuple[str, int]  # ("edge", edge id) or ("cycle", cycle index)
     target: int              # cycle index
     tenths: int
-    via: int | None = None   # vertex for the cycle-to-cycle rules
 
 
 @dataclass
 class ChargeLedger:
     """Exact charges in integer tenths and the log of every transfer.  Each
-    rule records the total at its end; R1 also records the cycle charges."""
+    rule's moves go through :meth:`apply`, which records the total at the
+    rule's end, and after R1 the cycle charges."""
 
     medium_edges: frozenset[int]
     edge_tenths: list[int]
@@ -44,19 +45,18 @@ class ChargeLedger:
     cycles_after_r1: tuple[int, ...] | None = None
     log: list[Transfer] = field(default_factory=list)
 
-    def move_from_edge(self, rule: str, e: int, target: int, tenths: int) -> None:
-        if self.edge_tenths[e] < tenths:
-            raise DischargingError(f"edge {e} cannot send {tenths} tenths")
-        self.edge_tenths[e] -= tenths
-        self.cycle_tenths[target] += tenths
-        self.log.append(Transfer(rule, ("edge", e), target, tenths))
-
-    def move_from_cycle(self, rule: str, c: int, target: int, tenths: int, via: int) -> None:
-        self.cycle_tenths[c] -= tenths
-        self.cycle_tenths[target] += tenths
-        self.log.append(Transfer(rule, ("cycle", c), target, tenths, via))
-
-    def end_rule(self, rule: str) -> None:
+    def apply(self, rule: str, moves) -> None:
+        """Make and log each move ``(source, target cycle, tenths)`` in order,
+        then close the rule; :class:`DischargingError` when an edge would send
+        more than it holds."""
+        for source, target, tenths in moves:
+            kind, i = source
+            charges = self.edge_tenths if kind == "edge" else self.cycle_tenths
+            if kind == "edge" and charges[i] < tenths:
+                raise DischargingError(f"edge {i} cannot send {tenths} tenths")
+            charges[i] -= tenths
+            self.cycle_tenths[target] += tenths
+            self.log.append(Transfer(rule, source, target, tenths))
         self.rule_totals[rule] = self.total_tenths()
         if rule == "R1":
             self.cycles_after_r1 = tuple(self.cycle_tenths)
@@ -76,17 +76,14 @@ def initial_ledger(con: Construction) -> ChargeLedger:
     )
 
 
-def apply_r0(ledger: ChargeLedger, con: Construction) -> ChargeLedger:
+def apply_r0(ledger: ChargeLedger, con: Construction) -> None:
     """Every medium edge on a cycle sends its whole unit to that cycle."""
-    tf = con.two_factor
-    for e in sorted(ledger.medium_edges):
-        if tf.cycle_of_edge[e] >= 0:
-            ledger.move_from_edge("R0", e, tf.cycle_of_edge[e], 10)
-    ledger.end_rule("R0")
-    return ledger
+    cycle_of_edge = con.two_factor.cycle_of_edge
+    ledger.apply("R0", [(("edge", e), cycle_of_edge[e], 10)
+                        for e in sorted(ledger.medium_edges) if cycle_of_edge[e] >= 0])
 
 
-def apply_r1(ledger: ChargeLedger, con: Construction) -> ChargeLedger:
+def apply_r1(ledger: ChargeLedger, con: Construction) -> None:
     """Medium matching edges split their unit between their two cycles.
 
     Writing C for an incident odd cycle whose colour-3 edge touches the
@@ -98,33 +95,29 @@ def apply_r1(ledger: ChargeLedger, con: Construction) -> ChargeLedger:
     """
     tf, threes = con.two_factor, con.three_edges
     g = tf.graph
+    moves = []
     for e in sorted(ledger.medium_edges):
         if e not in tf.matching:
             continue
         u, v = g.edges[e]
         cu, cv = tf.cycle_of_vertex[u], tf.cycle_of_vertex[v]
+        source = ("edge", e)
         if cu == cv:
-            ledger.move_from_edge("R1", e, cu, 10)
+            moves.append((source, cu, 10))
             continue
         # the odd cycles at e whose colour-3 edge (``threes`` has one per
         # odd cycle) ends where e does
-        qualifying = [
-            (cyc, end) for cyc, end in ((cu, u), (cv, v))
-            if tf.cycle_length(cyc) % 2 and end in g.edges[threes[cyc]]
-        ]
+        qualifying = [(cyc, end) for cyc, end in ((cu, u), (cv, v))
+                      if tf.cycle_length(cyc) % 2 and end in g.edges[threes[cyc]]]
         if not qualifying:
-            raise DischargingError(
-                f"medium matching edge {e} is adjacent to no colour-3 edge"
-            )
+            raise DischargingError(f"medium matching edge {e} is adjacent to no colour-3 edge")
         main = qualifying[0][0]
         other = cv if main == cu else cu
         if tf.cycle_length(other) % 2 == 0 or len(qualifying) == 2:
-            ledger.move_from_edge("R1", e, main, 5)
-            ledger.move_from_edge("R1", e, other, 5)
+            moves += [(source, main, 5), (source, other, 5)]
         else:
-            ledger.move_from_edge("R1", e, main, 10)
-    ledger.end_rule("R1")
-    return ledger
+            moves.append((source, main, 10))
+    ledger.apply("R1", moves)
 
 
 def _cyclic_distance(tf: TwoFactor, c: int, a: int, b: int) -> int:
@@ -133,42 +126,38 @@ def _cyclic_distance(tf: TwoFactor, c: int, a: int, b: int) -> int:
     return min(d, ell - d)
 
 
-def apply_r2_r3_r4(ledger: ChargeLedger, con: Construction) -> ChargeLedger:
-    """The cycle-to-cycle rules, all firing out of length-5 cycles.
+def apply_r2_r3_r4(ledger: ChargeLedger, con: Construction) -> None:
+    """The cycle-to-cycle rules, each move sending 1/5 out of a 5-cycle.
 
     The guards depend only on the structure (cycle lengths, selection
-    degrees, attachment positions), never on current charges, so applying
-    the three rules sequentially equals the simultaneous wave.
+    degrees, attachment positions), never on current charges, so planning
+    every move, then applying the rules in turn, equals the simultaneous wave.
     """
     tf, att = con.two_factor, con.attachments
     plans = {"R2": [], "R3": [], "R4": []}
     for cyc in range(len(tf.cycles)):
         if tf.cycle_length(cyc) != 5:
             continue
+        source = ("cycle", cyc)
         if cyc not in att:  # degree 0
             for v in tf.cycles[cyc]:
-                plans["R2"].append((cyc, tf.cycle_of_vertex[tf.partner[v]], v))
+                plans["R2"].append((source, tf.cycle_of_vertex[tf.partner[v]], 2))
         elif len(att[cyc]) == 1:
-            a = att[cyc][0]
-            pos = tf.position_on_cycle(cyc, a)
-            ell = tf.cycle_length(cyc)
-            for x in (tf.cycles[cyc][(pos - 1) % ell], tf.cycles[cyc][(pos + 1) % ell]):
+            pos = tf.position_on_cycle(cyc, att[cyc][0])
+            for x in (tf.cycles[cyc][(pos - 1) % 5], tf.cycles[cyc][(pos + 1) % 5]):
                 partner = tf.partner[x]
                 target = tf.cycle_of_vertex[partner]
                 if not (tf.cycle_length(target) == 5 and len(att.get(target, ())) == 1):
-                    plans["R3"].append((cyc, target, x))
+                    plans["R3"].append((source, target, 2))
                 else:
                     w = att[target][0]
                     if _cyclic_distance(tf, target, partner, w) != 2:
                         continue
                     final = tf.cycle_of_vertex[tf.partner[w]]
                     if len(att.get(final, ())) == 2:
-                        plans["R4"].append((cyc, final, x))
-    for rule in ("R2", "R3", "R4"):
-        for source, target, via in plans[rule]:
-            ledger.move_from_cycle(rule, source, target, 2, via)
-        ledger.end_rule(rule)
-    return ledger
+                        plans["R4"].append((source, final, 2))
+    for rule, moves in plans.items():
+        ledger.apply(rule, moves)
 
 
 def run_discharging(con: Construction) -> ChargeLedger:
@@ -246,7 +235,7 @@ def audit(ledger: ChargeLedger, con: Construction) -> AuditReport:
     checks = [
         AuditCheck(f"conservation:{rule}", got == total, f"total {got} tenths vs {total}")
         if (got := ledger.rule_totals.get(rule)) is not None
-        else AuditCheck(f"snapshot:{rule}", False, "rule never applied")
+        else AuditCheck(f"conservation:{rule}", False, "rule never applied")
         for rule in RULES
     ]
 

@@ -49,10 +49,11 @@ class ColouringReport:
         return json.dumps(dataclasses.asdict(self), indent=2)
 
     def render_text(self) -> str:
+        kinds = ", ".join(f"{self.reductions.count(kind)} {kind}" for kind in sorted(set(self.reductions)))
         lines = [
             f"graph {self.name or '<unnamed>'}: n={self.n}, m={self.m}",
             f"  branch: {self.branch}"
-            + (f" (reductions: {', '.join(self.reductions)}; base: {self.base_branch} "
+            + (f" (reductions: {kinds}; base: {self.base_branch} "
                f"on {self.base_order} vertices)" if self.reductions else ""),
         ]
         lines.append(f"  3-edge-colouring: {self.three_colouring}")

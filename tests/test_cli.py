@@ -102,6 +102,24 @@ class TestColourCommand:
         assert main(["colour", k4_edge_list, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["audit"] is None
 
+    def test_emitted_colouring_parses_back(self, petersen_file, capsys):
+        g = load_graph(petersen_file)
+        colouring, report = colour_graph(g, name=Path(petersen_file).name)
+        assert main(["colour", petersen_file, "--emit-colouring"]) == 0
+        out = capsys.readouterr().out
+        head = report.render_text() + "\n"
+        assert out.startswith(head)
+        assert graphio.parse_colouring(out[len(head):], g).colour_of == colouring.colour_of
+
+    def test_json_and_emit_colouring_together_are_a_usage_error(self, petersen_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["colour", petersen_file, "--json", "--emit-colouring"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: nearnormal colour [-h] [--json | --emit-colouring]")
+        assert "argument --emit-colouring: not allowed with argument --json" in captured.err
+
     def test_oracle_flag(self, petersen_file, capsys):
         assert main(["colour", petersen_file, "--json", "--oracle"]) == 0
         payload = json.loads(capsys.readouterr().out)

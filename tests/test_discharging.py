@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -176,7 +177,6 @@ class TestR2R3R4:
         c_cycle = tf.cycle_of_vertex[0]
         assert move.source == ("cycle", c_cycle)
         assert move.target == w_cycle
-        assert move.via == 2
         assert selection_degrees(tf, sel)[w_cycle] == 2
 
     def test_guards_are_pure(self):
@@ -342,7 +342,7 @@ class TestSeededFailures:
         source = next(c for c in range(len(tf.cycles)) if c != target)
         # a transfer logged under R4 keeps the log, the totals and the
         # post-R1 charges consistent: only the component bound breaks
-        ledger.move_from_cycle("R4", source, target, room + over, tf.cycles[source][0])
+        ledger.apply("R4", [(("cycle", source), target, room + over)])
         assert failed(audit(ledger, con)) == {"component", f"component:{target}"}
 
     def test_a_component_at_exactly_four_fifths_of_five_cycles_passes(self, setup):
@@ -350,7 +350,7 @@ class TestSeededFailures:
         (target,) = next(comp.cycles for comp in con.components if len(comp.cycles) == 1)
         assert tf.cycle_length(target) == 5
         source = next(c for c in range(len(tf.cycles)) if c != target)
-        ledger.move_from_cycle("R4", source, target, 40 - ledger.cycle_tenths[target], tf.cycles[source][0])
+        ledger.apply("R4", [(("cycle", source), target, 40 - ledger.cycle_tenths[target])])
         report = audit(ledger, con)
         assert report.passed
         details = {chk.name: chk.detail for chk in report.checks}
@@ -365,6 +365,13 @@ class TestSeededFailures:
         ledger.rule_totals[rule] += 10
         assert failed(audit(ledger, con)) == {f"conservation:{rule}"}
 
+    def test_a_rule_that_never_closed(self, setup):
+        tf, con, ledger = setup
+        del ledger.rule_totals["R3"]
+        report = audit(ledger, con)
+        assert failed(report) == {"conservation:R3"}
+        assert dict((chk.name, chk.detail) for chk in report.checks)["conservation:R3"] == "rule never applied"
+
     def test_a_dropped_log_entry(self, setup):
         tf, con, ledger = setup
         del ledger.log[-1]
@@ -372,7 +379,7 @@ class TestSeededFailures:
 
     def test_a_changed_transfer(self, setup):
         tf, con, ledger = setup
-        ledger.log[0] = dataclasses.replace(ledger.log[0], tenths=ledger.log[0].tenths - 1)
+        ledger.log[0] = ledger.log[0]._replace(tenths=ledger.log[0].tenths - 1)
         assert failed(audit(ledger, con)) == {"log-replay"}
 
     def test_a_log_out_of_rule_order(self, setup):
@@ -389,7 +396,7 @@ class TestSeededFailures:
         i = max(i for i, t in enumerate(ledger.log) if t.rule == "R1")
         tr = ledger.log[i]
         assert tr.source[0] == "edge" and ledger.log[i + 1].rule == "R2"
-        ledger.log[i] = dataclasses.replace(tr, rule="R2")
+        ledger.log[i] = tr._replace(rule="R2")
         after = list(ledger.cycles_after_r1)
         after[tr.target] -= tr.tenths
         ledger.cycles_after_r1 = tuple(after)
@@ -472,3 +479,25 @@ class TestDegreesFollowTheSet:
                 checked += 1
         assert checked == 2 * (292 + len(self.WITNESSES))
         assert all(fired.values()), fired
+
+
+MOVE_LOG = "537d5c61d4c44bbee688aa25aa7518e9ffa74f899dcdac6fc145af98b8a57d52"
+
+
+def test_every_move_of_every_rule_is_pinned(petersen):
+    """The report digest covers the audit's checks, not the log: this hashes
+    each move's rule, source, target and tenths, in log order, on the
+    witnesses, Petersen and a 360-vertex Petersen inflation."""
+    from nearnormal.factor import choose_two_factor
+    from nearnormal.reductions import reduce_fully
+
+    cons = [constructed(witness())[3] for witness in TestDegreesFollowTheSet.WITNESSES]
+    for g in (petersen, bench_families.petersen_inflation(40, seed=40)):
+        tf = choose_two_factor(reduce_fully(g)[0])
+        cons.append(construct_colouring(tf, find_optimal_selection(tf)))
+    assert cons[-1].two_factor.graph.n == 360
+    digest = hashlib.sha256()
+    for con in cons:
+        log = run_discharging(con).log
+        digest.update(repr([(t.rule, t.source, t.target, t.tenths) for t in log]).encode())
+    assert digest.hexdigest() == MOVE_LOG

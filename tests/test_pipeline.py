@@ -147,6 +147,16 @@ class TestReportSchema:
         text = report.render_text()
         assert "medium bound" in text and "4/5" in text
 
+    def test_render_text_counts_the_rewrites_per_kind(self):
+        # the JSON list keeps one entry per rewrite; the text line does not grow with it
+        _c, report = colour_graph(bench_families.reduce_lift_graphs(0)[-1])
+        assert report.n == 400 and len(report.reductions) == 190
+        assert report.render_text().splitlines()[1] == (
+            "  branch: reduced (reductions: 92 multi_edge, 98 triangle; base: constructed on 20 vertices)"
+        )
+        _c, report = colour_graph(expand_vertex_to_triangle(petersen_graph(), 0))
+        assert "(reductions: 1 triangle; base: constructed on 10 vertices)" in report.render_text()
+
     def test_corpus_smoke(self):
         for g in load_cubic_corpus(8):
             _c, report = colour_graph(g)
