@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a bound, audit or other internal check
-fails (a violation the mathematics rules out, so it is flagged loudly as
-``BOUND VIOLATION`` or ``CHECK FAILED``), 2 on input errors.  ``batch``
-reports such a failure on the graph's line and goes on.  A closed pipe
-(``nearnormal batch FILE | head``) ends any command quietly with 141, or
-with its own code when it has failed.
+fails, or ``--oracle`` finds a minimum above the pipeline's count (each a
+violation the mathematics rules out, so it is flagged loudly, as ``BOUND
+VIOLATION``, ``CHECK FAILED`` or ``ORACLE-ABOVE-PIPELINE``), 2 on input
+errors.  ``batch`` reports such a failure on the graph's line and goes on.
+A closed pipe (``nearnormal batch FILE | head``) ends any command quietly
+with 141, or with its own code when it has failed.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ def _cmd_colour(args) -> int:
         print(report.render_text())
         if args.emit_colouring:
             sys.stdout.write(format_colouring(g, colouring))
-    return 0 if report.bound_ok and report.audit_passed is not False else 1
+    above = (report.oracle_minimum or 0) > report.medium  # the exact minimum cannot exceed a colouring's count
+    return 0 if report.bound_ok and report.audit_passed is not False and not above else 1
 
 
 def _cmd_verify(args) -> int:

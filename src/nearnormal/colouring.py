@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .factor import TwoFactor
-from .graph import ColouringError, MultiGraph, _pairs_and_triangles
+from .graph import ColouringError, MultiGraph
 from .selection import SComponent, _attachments, s_components
 
 POOR = "poor"
@@ -583,17 +583,26 @@ def construct_colouring(tf: TwoFactor, selected: frozenset[int]) -> Construction
       odd cycle, and then it is the unique one there.
 
     It comes in a :class:`Construction`, with the artefacts it was built
-    from.  Only the input is checked here: the graph simple and
-    triangle-free, and the selection by :func:`selection._attachments`,
-    which builds the attachment lists as it checks them.
+    from.  Only the input is checked here.  The graph, read off ``tf``, is
+    simple and triangle-free iff no cycle is shorter than 4 and no matching
+    edge joins two vertices 1 or 2 steps apart on one cycle: as matching
+    edges are disjoint, a parallel pair is a 2-cycle or a chord 1 step long,
+    a triangle a 3-cycle or a chord 2 steps long, and an edge between two
+    cycles lies on neither.  The selection is checked by
+    :func:`selection._attachments`, which builds the attachment lists as it
+    checks them.
     The output's properties are checked by
     :func:`discharging.run_discharging`, whose rules rely on them, on the
     classes it computes anyway.
     """
-    g = tf.graph
-    pairs, triangles = _pairs_and_triangles(g)
-    if pairs or triangles:
-        raise ColouringError(f"construction requires a {'simple' if pairs else 'triangle-free'} graph")
+    g, cyc, pos, lengths = tf.graph, tf.cycle_of_vertex, tf.position, list(map(len, tf.cycles))
+    shapes = set(lengths)  # with the shortest cycle each chord closes: 2 is a parallel pair, 3 a triangle
+    for u, v in map(g.edges.__getitem__, tf.matching):
+        if cyc[u] == cyc[v]:
+            d = (pos[u] - pos[v]) % lengths[cyc[u]]
+            shapes.add(min(d, lengths[cyc[u]] - d) + 1)
+    if 2 in shapes or 3 in shapes:
+        raise ColouringError(f"construction requires a {'simple' if 2 in shapes else 'triangle-free'} graph")
     attachments = _attachments(tf, selected)  # raises on an invalid selection
     three = place_colour_3(tf, attachments)
     components = tuple(s_components(tf, selected))

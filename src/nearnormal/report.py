@@ -78,5 +78,6 @@ class ColouringReport:
                                            "FAILED: " + "; ".join(self.audit_failures))
             )
         if self.oracle_minimum is not None:
-            lines.append(f"  oracle minimum medium over 4-colourings: {self.oracle_minimum}")
+            lines.append(f"  oracle minimum medium over 4-colourings: {self.oracle_minimum}"
+                         + (" ORACLE-ABOVE-PIPELINE" if self.oracle_minimum > self.medium else ""))
         return "\n".join(lines)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -124,6 +125,20 @@ class TestColourCommand:
         assert main(["colour", petersen_file, "--json", "--oracle"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["oracle_minimum"] == 8
+
+    @pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+    def test_an_oracle_minimum_above_the_pipeline_fails(self, json_out, petersen_file, monkeypatch, capsys):
+        # the pipeline's colouring is a 4-edge-colouring, so the exact
+        # minimum cannot exceed its count; a seeded one that does exits 1
+        monkeypatch.setattr(cli, "min_medium_exact", lambda g, k: (9, None))
+        assert main(["colour", petersen_file, "--oracle"] + ["--json"] * json_out) == 1
+        out = capsys.readouterr().out
+        if json_out:
+            payload = json.loads(out)
+            assert (payload["medium"], payload["oracle_minimum"]) == (8, 9)
+            assert "ORACLE-ABOVE-PIPELINE" not in out
+        else:
+            assert out.splitlines()[-1] == "  oracle minimum medium over 4-colourings: 9 ORACLE-ABOVE-PIPELINE"
 
     def test_edge_list_input(self, k4_edge_list, capsys):
         assert main(["colour", k4_edge_list]) == 0
@@ -418,6 +433,19 @@ class TestBatchCommand:
             "line2: n=6 branch=3-colourable medium=0",
         ]
         assert "processed 1 graphs" in captured.out and captured.err == ""
+
+    def test_a_failed_audit_is_marked_and_counted(self, petersen_file, monkeypatch, capsys):
+        run_audit = pipeline.run_audit
+        monkeypatch.setattr(pipeline, "run_audit", lambda con: dataclasses.replace(run_audit(con), passed=False))
+        assert main(["batch", petersen_file]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == "line1: n=10 branch=constructed medium=8 tight AUDIT-FAILED"
+
+    def test_an_oracle_minimum_above_the_pipeline_is_marked_and_counted(self, petersen_file, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "min_medium_exact", lambda g, k: (9, None))
+        assert main(["batch", petersen_file, "--oracle"]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "line1: n=10 branch=constructed medium=8 tight oracle=9 ORACLE-ABOVE-PIPELINE"
+        )
 
     def test_a_closed_stdout_exits_141_quietly(self, tmp_path, monkeypatch, capsys):
         """A write to a closed pipe ends the batch with 141 and prints no

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import bench_families
@@ -21,7 +23,7 @@ from nearnormal.colouring import (
     place_colour_3,
     try_3_edge_colouring,
 )
-from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus
+from nearnormal.corpus import CORPUS_ORDERS, complete_graph_k4, load_cubic_corpus, prism, triple_edge
 from nearnormal.discharging import initial_ledger
 from nearnormal.factor import (
     choose_two_factor,
@@ -43,6 +45,7 @@ from witnesses import (
     two_factor_of,
 )
 from reference_classify import is_proper
+from test_reductions import insert_digon
 
 
 def construction_violations(con):
@@ -99,6 +102,12 @@ class TestClassification:
         assert not is_proper(k4, bad)
         with pytest.raises(ColouringError):
             _edge_class(bad.colour_of, 0, k4.incident_edges(0) + k4.incident_edges(1))
+
+    def test_colour_outside_the_palette_rejected(self):
+        with pytest.raises(ColouringError, match=r"^colour 5 outside palette 1\.\.4$"):
+            EdgeColouring(4, (1, 5, 2))
+        with pytest.raises(ColouringError, match=r"^colour 0 outside palette 1\.\.3$"):
+            EdgeColouring(3, (1, 2, 0))
 
     def test_classification_invariant_under_colour_renaming(self):
         g, col, _ = known_eight_medium_colouring()
@@ -316,6 +325,37 @@ class TestConstructColouring:
         tf = choose_two_factor(g)
         with pytest.raises(ColouringError, match="^construction requires a simple graph$"):
             construct_colouring(tf, find_optimal_selection(tf))
+
+    def test_input_check_agrees_with_the_whole_graph_scan(self):
+        # the check reads the 2-factor; the scan it replaced builds neighbour
+        # sets.  Every perfect matching of every small graph, bridged ones
+        # and multigraphs too, must get the verdict the scan implies.
+        graphs = [g for n in (4, 6, 8, 10) for g in load_cubic_corpus(n, bridgeless_only=False)]
+        small = [triple_edge(), complete_graph_k4(), prism(3), prism(4)]
+        graphs += small + [insert_digon(b, e) for b in small for e in range(b.m)]
+        shapes = Counter()
+        for g in graphs:
+            pairs, triangles = graph._pairs_and_triangles(g)
+            want = "simple" if pairs else "triangle-free" if triangles else None
+            for m in enumerate_perfect_matchings(g):
+                tf = two_factor_from_matching(g, m)
+                if want is None:
+                    construct_colouring(tf, frozenset())
+                else:
+                    with pytest.raises(ColouringError, match=f"^construction requires a {want} graph$"):
+                        construct_colouring(tf, frozenset())
+                lengths, steps = set(map(len, tf.cycles)), set()  # steps: how far each chord reaches
+                for u, v in map(g.edges.__getitem__, m):
+                    c = tf.cycle_of_vertex[u]
+                    if c == tf.cycle_of_vertex[v]:
+                        d = (tf.position[u] - tf.position[v]) % len(tf.cycles[c])
+                        steps.add(min(d, len(tf.cycles[c]) - d))
+                found = {"2-cycle": 2 in lengths, "chord-1": 1 in steps,
+                         "3-cycle": 3 in lengths, "chord-2": 2 in steps}
+                shapes.update(name for name, hit in found.items() if hit)
+                shapes["none"] += not any(found.values())
+        # each of the four shapes, alone or with others, and clean inputs
+        assert shapes == {"2-cycle": 60, "chord-1": 231, "3-cycle": 34, "chord-2": 190, "none": 90}
 
     def test_exactly_one_medium_per_odd_quotient_component(self):
         g, mids = odd_triangle_component()

@@ -9,6 +9,7 @@ import bench_families
 from nearnormal.colouring import MEDIUM, ColouringError, classify_all, construct_colouring
 from nearnormal.discharging import (
     RULES,
+    DischargingError,
     _post_r1_cap,
     apply_r0,
     apply_r1,
@@ -28,6 +29,7 @@ from witnesses import (
     odd_triangle_component,
     r3_pair,
     r4_chain,
+    r4_chain_adjacent,
     selection_degrees,
     two_factor_of,
 )
@@ -179,11 +181,46 @@ class TestR2R3R4:
         assert move.target == w_cycle
         assert selection_degrees(tf, sel)[w_cycle] == 2
 
+    def test_r3_skips_a_partner_one_step_from_the_attachment(self):
+        g, mids = r4_chain_adjacent()
+        tf = two_factor_of(g, mids)
+        assert find_optimal_selection(tf) == {0, 1, 2}
+        con = construct_colouring(tf, frozenset({0, 1}))
+        ledger = run_discharging(con)
+        c, d, e = (tf.cycle_of_vertex[x] for x in (0, 5, 20))
+        # each of C and D sends only through its neighbour matched into E
+        assert [(t.rule, t.source, t.target) for t in ledger.log if t.rule in ("R3", "R4")] == [
+            ("R3", ("cycle", c), e), ("R3", ("cycle", d), e),
+        ]
+        assert run_audit(con).passed
+
     def test_guards_are_pure(self):
         g, tf, sel, con = constructed(r4_chain())
         first = run_discharging(con).log
         second = run_discharging(con).log
         assert first == second
+
+
+class TestRuleGuards:
+    """The rules refuse what the construction is supposed to exclude."""
+
+    def test_an_edge_cannot_send_more_than_it_holds(self, petersen):
+        g, tf, sel, con = petersen_setup(petersen)
+        ledger = initial_ledger(con)
+        e = min(ledger.medium_edges)
+        assert ledger.edge_tenths[e] == 10
+        with pytest.raises(DischargingError, match=f"^edge {e} cannot send 20 tenths$"):
+            ledger.apply("R0", [(("edge", e), 0, 20)])
+
+    def test_r1_refuses_a_medium_matching_edge_off_the_colour_3_edges(self):
+        # in the witness, matching edge 3 = (3, 12) joins the 5-cycle A,
+        # whose colour-3 edge is (0, 1), to the even 8-cycle
+        g, tf, sel, con = constructed(r3_pair())
+        assert g.edges[3] == (3, 12) and g.edges[con.three_edges[tf.cycle_of_vertex[0]]] == (0, 1)
+        ledger = initial_ledger(con)
+        ledger.medium_edges = frozenset({3})
+        with pytest.raises(DischargingError, match="^medium matching edge 3 is adjacent to no colour-3 edge$"):
+            apply_r1(ledger, con)
 
 
 class TestAudit:

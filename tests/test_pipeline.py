@@ -157,6 +157,22 @@ class TestReportSchema:
         _c, report = colour_graph(expand_vertex_to_triangle(petersen_graph(), 0))
         assert "(reductions: 1 triangle; base: constructed on 10 vertices)" in report.render_text()
 
+    def test_render_text_flags_each_failure(self, petersen):
+        # failures the pipeline raises or never produces, seeded on a real report
+        report = colour_graph(petersen)[1]
+        lines = report.render_text().splitlines()
+        assert lines[-2:] == ["  medium bound: 8 <= 4/5 * 10 = 8 [tight]", "  discharging audit: passed"]
+
+        def last_lines(**changes):
+            return dataclasses.replace(report, **changes).render_text().splitlines()[len(lines) - 2:]
+
+        assert last_lines(bound_ok=False) == ["  medium bound VIOLATED: 8 > 4/5 * 10", "  discharging audit: passed"]
+        assert last_lines(audit_passed=False, audit_failures=("post-R1:cycle0: too much", "global-bound: over"))[1] == (
+            "  discharging audit: FAILED: post-R1:cycle0: too much; global-bound: over"
+        )
+        assert last_lines(oracle_minimum=8)[2:] == ["  oracle minimum medium over 4-colourings: 8"]
+        assert last_lines(oracle_minimum=9)[2:] == ["  oracle minimum medium over 4-colourings: 9 ORACLE-ABOVE-PIPELINE"]
+
     def test_corpus_smoke(self):
         for g in load_cubic_corpus(8):
             _c, report = colour_graph(g)
@@ -365,7 +381,16 @@ class TestEachCheckOnce:
     pipeline path.  The construction builds the selection's components and
     attachments once, and the rules and the audit read them from its
     record; the attachments come from the builder that checks the
-    selection, so that one call is also the check."""
+    selection, so that one call is also the check.  The graph is scanned for
+    parallel pairs and triangles once, by ``reduce_fully``; the construction
+    reads the same property off its 2-factor."""
+
+    @THREE_CONSTRUCTED
+    def test_one_scan_for_pairs_and_triangles(self, make, monkeypatch):
+        calls = count_calls(monkeypatch, graph._pairs_and_triangles)
+        report = colour_graph(make())[1]
+        assert report.base_branch == "constructed" and report.audit_passed is True
+        assert calls == {"_pairs_and_triangles": 1}
 
     @THREE_CONSTRUCTED
     def test_classify_twice_and_check_the_selection_once(self, make, monkeypatch):
@@ -500,6 +525,21 @@ INVALID = {
 }
 
 
+class TestBoundChecks:
+    """The final count is checked against the bound, strictly off Petersen;
+    a count the construction never gives is seeded in place of the real one."""
+
+    @pytest.mark.parametrize("make, mediums, message", [
+        (complete_graph_k4, 4, r"^4 medium edges exceed 4/5 \* 4 \(would refute the bound\)$"),
+        (lambda: prism(5), 8, r"^bound is tight on a non-Petersen graph \(8 medium edges\)$"),
+    ], ids=["k4-over", "prism5-tight"])
+    def test_a_seeded_count_is_flagged(self, make, mediums, message, monkeypatch):
+        g = make()
+        monkeypatch.setattr(pipeline, "class_counts", lambda g, c: {"poor": g.m - mediums, "medium": mediums, "rich": 0})
+        with pytest.raises(pipeline.BoundViolation, match=message):
+            colour_graph(g)
+
+
 class TestInputCertificate:
     """The input is certified connected and bridgeless from the 2-factor of
     its reduced base; ``validate_input`` runs only to diagnose a failure."""
@@ -567,3 +607,12 @@ class TestInputCertificate:
             colour_graph(petersen_graph())
         assert type(caught.value) is GraphError
         assert str(caught.value) == f"reduction produced an invalid base ({want.reason}): {want.detail}"
+
+    def test_an_internal_error_on_a_valid_input_is_raised_as_it_is(self, petersen, monkeypatch):
+        def failing(g):
+            raise GraphError("boom")
+
+        monkeypatch.setattr(pipeline, "choose_two_factor", failing)
+        with pytest.raises(GraphError, match="^boom$") as caught:
+            colour_graph(petersen)
+        assert type(caught.value) is GraphError

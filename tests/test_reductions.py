@@ -215,6 +215,19 @@ class TestLifts:
         with pytest.raises(GraphError, match="proper"):
             lift(rec, base_colours(base_edges, (1, 1, 3)))
 
+    def test_star_that_is_not_rainbow_rejected(self, k4):
+        # ``lift`` stops such a colouring first, as improper; the triangle
+        # lift checks its own input too
+        _base, (rec,), base_edges = reduce_fully(k4)
+        with pytest.raises(GraphError, match="^star at the contracted vertex is not rainbow$"):
+            lift_triangle(rec, base_colours(base_edges, (1, 1, 3)))
+
+    def test_rewrite_to_a_vertex_not_of_degree_3_rejected(self):
+        # a triangle with a degree-4 corner contracts to a degree-4 vertex
+        g = build_graph(7, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6)])
+        with pytest.raises(GraphError, match="^rewrite produced a non-cubic graph$"):
+            reductions._WorkingGraph(g).contract((0, 1, 2))
+
 
 class TestReduceFully:
     def test_prism_chain_ends_at_triple_edge(self):

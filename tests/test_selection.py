@@ -10,6 +10,7 @@ import reference_selection as ref
 from nearnormal import selection
 from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus
 from nearnormal.factor import choose_two_factor, enumerate_perfect_matchings, two_factor_from_matching
+from nearnormal.graph import ColouringError
 from nearnormal.pipeline import colour_graph
 from nearnormal.reductions import reduce_fully
 from nearnormal.selection import (
@@ -21,7 +22,7 @@ from nearnormal.selection import (
     find_optimal_selection,
     s_components,
 )
-from witnesses import odd_triangle_component, r4_chain, selection_degrees, two_factor_of
+from witnesses import medium_chord, odd_triangle_component, r4_chain, selection_degrees, two_factor_of
 
 
 def petersen_tf(petersen):
@@ -101,6 +102,26 @@ class TestConsecutive:
         pair = {matching_edge_at(tf, 5), matching_edge_at(tf, 6)}
         assert (tf.position[6] - tf.position[5]) % 5 in (2, 3)
         assert ref.selection_violation(tf, pair) == f"selected edges at cycle {inner} are not consecutive"
+
+
+class TestInvalidSelection:
+    """Each edge of a selection must be a matching edge joining two odd
+    cycles; ``_attachments`` names the first one that is not.  In the
+    witness, edge 0 is a chord of the 7-cycle, edge 1 joins it to the even
+    10-cycle and edge 11 lies on the 7-cycle."""
+
+    @pytest.mark.parametrize("edge, message", [
+        (11, "edge 11 is not a matching edge"),
+        (0, "edge 0 is a chord"),
+        (1, "edge 1 touches an even cycle"),
+    ], ids=["off-the-matching", "chord", "even-cycle"])
+    def test_each_kind_is_named(self, edge, message):
+        tf = two_factor_of(*medium_chord())
+        g, cyc = tf.graph, tf.cycle_of_vertex
+        assert 11 not in tf.matching and cyc[g.edges[0][0]] == cyc[g.edges[0][1]]
+        assert sorted(len(tf.cycles[cyc[x]]) for x in g.edges[1]) == [7, 10]
+        with pytest.raises(ColouringError, match=f"^invalid selection: {message}$"):
+            selection._attachments(tf, frozenset({edge}))
 
 
 class TestFindOptimalSelection:

@@ -97,6 +97,35 @@ def r4_chain() -> tuple[MultiGraph, list[int]]:
     return g, list(range(len(matching)))
 
 
+def r4_chain_adjacent() -> tuple[MultiGraph, list[int]]:
+    """:func:`r4_chain` with D's selected edge moved from d2 to d1, next to
+    d0 = 5, the partner of C's attachment neighbour v2.  Under the
+    selection {(1,11),(6,10)} the partner sits one step from D's
+    attachment, not two, so C sends nothing toward D on that side; likewise
+    D toward C through d0's partner v2.  The greedy selection would also
+    take (2,5), which then fits at both C and D, so tests pass the two
+    edges (ids 0 and 1) themselves.
+    """
+    c = list(range(0, 5))
+    d = list(range(5, 10))    # attachment d1 = 6
+    w = list(range(10, 15))
+    f = list(range(15, 20))
+    e = list(range(20, 34))
+    matching = [
+        (1, 11),   # C-W (selected)
+        (6, 10),   # D-W (selected)
+        (2, 5),    # C-D (not selected)
+        (0, 20), (3, 21), (4, 22),
+        (7, 23), (8, 24), (9, 25),
+        (12, 26), (13, 27), (14, 28),
+        (15, 29), (16, 30), (17, 31), (18, 32), (19, 33),
+    ]
+    edges = matching + _cycle_edges(c) + _cycle_edges(d) + _cycle_edges(w) \
+        + _cycle_edges(f) + _cycle_edges(e)
+    g = build_graph(34, edges)
+    return g, list(range(len(matching)))
+
+
 def even_square_component() -> tuple[MultiGraph, list[int]]:
     """Four 5-cycles joined in a ring (quotient: a 4-cycle, even): the phase
     constraints around the ring close consistently and every selected edge
