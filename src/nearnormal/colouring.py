@@ -93,8 +93,8 @@ def classify_all(g: MultiGraph, c: EdgeColouring) -> tuple[str, ...]:
     return tuple(map({3: POOR, 5: RICH}.get, _colour_counts(g, c.colour_of), itertools.repeat(MEDIUM)))
 
 
-def class_counts(g: MultiGraph, c: EdgeColouring) -> dict[str, int]:
-    counts = _colour_counts(g, c.colour_of)
+def class_counts(g: MultiGraph, c: EdgeColouring, counts: list[int] | None = None) -> dict[str, int]:
+    counts = _colour_counts(g, c.colour_of) if counts is None else counts
     poor, rich = counts.count(3), counts.count(5)
     return {POOR: poor, MEDIUM: g.m - poor - rich, RICH: rich}
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .colouring import MEDIUM, ColouringError, Construction, classify_all
+from .colouring import ColouringError, Construction, _colour_counts
 from .colouring import bullet_violations, fact_one_violations
 from .factor import TwoFactor
 from .graph import GraphError
@@ -65,10 +65,10 @@ class ChargeLedger:
         return sum(self.edge_tenths) + sum(self.cycle_tenths)
 
 
-def initial_ledger(con: Construction) -> ChargeLedger:
+def initial_ledger(con: Construction, counts: list[int] | None = None) -> ChargeLedger:
     g = con.two_factor.graph
-    classes = classify_all(g, con.colouring)
-    mediums = frozenset(e for e in range(g.m) if classes[e] == MEDIUM)
+    counts = _colour_counts(g, con.colouring.colour_of) if counts is None else counts
+    mediums = frozenset(e for e, count in enumerate(counts) if count == 4)
     return ChargeLedger(
         medium_edges=mediums,
         edge_tenths=[10 if e in mediums else 0 for e in range(g.m)],
@@ -160,7 +160,7 @@ def apply_r2_r3_r4(ledger: ChargeLedger, con: Construction) -> None:
         ledger.apply(rule, moves)
 
 
-def run_discharging(con: Construction) -> ChargeLedger:
+def run_discharging(con: Construction, counts: list[int] | None = None) -> ChargeLedger:
     """The ledger after rules R0-R4 on the constructed colouring.
 
     The rules assume the construction's structural properties (see
@@ -168,7 +168,7 @@ def run_discharging(con: Construction) -> ChargeLedger:
     the ledger's medium edges, before any rule fires; a violation raises
     :class:`ColouringError`.
     """
-    ledger = initial_ledger(con)
+    ledger = initial_ledger(con, counts)
     mediums = ledger.medium_edges
     problems = bullet_violations(con, mediums) + fact_one_violations(con.two_factor, mediums)
     if problems:
@@ -290,5 +290,5 @@ def audit(ledger: ChargeLedger, con: Construction) -> AuditReport:
     return AuditReport(tuple(checks), all(chk.ok for chk in checks), ledger.total_tenths())
 
 
-def run_audit(con: Construction) -> AuditReport:
-    return audit(run_discharging(con), con)
+def run_audit(con: Construction, counts: list[int] | None = None) -> AuditReport:
+    return audit(run_discharging(con, counts), con)

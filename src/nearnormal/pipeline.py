@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from .colouring import (
     EdgeColouring,
+    _colour_counts,
     _SearchOpen,
     class_counts,
     construct_colouring,
@@ -73,7 +74,7 @@ def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, Colourin
             raise
         raise GraphError(f"reduction produced an invalid base ({diag.reason}): {diag.detail}") from None
 
-    cycle_lengths = selection_size = shapes = audit_report = None
+    cycle_lengths = selection_size = shapes = audit_report = base_counts = None
     try:
         colouring = kempe_3_colouring(tf) or try_3_edge_colouring(base)
         three_colouring = "refuted" if colouring is None else "found"
@@ -88,7 +89,8 @@ def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, Colourin
         cycle_lengths = tuple(len(cyc) for cyc in con.two_factor.cycles)
         selection_size = len(con.selection)
         shapes = tuple(comp.shape for comp in con.components)
-        audit_report = run_audit(con)
+        base_counts = _colour_counts(base, colouring.colour_of)  # one pass for the audit and the count
+        audit_report = run_audit(con, base_counts)
 
     if records:  # else the base is g itself
         colours = [0] * (base_edges[-1] + 1)
@@ -98,7 +100,7 @@ def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, Colourin
             lift(record, colours)
         colouring = EdgeColouring(colouring.k, tuple(colours[: g.m]))
 
-    counts = class_counts(g, colouring)
+    counts = class_counts(g, colouring, base_counts if base is g else None)
     mediums = counts["medium"]
     petersen = is_petersen_graph(g)
     bound_ok = 5 * mediums <= 4 * g.n

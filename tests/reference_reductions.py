@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from nearnormal.colouring import EdgeColouring, medium_count
+from nearnormal.colouring import MEDIUM, EdgeColouring, _edge_class, medium_count
 from nearnormal.graph import GraphError, MultiGraph, _lowpoint_search
 from nearnormal.pipeline import colour_graph
 from nearnormal import reductions
@@ -323,6 +323,39 @@ def outside_vertices(ref: ReductionRecord) -> tuple[tuple[int, ...], tuple[int, 
     return tuple(outside), tuple(u - sum(v < u for v in site) for u in outside)
 
 
+Site = tuple[tuple[int, tuple[int, ...]], ...]  # (edge, the edges at its ends, maybe itself)
+
+
+def site_before(rec) -> Site:
+    """The edges a production record's step removes, each with the edges
+    around it before the step, from the record's roles and its edges at the
+    outside vertices."""
+    at_u = rec.outside_before
+    if rec.kind == MULTI_EDGE:
+        (s1, s2), (e1, e2) = rec.spokes, rec.pair
+        return (e1, (e2, s1, s2)), (e2, (e1, s1, s2)), (s1, (e1, e2, *at_u[0])), (s2, (e1, e2, *at_u[1]))
+    (s0, s1, s2), (t0, t1, t2) = rec.spokes, rec.triangle_edges
+    return (
+        (s0, (t2, t0, *at_u[0])), (s1, (t0, t1, *at_u[1])), (s2, (t1, t2, *at_u[2])),
+        (t0, (s0, s1, t1, t2)), (t1, (s1, s2, t2, t0)), (t2, (s2, s0, t0, t1)),
+    )
+
+
+def site_after(rec) -> Site:
+    """The edges a production record's step adds, each with the edges around
+    it after the step."""
+    at_u = rec.outside_after
+    if rec.kind == MULTI_EDGE:
+        return ((rec.new_edge, at_u[0] + at_u[1]),)
+    return tuple((e, rec.x_edges + at) for e, at in zip(rec.x_edges, at_u))
+
+
+def site_mediums(site: Site, colours: list[int]) -> int:
+    """The medium edges of ``site``, one ``_edge_class`` call per edge: the
+    per-edge check the lift made before it read one mask per site vertex."""
+    return sum(_edge_class(colours, e, nbrs) == MEDIUM for e, nbrs in site)
+
+
 def paired_steps(g: MultiGraph):
     """Run the production reducer and this one on ``g`` and pair their
     steps: the same kinds and sites (the production ids are the reference's
@@ -346,7 +379,7 @@ def paired_steps(g: MultiGraph):
         if rec.kind == MULTI_EDGE:
             assert rec.pair == tuple(before[e] for e in ref.pair)
             assert rec.new_edge == after[ref.new_edge]
-            assert rec.anchor_edges == tuple(after[e] for e in ref.anchor_edges)
+            assert rec.outside_after[0][:-1] == tuple(after[e] for e in ref.anchor_edges)
             assert rec.replaced == (rec.new_edge, rec.new_edge)
         else:
             assert rec.triangle_edges == tuple(before[e] for e in ref.triangle_edges)
@@ -374,10 +407,10 @@ def aligned_steps(g: MultiGraph):
         )
         nb_before = _neighbourhoods(ref.original, before)
         nb_after = _neighbourhoods(ref.reduced, after)
-        site_before = {e: set(nbrs) - {e} for e, nbrs in rec.site_before()}
-        site_after = {e: set(nbrs) - {e} for e, nbrs in rec.site_after()}
-        assert site_before == {e: nb_before[e] for e in removed_edges(rec)}
-        assert site_after == {e: nb_after[e] for e in added_edges(rec)}
+        around_before = {e: set(nbrs) - {e} for e, nbrs in site_before(rec)}
+        around_after = {e: set(nbrs) - {e} for e, nbrs in site_after(rec)}
+        assert around_before == {e: nb_before[e] for e in removed_edges(rec)}
+        assert around_after == {e: nb_after[e] for e in added_edges(rec)}
         at_outside_before = {e for inc in rec.outside_before for e in inc}
         at_outside_after = {e for inc in rec.outside_after for e in inc}
         assert at_outside_before - set(removed_edges(rec)) == at_outside_after - set(added_edges(rec))

@@ -1,9 +1,9 @@
 """The one-pass edge classification against the two-pass one it replaced
 (``tests/reference_classify.py``): equal classes on proper colourings, and a
-``ColouringError`` from both on improper ones.  ``_edge_class``, which the
-lift reads through ``_site_mediums``, must agree with the reference's
-per-edge classes on every edge, and answer wherever the colouring is proper
-around the edge, even when it is improper elsewhere."""
+``ColouringError`` from both on improper ones.  ``_edge_class`` must agree
+with the reference's per-edge classes on every edge, and answer wherever the
+colouring is proper around the edge, even when it is improper elsewhere.
+The lift's check, one colour mask per site vertex, must agree with both."""
 
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus, triple_edge
 from nearnormal.graph import build_graph
 from nearnormal.oracle import exists_normal, min_medium_exact
 from nearnormal.pipeline import colour_graph
-from nearnormal.reductions import _site_mediums
-from reference_reductions import aligned_steps
+from nearnormal.reductions import _mask
+from reference_reductions import added_edges, aligned_steps, removed_edges
 
 
 def _outcome(classify, *args):
@@ -114,37 +114,44 @@ def test_edge_class_answers_where_the_colouring_is_proper_around_the_edge(peters
     assert far > 0
 
 
+def mask_mediums(g, colours):
+    """The lift's rule on a whole graph: a colour mask per vertex, and an
+    edge is medium iff the masks at its ends hold four colours."""
+    masks = [_mask(colours, g.incident_edges(v)) for v in range(g.n)]
+    return sum((masks[u] | masks[v]).bit_count() == 4 for u, v in g.edges)
+
+
 def test_lift_check_uses_the_same_rule():
-    """``reductions._site_mediums`` counts what ``classify_all`` counts, on
-    a whole graph and on the removed and the new edges of every reduction
-    step, whose neighbours a record builds from its roles and the edges at
-    its outside vertices."""
+    """The lift's check, one colour mask per site vertex, counts what
+    ``classify_all`` counts on a whole graph.  On every reduction step it
+    refuses exactly the colourings with a clash at a site vertex (an end of
+    a removed or a new edge), whose edges a record builds from its roles and
+    the edges at its outside vertices, and otherwise counts the medium edges
+    among the removed or the new edges that the reference's per-edge
+    classes give.  Some refused colourings clash only between two surviving
+    edges at an outside vertex, which the per-edge check let through."""
     for g in load_cubic_corpus(8):
         c = min_medium_exact(g, 4)[1]
-        whole = tuple(
-            (e, tuple(x for x in g.incident_edges(u) + g.incident_edges(v) if x != e))
-            for e, (u, v) in enumerate(g.edges)
-        )
-        assert _site_mediums(whole, list(c.colour_of)) == ref.classify_all(g, c).count("medium")
-        for other in recolourings(c):
+        for other in (c, *recolourings(c)):
             want = _outcome(ref.classify_all, g, other)
-            got = _outcome(_site_mediums, whole, list(other.colour_of))
+            got = _outcome(mask_mediums, g, list(other.colour_of))
             assert got == (want if want == "improper" else want.count("medium"))
-    sites = 0
+    sites = only_the_masks = 0
     for g in load_cubic_corpus(8):
         for old, rec, before, after in aligned_steps(g)[2]:
-            for graph, ids, site in (
-                (old.original, before, rec.site_before()),
-                (old.reduced, after, rec.site_after()),
+            for graph, ids, local, mediums in (
+                (old.original, before, removed_edges(old), rec.mediums_before),
+                (old.reduced, after, added_edges(old), rec.mediums_after),
             ):
-                index = {w: i for i, w in enumerate(ids)}
+                ends = {w for e in local for w in graph.edges[e]}
                 c = min_medium_exact(graph, 4)[1]
                 for other in (c, *recolourings(c)):
                     colours = [0] * (ids[-1] + 1)
                     for w, col in zip(ids, other.colour_of):
                         colours[w] = col
-                    classes = [_outcome(ref.classify_edge, graph, other, index[e]) for e, _nbrs in site]
-                    want = "improper" if "improper" in classes else classes.count("medium")
-                    assert _outcome(_site_mediums, site, colours) == want
+                    classes = [_outcome(ref.classify_edge, graph, other, e) for e in local]
+                    clash = any(len({other.colour_of[f] for f in graph.incident_edges(w)}) < 3 for w in ends)
+                    assert _outcome(mediums, colours) == ("improper" if clash else classes.count("medium"))
+                    only_the_masks += clash and "improper" not in classes
                 sites += 1
-    assert sites > 0
+    assert sites > 0 and only_the_masks > 0

@@ -436,7 +436,7 @@ class TestBatchCommand:
 
     def test_a_failed_audit_is_marked_and_counted(self, petersen_file, monkeypatch, capsys):
         run_audit = pipeline.run_audit
-        monkeypatch.setattr(pipeline, "run_audit", lambda con: dataclasses.replace(run_audit(con), passed=False))
+        monkeypatch.setattr(pipeline, "run_audit", lambda *args: dataclasses.replace(run_audit(*args), passed=False))
         assert main(["batch", petersen_file]) == 1
         assert capsys.readouterr().out.splitlines()[0] == "line1: n=10 branch=constructed medium=8 tight AUDIT-FAILED"
 

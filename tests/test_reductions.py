@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +13,7 @@ import reference_reductions as ref
 from nearnormal import reductions
 from nearnormal.colouring import MEDIUM, POOR, RICH, EdgeColouring, medium_count
 from nearnormal.corpus import CORPUS_ORDERS, complete_graph_k4, k33, load_cubic_corpus, petersen_graph, prism
-from nearnormal.graph import GraphError, build_graph, validate_input
+from nearnormal.graph import ColouringError, GraphError, build_graph, validate_input
 from nearnormal.pipeline import colour_graph
 from nearnormal.reductions import (
     MULTI_EDGE,
@@ -21,6 +24,8 @@ from nearnormal.reductions import (
     reduce_fully,
 )
 from reference_classify import is_proper
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def double_double():
@@ -222,11 +227,79 @@ class TestLifts:
         with pytest.raises(GraphError, match="^star at the contracted vertex is not rainbow$"):
             lift_triangle(rec, base_colours(base_edges, (1, 1, 3)))
 
-    def test_rewrite_to_a_vertex_not_of_degree_3_rejected(self):
-        # a triangle with a degree-4 corner contracts to a degree-4 vertex
-        g = build_graph(7, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6)])
+
+class TestEveryMessage:
+    """Each ``GraphError`` that ``reductions`` raises, with its message."""
+
+    def test_triple_edge_off_the_base_case(self, k4):
+        g = build_graph(6, [(0, 1), (0, 1), (0, 1), *((u + 2, v + 2) for u, v in k4.edges)])
+        with pytest.raises(GraphError, match="^triple edge only occurs in the 2-vertex base case$"):
+            reduce_fully(g)
+
+    def test_outside_neighbours_coincide(self):
+        # each doubled pair's spokes meet at one vertex, and those two vertices
+        # are joined by a bridge
+        g = build_graph(6, [(0, 1), (0, 1), (0, 2), (1, 2), (2, 5), (3, 4), (3, 4), (3, 5), (4, 5)])
+        with pytest.raises(GraphError, match="^outside neighbours coincide; graph cannot be bridgeless$"):
+            reduce_fully(g)
+
+    @pytest.mark.parametrize("corner", [0, 1, 2])
+    def test_a_degree_4_corner(self, corner):
+        # it would contract to a degree-4 vertex; no ValueError from
+        # unpacking the corner's edges first
+        g = build_graph(7, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5), (corner, 6)])
         with pytest.raises(GraphError, match="^rewrite produced a non-cubic graph$"):
             reductions._WorkingGraph(g).contract((0, 1, 2))
+
+    @pytest.mark.parametrize("g, step", [
+        (build_graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)]), lambda wg: wg.contract((0, 1, 2))),
+        (build_graph(4, [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3)]), lambda wg: wg.remove_pair(0, 1)),
+    ], ids=["contract", "remove_pair"])
+    def test_an_outside_vertex_not_of_degree_3(self, g, step):
+        with pytest.raises(GraphError, match="^rewrite produced a non-cubic graph$"):
+            step(reductions._WorkingGraph(g))
+
+    def test_a_spoke_off_the_colour_it_replaces(self, k4, monkeypatch):
+        # the spokes take the star's colours one place on, and the triangle
+        # edges the colours that keep every corner proper: only the spoke
+        # check sees it
+        def rotated(record, colours):
+            c0, c1, c2 = (colours[e] for e in record.x_edges)
+            for e, col in zip(record.spokes + record.triangle_edges, (c1, c2, c0, c0, c1, c2)):
+                colours[e] = col
+
+        monkeypatch.setattr(reductions, "lift_triangle", rotated)
+        _base, (rec,), base_edges = reduce_fully(k4)
+        spoke, star_edge = rec.spokes[0], rec.x_edges[0]
+        colours = base_colours(base_edges, (1, 2, 3))
+        with pytest.raises(GraphError, match=f"^spoke {spoke} did not take the colour of edge {star_edge}$"):
+            lift(rec, colours)
+        assert rec.mediums_before(colours) <= rec.mediums_after(colours)  # proper, and in bound
+
+    def test_more_medium_edges_after_the_lift(self, monkeypatch):
+        # the pair takes 2 and 4 where the anchors show 2 and 3: both spokes
+        # turn medium, the new edge was poor
+        def rule(record, colours):
+            colours[record.spokes[0]] = colours[record.spokes[1]] = colours[record.new_edge]
+            colours[record.pair[0]], colours[record.pair[1]] = 2, 4
+
+        monkeypatch.setattr(reductions, "lift_multi_edge", rule)
+        _base, (rec,), base_edges = reduce_fully(double_double())
+        rest = iter((2, 3))
+        colours = base_colours(base_edges, [1 if e == rec.new_edge else next(rest) for e in base_edges])
+        with pytest.raises(GraphError, match="^lift increased the medium count$"):
+            lift(rec, colours)
+
+    def test_a_clash_between_surviving_edges_at_an_outside_vertex(self, k4):
+        # u1's two other edges share colour 2; the new edge's neighbours show
+        # no 1, so classifying the new edge alone lets this through
+        rec = reduce_fully(insert_digon(k4, 0))[1][0]
+        (f1, f2, new), (g1, g2, _new) = rec.outside_after
+        colours = [0] * (new + 1)
+        colours[new], colours[f1], colours[f2], colours[g1], colours[g2] = 1, 2, 2, 3, 4
+        assert ref.site_mediums(ref.site_after(rec), colours) == 1
+        with pytest.raises(ColouringError, match=f"^colouring is not proper at the edges {f1}, {f2}, {new}$"):
+            lift(rec, colours)
 
 
 class TestReduceFully:
@@ -260,13 +333,29 @@ class TestReduceFully:
         base, records, base_edges = reduce_fully(g)
         assert base is g and records == [] and base_edges == tuple(range(g.m))
 
+    @pytest.mark.parametrize("start, base_n", [(petersen_graph, 10), (complete_graph_k4, 2)], ids=["petersen", "K4"])
+    def test_reduce_and_lift_at_scale(self, start, base_n, monkeypatch):
+        # grown in place to n = 10^4 by the grower of scripts/reduce_time.py;
+        # every op adds two vertices and one step undoes it
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+        spec = importlib.util.spec_from_file_location("reduce_time", SCRIPTS / "reduce_time.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        g = script.grow(start(), 10_000, random.Random(10_000))
+        base, records, base_edges = reduce_fully(g)
+        assert base.n == base_n and len(records) == (g.n - base.n) // 2
+        colours = base_colours(base_edges, colour_graph(base)[0].colour_of)
+        for record in reversed(records):
+            lift(record, colours)
+        assert tuple(colours[: g.m]) == colour_graph(g)[0].colour_of
+
     def test_records_chain_consistently(self):
         g = prism(3)
         base, records, base_edges = reduce_fully(g)
         live = ref.live_ids(g.m, records)
         for rec, before, after in zip(records, live, live[1:]):
-            assert {f for e, nbrs in rec.site_before() for f in (e, *nbrs)} <= set(before)
-            assert {f for e, nbrs in rec.site_after() for f in (e, *nbrs)} <= set(after)
+            assert {f for e, nbrs in ref.site_before(rec) for f in (e, *nbrs)} <= set(before)
+            assert {f for e, nbrs in ref.site_after(rec) for f in (e, *nbrs)} <= set(after)
         assert tuple(live[-1]) == base_edges
         old_base, old_records = ref.reduce_fully(g)
         for first, second in zip(old_records, old_records[1:]):
