@@ -395,8 +395,23 @@ def kempe_3_colouring(tf: TwoFactor) -> EdgeColouring | None:
             at[4 * u + col] = at[4 * v + col] = e
     rng = None
     moves = 0
-    while defects:
-        stuck = []
+    # The first round is stuck without a walk: the ends of an odd cycle's
+    # defect miss 2 (the cycle's first vertex) and 1 (its last), and colours
+    # 1 and 2 lie only on the cycles, so the (1, 2) chain from either end
+    # runs along that cycle to the other end.
+    stuck = defects
+    while stuck:
+        if len(stuck) == len(defects):
+            if moves == _KEMPE_MOVES:
+                return None
+            moves += 1
+            rng = rng or random.Random(_KEMPE_SEED)
+            ends = edges[stuck[rng.randrange(len(stuck))]]
+            a, b = _missing(at, ends[0]), _missing(at, ends[1])
+            p, q = (a, b) if rng.randrange(7) == 0 else (rng.choice((a, b)), 6 - a - b)
+            x = ends[rng.randrange(2)]
+            _swap(at, cols, *_component(at, edges, x, p, q), p, q)
+        defects, stuck = stuck, []
         for e in defects:
             u, v = edges[e]
             a, b = _missing(at, u), _missing(at, v)
@@ -408,17 +423,6 @@ def kempe_3_colouring(tf: TwoFactor) -> EdgeColouring | None:
                 _swap(at, cols, verts, path, a, b)
             cols[e] = a
             at[4 * u + a] = at[4 * v + a] = e
-        if len(stuck) == len(defects):
-            if moves == _KEMPE_MOVES:
-                return None
-            moves += 1
-            rng = rng or random.Random(_KEMPE_SEED)
-            ends = edges[stuck[rng.randrange(len(stuck))]]
-            a, b = _missing(at, ends[0]), _missing(at, ends[1])
-            p, q = (a, b) if rng.randrange(7) == 0 else (rng.choice((a, b)), 6 - a - b)
-            x = ends[rng.randrange(2)]
-            _swap(at, cols, *_component(at, edges, x, p, q), p, q)
-        defects = stuck
     if _colour_masks(g, cols).count(0b1110) != g.n:
         raise ColouringError("Kempe repair left a vertex without all of 1, 2, 3")
     return EdgeColouring(3, tuple(cols))

@@ -65,12 +65,19 @@ def connected_and_bridgeless(tf: TwoFactor) -> bool:
     quotient Q with one vertex per cycle and one edge per matching edge
     joining two cycles.  No edge on a cycle of G is a bridge, chords
     included, and contracting the cycles keeps components and bridges, so G
-    is connected and bridgeless iff Q is.  Q has at most n/2 edges."""
-    cyc, edges = tf.cycle_of_vertex, tf.graph.edges
-    ends = ((cyc[u], cyc[v]) for u, v in map(edges.__getitem__, tf.matching))
-    q = MultiGraph(len(tf.cycles), [(a, b) for a, b in ends if a != b])
-    reached, bridges = _lowpoint_search(q)
-    return reached == q.n and not bridges
+    is connected and bridgeless iff Q is.  Q has at most n/2 edges, and the
+    lowpoint search runs on its endpoint and incidence lists as built."""
+    cyc, k = tf.cycle_of_vertex, len(tf.cycles)
+    ends: list[tuple[int, int]] = []
+    inc: list[list[int]] = [[] for _ in range(k)]
+    for u, v in map(tf.graph.edges.__getitem__, tf.matching):
+        a, b = cyc[u], cyc[v]
+        if a != b:
+            inc[a].append(len(ends))
+            inc[b].append(len(ends))
+            ends.append((a, b))
+    reached, bridges = _lowpoint_search(k, ends, inc)
+    return reached == k and not bridges
 
 
 def enumerate_perfect_matchings(g: MultiGraph, limit: int = DEFAULT_MATCHING_LIMIT) -> list[frozenset[int]]:
@@ -163,19 +170,19 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
         v = a ^ b ^ start
         if w < v:
             e, v = f, w
+        cycle_of_vertex[start] = cycle_of_edge[e] = idx
+        position[start] = 0
         verts, eids = [start], [e]
-        while v != start:
+        while v != start:  # fills every per-vertex and per-edge field as it goes
+            cycle_of_vertex[v] = idx
+            position[v] = len(verts)
             verts.append(v)
             a, b, c = inc[v]
             e ^= a ^ b ^ c ^ mate[v]  # the other one of v's two cycle edges
+            cycle_of_edge[e] = idx
             eids.append(e)
             a, b = edges[e]
             v ^= a ^ b
-        for i, x in enumerate(verts):
-            cycle_of_vertex[x] = idx
-            position[x] = i
-        for e in eids:
-            cycle_of_edge[e] = idx
         done += len(verts)
         cycles.append(tuple(verts))
         cycle_edges.append(tuple(eids))

@@ -121,21 +121,22 @@ def build_graph(vertex_count: int, edge_list) -> MultiGraph:
     return MultiGraph(vertex_count, edge_list)
 
 
-def _lowpoint_search(g: MultiGraph) -> tuple[int, set[int]]:
-    """One iterative lowpoint search from vertex 0: the number of vertices
-    it reaches and the cut edges among them.
+def _lowpoint_search(n: int, edges, incident) -> tuple[int, set[int]]:
+    """One iterative lowpoint search from vertex 0 of the multigraph on
+    ``0..n-1`` with endpoint pairs ``edges`` and incidence lists
+    ``incident``: the number of vertices it reaches and the cut edges among
+    them.
 
     Parallel edges are never bridges: the twin edge acts as a back edge
     because the traversal skips only the tree edge *id*, not the endpoint.
     """
     bridges: set[int] = set()
-    if g.n == 0:
+    if n == 0:
         return 0, bridges
-    edges, incident = g.edges, g._incident
-    disc = [-1] * g.n
-    low = [0] * g.n
-    nxt = [0] * g.n  # per vertex, the index in its incidence list to scan next
-    via = [-1] * g.n  # per vertex, the tree edge it was reached by
+    disc = [-1] * n
+    low = [0] * n
+    nxt = [0] * n  # per vertex, the index in its incidence list to scan next
+    via = [-1] * n  # per vertex, the tree edge it was reached by
     disc[0] = 0
     counter = 1
     stack = [0]
@@ -173,7 +174,7 @@ def validate_input(g: MultiGraph) -> Diagnosis:
     One lowpoint search answers both connectivity and bridgelessness; the
     diagnosis still names connectivity first, then cubicness, then bridges.
     """
-    reached, bridges = _lowpoint_search(g)
+    reached, bridges = _lowpoint_search(g.n, g.edges, g._incident)
     # The empty graph counts as connected; it is rejected as non-cubic.
     if reached != g.n:
         return Diagnosis(False, "connected", "graph is disconnected")

@@ -66,7 +66,7 @@ def _assert_still_valid(g: MultiGraph, what: str) -> None:
         raise GraphError(f"{what} produced a disconnected graph")
     if not g.is_cubic():
         raise GraphError(f"{what} produced a non-cubic graph")
-    if _lowpoint_search(g)[1]:
+    if _lowpoint_search(g.n, g.edges, g._incident)[1]:
         raise GraphError(f"{what} produced a bridge")
 
 

@@ -123,15 +123,19 @@ class TestAdjacentEdges:
             k4.endpoints(99)
 
 
+def lowpoint_search(g):
+    return _lowpoint_search(g.n, g.edges, g._incident)
+
+
 class TestFindBridges:
     """``_lowpoint_search``, the one search behind ``validate_input``: the
     vertices it reaches from vertex 0 and the cut edges among them."""
 
     def test_k4_none(self, k4):
-        assert _lowpoint_search(k4) == (4, set())
+        assert lowpoint_search(k4) == (4, set())
 
     def test_petersen_none(self, petersen):
-        assert _lowpoint_search(petersen) == (10, set())
+        assert lowpoint_search(petersen) == (10, set())
 
     def test_joined_blocks_yield_the_joining_edge(self):
         # two K4-minus-an-edge blocks, one edge across
@@ -139,27 +143,27 @@ class TestFindBridges:
         other = [(u + 4, v + 4) for u, v in block]
         g = build_graph(8, block + other + [(0, 4)])
         bridge = g.m - 1
-        assert _lowpoint_search(g) == (8, {bridge})
-        assert _lowpoint_search(g)[1] == bridges_by_deletion(g)
+        assert lowpoint_search(g) == (8, {bridge})
+        assert lowpoint_search(g)[1] == bridges_by_deletion(g)
 
     def test_parallel_edges_never_bridges(self):
         g = build_graph(3, [(0, 1), (0, 1), (1, 2), (1, 2)])
-        assert _lowpoint_search(g) == (3, set())
+        assert lowpoint_search(g) == (3, set())
 
     def test_disconnected_rejected(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        assert _lowpoint_search(g) == (2, {0})
+        assert lowpoint_search(g) == (2, {0})
         assert validate_input(g).reason == "connected"
 
     def test_matches_deletion_oracle_on_corpus(self):
         # includes the bridged cubic graphs that validation later rejects
         for g in load_cubic_corpus(12, bridgeless_only=False):
-            assert _lowpoint_search(g) == (g.n, bridges_by_deletion(g))
+            assert lowpoint_search(g) == (g.n, bridges_by_deletion(g))
 
     @settings(max_examples=150, deadline=None)
     @given(g=connected_multigraphs())
     def test_matches_deletion_oracle_on_random_multigraphs(self, g):
-        assert _lowpoint_search(g) == (g.n, bridges_by_deletion(g))
+        assert lowpoint_search(g) == (g.n, bridges_by_deletion(g))
 
 
 class TestValidateInput:

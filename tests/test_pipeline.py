@@ -400,6 +400,20 @@ class TestEachCheckOnce:
         assert report.base_branch == "constructed" and report.audit_passed is True
         assert calls == {"_colour_counts": 1 if report.branch == "constructed" else 2, "_attachments": 1}
 
+    @pytest.mark.parametrize("make, classified", [
+        (lambda: prism(6), 0),
+        (lambda: bench_families.random_cubic(120, 1, triangle_free=True), 0),
+        (lambda: expand_vertex_to_triangle(prism(6), 0), 1),
+    ], ids=["prism6-even", "random120-repaired", "truncated-prism6"])
+    def test_a_repaired_colouring_is_not_classified_again(self, make, classified, monkeypatch):
+        # the repair's own check (1, 2, 3 at every vertex) makes every edge
+        # poor; only a lifted colouring is classified once more
+        g = make()
+        calls = count_calls(monkeypatch, _colour_counts)
+        report = colour_graph(g)[1]
+        assert report.base_branch == "3-colourable" and report.poor == g.m
+        assert calls == ({"_colour_counts": classified} if classified else {})
+
     @THREE_CONSTRUCTED
     def test_components_and_attachments_built_once(self, make, monkeypatch):
         calls = count_calls(monkeypatch, s_components, _attachments)
@@ -584,16 +598,16 @@ class TestInputCertificate:
         searched = []
         lowpoint_search = graph._lowpoint_search
 
-        def recorded(q):
-            searched.append(q)
-            return lowpoint_search(q)
+        def recorded(n, edges, incident):  # the quotient's order and its edges' endpoints
+            searched.append(edges)
+            return lowpoint_search(n, edges, incident)
 
         for name, mod in list(sys.modules.items()):
             if name.startswith("nearnormal") and getattr(mod, "_lowpoint_search", None) is lowpoint_search:
                 monkeypatch.setattr(mod, "_lowpoint_search", recorded)
         colour_graph(g)
         assert calls == {}
-        assert len(searched) == 1 and searched[0].m <= g.n // 2
+        assert len(searched) == 1 and len(searched[0]) <= g.n // 2
 
     @pytest.mark.parametrize("base", [
         joined_by_a_bridge(complete_graph_k4(), complete_graph_k4()),
