@@ -234,7 +234,7 @@ def choose_two_factor(g: MultiGraph) -> TwoFactor:
         mate_edge[u] = mate_edge[v] = e
         mate_edge[x] = mate_edge[y] = -1
         blocked[u] = blocked[v] = 1
-        found = matcher.augment(x)
+        found = matcher.phase((x, y))
         blocked[u] = blocked[v] = 0
         if found:
             tf = two_factor_from_matching(g, mate_edge)
@@ -255,21 +255,27 @@ def _find(uf: list[int], v: int) -> int:
 
 
 class _Matcher:
-    """A perfect matching of one graph, grown by augmenting paths.
+    """A perfect matching of one graph, grown by phases of augmenting paths.
 
     ``mate_edge[v]`` is the matching edge at ``v`` (-1 while ``v`` is
     exposed).  Searches never enter the vertices marked in ``blocked``.
+    ``phases`` and ``labelled`` count the work: the phases run, and the
+    vertices labelled over all of them.
 
-    The single-source search is Edmonds' blossom algorithm (Edmonds 1965,
-    "Paths, trees, and flowers"): a breadth-first alternating tree whose odd
-    cycles shrink into their base through a union-find, with the tree links
-    in ``via`` re-pointed around each blossom so that flipping the path back
-    from the far end to the root needs no expansion.  It is iterative and
-    resets only the entries it touched.
+    A phase grows Edmonds' alternating trees (Edmonds 1965, "Paths, trees,
+    and flowers") from several exposed roots at once, in one breadth-first
+    queue, as in Gabow 1976 ("An efficient implementation of Edmonds'
+    algorithm for maximum matching on graphs").  Odd cycles within a tree
+    shrink into their base through a union-find, with the tree links in
+    ``via`` re-pointed around each blossom so that flipping a path back to
+    its root needs no expansion.  When two even vertices of different trees
+    meet, both tree paths and the edge between them flip, and both trees
+    retire for the rest of the phase: a tree is retired once its root is
+    matched.  It is iterative and resets only the entries it touched.
     """
 
-    __slots__ = ("edges", "xor", "inc", "mate_edge", "blocked",
-                 "label", "via", "uf", "seen", "clock")
+    __slots__ = ("edges", "xor", "inc", "mate_edge", "blocked", "label", "via",
+                 "uf", "tree", "seen", "clock", "phases", "labelled")
 
     def __init__(self, g: MultiGraph) -> None:
         n = g.n
@@ -280,62 +286,74 @@ class _Matcher:
         self.label = bytearray(n)
         self.via = [-1] * n
         self.uf = list(range(n))
+        self.tree = [-1] * n  # per labelled vertex, the root of its tree
         self.seen = [0] * n
-        self.clock = 0
+        self.clock = self.phases = self.labelled = 0
 
     def match_all(self) -> bool:
-        """Match every vertex, greedily in edge-id order and then by
-        augmenting paths; False when the graph has no perfect matching."""
+        """Match every vertex, greedily in edge-id order and then by phases
+        from every exposed vertex; False when a phase flips no path, which
+        proves that the graph has no perfect matching."""
         mate_edge = self.mate_edge
         for e, (u, v) in enumerate(self.edges):
             if mate_edge[u] < 0 and mate_edge[v] < 0:
                 mate_edge[u] = mate_edge[v] = e
-        return all(mate_edge[v] >= 0 or self.augment(v) for v in range(len(mate_edge)))
+        while -1 in mate_edge:
+            if not self.phase([v for v, f in enumerate(mate_edge) if f < 0]):
+                return False
+        return True
 
-    def augment(self, root: int) -> bool:
-        """Search for an alternating path from the exposed vertex ``root``
-        to another exposed unblocked vertex and flip it; False when none
-        exists (then no perfect matching of the unblocked vertices does
-        either)."""
+    def phase(self, roots) -> int:
+        """Grow one alternating forest from the exposed vertices ``roots``
+        and flip a path between each two of its trees that meet; the number
+        of paths flipped.  None is flipped only when no alternating path
+        joins two roots through unblocked vertices."""
         inc, xor, mate_edge, blocked = self.inc, self.xor, self.mate_edge, self.blocked
-        label, via, uf = self.label, self.via, self.uf
-        label[root] = _EVEN
-        queue = [root]  # even vertices, in the order they were labelled
-        touched = [root]
-        end = -1
+        label, via, uf, tree = self.label, self.via, self.uf, self.tree
+        for r in roots:
+            label[r], tree[r] = _EVEN, r
+        queue = list(roots)  # even vertices, in the order they were labelled
+        touched = queue[:]
+        flips = 0
         for v in queue:  # grows while it is read
+            root = tree[v]
+            if mate_edge[root] >= 0:  # its tree flipped a path this phase
+                continue
             mv = mate_edge[v]
             for e in inc[v]:
                 w = xor[e] ^ v
                 if e == mv or blocked[w]:
                     continue
                 lw = label[w]
-                if lw == _EVEN:
-                    if _find(uf, v) != _find(uf, w):
-                        self._shrink(v, w, e, queue)
-                elif not lw:
-                    via[w] = e
-                    mw = mate_edge[w]
-                    if mw < 0:
-                        end = w
-                        break
-                    x = xor[mw] ^ w
+                if not lw:  # matched, since every exposed vertex is a root
+                    x = xor[mate_edge[w]] ^ w
                     label[w], label[x] = _ODD, _EVEN
+                    tree[w] = tree[x] = root
+                    via[w] = e
                     touched += (w, x)
                     queue.append(x)
-            if end >= 0:
-                break
-        x = end
-        while x >= 0:  # flip the path from its far end back to the root
-            e = via[x]
-            y = xor[e] ^ x
-            f = mate_edge[y]
-            mate_edge[x] = mate_edge[y] = e
-            x = xor[f] ^ y if f >= 0 else -1
+                elif lw == _EVEN:
+                    if tree[w] == root:
+                        if _find(uf, v) != _find(uf, w):
+                            self._shrink(v, w, e, queue)
+                    elif mate_edge[tree[w]] < 0:
+                        fv, fw = mate_edge[v], mate_edge[w]
+                        mate_edge[v] = mate_edge[w] = e
+                        for x, f in ((v, fv), (w, fw)):  # flip each tree path back to its root
+                            while f >= 0:
+                                y = xor[f] ^ x  # x's mate before the flip
+                                link = via[y]
+                                x = xor[link] ^ y
+                                f = mate_edge[x]
+                                mate_edge[x] = mate_edge[y] = link
+                        flips += 1
+                        break
         for v in touched:
             label[v] = 0
             uf[v] = v
-        return end >= 0
+        self.phases += 1
+        self.labelled += len(touched)
+        return flips
 
     def _shrink(self, v: int, w: int, e: int, queue: list[int]) -> None:
         """Shrink the blossom closed by edge ``e`` between the even vertices

@@ -46,7 +46,19 @@ class ColouringReport:
     oracle_minimum: int | None = None
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2)
+        """The report as ``json.dumps(dataclasses.asdict(self), indent=2)``
+        writes it, except that each list of scalars (the colours, say) stays
+        on one line, written by the C encoder: one line per report, not one
+        per edge.  The audit holds no such list and keeps ``indent=2``."""
+        lines = []
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if dataclasses.is_dataclass(value):
+                text = json.dumps(dataclasses.asdict(value), indent=2).replace("\n", "\n  ")
+            else:
+                text = json.dumps(value)
+            lines.append(f"  {json.dumps(f.name)}: {text}")
+        return "{\n" + ",\n".join(lines) + "\n}"
 
     def render_text(self) -> str:
         kinds = ", ".join(f"{self.reductions.count(kind)} {kind}" for kind in sorted(set(self.reductions)))
@@ -81,3 +93,4 @@ class ColouringReport:
             lines.append(f"  oracle minimum medium over 4-colourings: {self.oracle_minimum}"
                          + (" ORACLE-ABOVE-PIPELINE" if self.oracle_minimum > self.medium else ""))
         return "\n".join(lines)
+

@@ -518,7 +518,7 @@ class TestDegreesFollowTheSet:
         assert all(fired.values()), fired
 
 
-MOVE_LOG = "537d5c61d4c44bbee688aa25aa7518e9ffa74f899dcdac6fc145af98b8a57d52"
+MOVE_LOG = "9d81955cb28acaf10e48163561a0df45b64532f1779832a6fa137bc5cbd926a9"
 
 
 def test_every_move_of_every_rule_is_pinned(petersen):

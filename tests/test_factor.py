@@ -341,16 +341,24 @@ class TestChooseTwoFactorAtScale:
 TWO_FACTOR_FIELDS = ("matching", "cycles", "cycle_edges", "cycle_of_vertex", "position", "cycle_of_edge", "partner")
 
 
+def valid_perfect_matching(g, mate_edge):
+    """``mate_edge`` names, at every vertex, an edge at it, and those edges
+    form a perfect matching."""
+    return all(v in g.edges[e] for v, e in enumerate(mate_edge) if e >= 0) and is_perfect_matching(g, set(mate_edge))
+
+
 def assert_same_as_the_reference(g):
-    """The first matching, the chosen 2-factor and the Kempe repair of ``g``
-    are those of the code that built lists of its own
-    (``tests/reference_factor.py``)."""
-    matcher, want_matcher = factor._Matcher(g), ref._Matcher(g)
-    assert matcher.match_all() == want_matcher.match_all()
-    assert matcher.mate_edge == want_matcher.mate_edge
+    """The matcher gives the verdict of the single-source matcher that came
+    before it, and a perfect matching; given the same matching, the
+    2-factor walk and the Kempe repair are those of the code that built
+    lists of its own (``tests/reference_factor.py``)."""
+    matcher = factor._Matcher(g)
+    assert matcher.match_all() == ref._Matcher(g).match_all() == (g.n % 2 == 0)
+    assert valid_perfect_matching(g, matcher.mate_edge)
     first = two_factor_from_matching(g, matcher.mate_edge)
-    assert first == ref.two_factor_from_matching(g, want_matcher.mate_edge)
-    tf, want = choose_two_factor(g), ref.matching_two_factor(g)
+    assert first == ref.two_factor_from_matching(g, matcher.mate_edge)
+    tf = choose_two_factor(g)
+    want = ref.two_factor_from_matching(g, tf.matching)
     for name in TWO_FACTOR_FIELDS:
         assert getattr(tf, name) == getattr(want, name), name
     assert kempe_3_colouring(tf) == ref.kempe_3_colouring(want)
@@ -385,6 +393,80 @@ class TestSameAsTheReference:
                 ref.two_factor_from_matching(g, frozenset(m))
             with pytest.raises(GraphError, match=f"^{re.escape(str(want.value))}$"):
                 two_factor_from_matching(g, frozenset(m))
+
+
+def random_multigraph(rng):
+    """A small loopless multigraph, of any degrees and of odd or even order."""
+    n = 2 * rng.randint(1, 7) - (rng.random() < 0.25)
+    edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(n // 2, 3 * n) if n > 1 else 0)]
+    return build_graph(n, edges)
+
+
+def without(g, *gone):
+    """``g`` with the vertices ``gone`` and their edges deleted, relabelled."""
+    keep = [v for v in range(g.n) if v not in gone]
+    new = {v: i for i, v in enumerate(keep)}
+    return build_graph(len(keep), [(new[u], new[v]) for u, v in g.edges if u in new and v in new])
+
+
+def has_perfect_matching(g):
+    return bool(ref.enumerate_perfect_matchings(g, 1))
+
+
+class TestForestMatcher:
+    """The forest matcher against the single-source matcher of
+    ``tests/reference_factor.py`` and against brute force, on 3,000 seeded
+    small multigraphs: some of odd order, some with no perfect matching,
+    and on each one with a perfect matching an edge forced as
+    ``choose_two_factor`` forces it, its ends blocked and their old mates
+    the two roots of one phase."""
+
+    def test_random_multigraphs(self):
+        rng = random.Random(33)
+        seen = Counter()
+        for _ in range(3000):
+            g = random_multigraph(rng)
+            matcher, want = factor._Matcher(g), ref._Matcher(g)
+            verdict = matcher.match_all()
+            assert verdict == want.match_all() == has_perfect_matching(g)
+            seen["odd" if g.n % 2 else "matched" if verdict else "unmatched"] += 1
+            if not verdict:
+                continue
+            assert valid_perfect_matching(g, matcher.mate_edge)
+            free = [e for e, (u, v) in enumerate(g.edges) if matcher.mate_edge[u] != matcher.mate_edge[v]]
+            if not free:
+                continue
+            e = rng.choice(free)
+            u, v = g.edges[e]
+            x, y = (matcher.xor[matcher.mate_edge[w]] ^ w for w in (u, v))
+            for m in (matcher, want):
+                m.mate_edge[:] = matcher.mate_edge
+                m.mate_edge[u] = m.mate_edge[v] = e
+                m.mate_edge[x] = m.mate_edge[y] = -1
+                m.blocked[u] = m.blocked[v] = 1
+            flipped = matcher.phase((x, y))
+            assert bool(flipped) == want.augment(x) == has_perfect_matching(without(g, u, v))
+            seen["forced" if flipped else "not forced"] += 1
+            if flipped:
+                assert flipped == 1 and valid_perfect_matching(g, matcher.mate_edge) and matcher.mate_edge[u] == e
+        assert min(seen.values()) > 100, seen
+
+
+class TestMatchingWork:
+    """Work bounds in place of time bounds: the phases the matcher runs and
+    the vertices it labels over all of them, set from measurement (2 phases,
+    and 1.24n and 1.61n labels) with a margin."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: bench_families.random_cubic(10_000, 1),
+        lambda: bench_families.petersen_inflation(1112, seed=1112),
+    ], ids=["random10000", "inflation10008"])
+    def test_phases_and_labels(self, make):
+        g = make()
+        matcher = factor._Matcher(g)
+        assert matcher.match_all() and valid_perfect_matching(g, matcher.mate_edge)
+        assert matcher.phases <= 3
+        assert matcher.labelled <= 2 * g.n
 
 
 def disjoint_union(*graphs):

@@ -51,7 +51,7 @@ class TestRepair:
             if found is not None:
                 decided += 1
                 assert found.k == 3 and is_proper(tf.graph, found)
-        assert len(tfs) == 130 + 43  # corpus graphs, reduced bases
+        assert len(tfs) == 133 + 44  # corpus graphs, reduced bases
         assert decided > len(tfs) * 3 // 4
 
     @pytest.mark.parametrize("make", [

@@ -142,6 +142,14 @@ class TestReportSchema:
                 keys = set(parsed)
             assert set(parsed) == keys
 
+    def test_json_keeps_each_list_of_scalars_on_one_line(self, petersen, k4):
+        for g in (petersen, k4, expand_vertex_to_triangle(petersen, 0)):
+            report = colour_graph(g)[1]
+            lines = report.to_json().splitlines()
+            assert json.loads("\n".join(lines)) == json.loads(json.dumps(dataclasses.asdict(report)))
+            assert f'  "colours": {json.dumps(list(report.colours))},' in lines
+            assert f'  "reductions": {json.dumps(list(report.reductions))},' in lines
+
     def test_render_text_mentions_bound(self, k4):
         _c, report = colour_graph(k4)
         text = report.render_text()
@@ -306,8 +314,8 @@ class TestThreeColouringOutcome:
     @pytest.mark.parametrize("make", [
         lambda: bench_families.flower_snark(301),
         lambda: bench_families.flower_snark(1001),
-        lambda: bench_families.random_cubic(1000, 15, triangle_free=True),
-    ], ids=["J301", "J1001", "random1000#15"])
+        lambda: bench_families.random_cubic(1000, 107, triangle_free=True),
+    ], ids=["J301", "J1001", "random1000#107"])
     def test_open_runs_end_to_end(self, make):
         g = make()
         colouring_, report = colour_graph(g)

@@ -15,9 +15,9 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py"
 
-SEED_0 = "seeds 0..0 (1): sha256 913d771bf7b7319f5621b5d43650b83489ea51e2158aebd69eb694bc94986d25"
+SEED_0 = "seeds 0..0 (1): sha256 000057dbe18a6d1edcc0000b8ba3edf56663269d84e1271b56ae06e42deca1e7"
 # the seed of the benchmark runs quoted in ROADMAP.md and CHANGES.md
-SEED_47 = "seeds 47..47 (1): sha256 be8544ecacb656fda36cbeb4057e80c5d9fc76bd96779b3cbd48d478267eab43"
+SEED_47 = "seeds 47..47 (1): sha256 6844063f316e1a8b56fa1bcc77a617b7dd78cd5263346c71928b210ea112d8b7"
 
 
 def last_line(seed: int) -> str:
