@@ -395,10 +395,9 @@ def kempe_3_colouring(tf: TwoFactor) -> EdgeColouring | None:
             at[4 * u + col] = at[4 * v + col] = e
     rng = None
     moves = 0
-    # The first round is stuck without a walk: the ends of an odd cycle's
-    # defect miss 2 (the cycle's first vertex) and 1 (its last), and colours
-    # 1 and 2 lie only on the cycles, so the (1, 2) chain from either end
-    # runs along that cycle to the other end.
+    # The first round is stuck with no walk: a defect's ends miss 2 and 1,
+    # and colours 1 and 2 lie only on the cycles, so the (1, 2) chain from
+    # either end runs along the defect's own cycle to the other end.
     stuck = defects
     while stuck:
         if len(stuck) == len(defects):

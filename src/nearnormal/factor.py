@@ -4,8 +4,10 @@ A perfect matching M of a cubic graph leaves a 2-regular remainder whose
 cycles form the 2-factor F; the construction downstream consumes the cycle
 decomposition together with a fixed cyclic ordering of each cycle.
 
-:func:`choose_two_factor` takes M from Edmonds' augmenting-path search, in
-polynomial time, and looks further only when every cycle of F has length 5.
+:func:`choose_two_factor` takes M from :class:`_Matcher`: a greedy pass,
+then phases that each grow one alternating forest from every exposed vertex
+(Edmonds' blossom search, with Gabow's forest), in polynomial time.  It
+looks further only when every cycle of F has length 5.
 :func:`connected_and_bridgeless` reads both properties of G off F, and
 :func:`choose_two_factor` refuses a G that lacks either.
 :func:`enumerate_perfect_matchings` lists matchings up to a cap.  The
@@ -68,14 +70,11 @@ def connected_and_bridgeless(tf: TwoFactor) -> bool:
     is connected and bridgeless iff Q is.  Q has at most n/2 edges, and the
     lowpoint search runs on its endpoint and incidence lists as built."""
     cyc, k = tf.cycle_of_vertex, len(tf.cycles)
-    ends: list[tuple[int, int]] = []
+    ends = [(cyc[u], cyc[v]) for u, v in map(tf.graph.edges.__getitem__, tf.matching) if cyc[u] != cyc[v]]
     inc: list[list[int]] = [[] for _ in range(k)]
-    for u, v in map(tf.graph.edges.__getitem__, tf.matching):
-        a, b = cyc[u], cyc[v]
-        if a != b:
-            inc[a].append(len(ends))
-            inc[b].append(len(ends))
-            ends.append((a, b))
+    for i, ab in enumerate(ends):
+        for a in ab:
+            inc[a].append(i)
     reached, bridges = _lowpoint_search(k, ends, inc)
     return reached == k and not bridges
 
@@ -202,12 +201,13 @@ def choose_two_factor(g: MultiGraph) -> TwoFactor:
     """Pick the 2-factor the construction starts from.
 
     Take the perfect matching that :meth:`_Matcher.match_all` builds
-    (greedy in edge-id order, then augmenting paths).  The construction
-    needs a cycle of length other than 5, which makes the final medium
-    bound strict; such a 2-factor exists for every connected bridgeless
-    cubic graph except the Petersen graph.  When every cycle of the first
-    2-factor has length 5, force each edge outside its matching in id order
-    and take the first forced matching whose 2-factor has such a cycle; when
+    (greedy in edge-id order, then phases of alternating forests).  The
+    construction needs a cycle of length other than 5, which makes the
+    final medium bound strict; such a 2-factor exists for every connected
+    bridgeless cubic graph except the Petersen graph.  When every cycle of
+    the first 2-factor has length 5, force each edge outside its matching in
+    id order, re-matching by one phase from the two vertices it frees, and
+    take the first forced matching whose 2-factor has such a cycle; when
     none has, keep the first one.  Raises :class:`GraphError` when there is
     no perfect matching, or when the first 2-factor shows G disconnected or
     bridged (:func:`connected_and_bridgeless`), before any forcing: so the
@@ -259,19 +259,16 @@ class _Matcher:
 
     ``mate_edge[v]`` is the matching edge at ``v`` (-1 while ``v`` is
     exposed).  Searches never enter the vertices marked in ``blocked``.
-    ``phases`` and ``labelled`` count the work: the phases run, and the
-    vertices labelled over all of them.
-
-    A phase grows Edmonds' alternating trees (Edmonds 1965, "Paths, trees,
-    and flowers") from several exposed roots at once, in one breadth-first
+    ``phases`` and ``labelled`` count the phases run and the vertices they
+    labelled.  A phase grows Edmonds' alternating trees (Edmonds 1965,
+    "Paths, trees, and flowers") from several roots in one breadth-first
     queue, as in Gabow 1976 ("An efficient implementation of Edmonds'
-    algorithm for maximum matching on graphs").  Odd cycles within a tree
-    shrink into their base through a union-find, with the tree links in
-    ``via`` re-pointed around each blossom so that flipping a path back to
-    its root needs no expansion.  When two even vertices of different trees
-    meet, both tree paths and the edge between them flip, and both trees
-    retire for the rest of the phase: a tree is retired once its root is
-    matched.  It is iterative and resets only the entries it touched.
+    algorithm for maximum matching on graphs").  A tree's odd cycles shrink
+    into their base through a union-find, with the tree links in ``via``
+    re-pointed around each blossom, so a path flips back to its root with no
+    expansion.  Where even vertices of two trees meet, both tree paths and
+    the edge between them flip, and both trees retire for the phase (a tree
+    whose root is matched is retired).  It resets only what it touched.
     """
 
     __slots__ = ("edges", "xor", "inc", "mate_edge", "blocked", "label", "via",
@@ -291,9 +288,8 @@ class _Matcher:
         self.clock = self.phases = self.labelled = 0
 
     def match_all(self) -> bool:
-        """Match every vertex, greedily in edge-id order and then by phases
-        from every exposed vertex; False when a phase flips no path, which
-        proves that the graph has no perfect matching."""
+        """Match every vertex, greedily in edge-id order, then by phases from
+        every exposed vertex; False once a phase flips nothing (no matching)."""
         mate_edge = self.mate_edge
         for e, (u, v) in enumerate(self.edges):
             if mate_edge[u] < 0 and mate_edge[v] < 0:
@@ -304,10 +300,9 @@ class _Matcher:
         return True
 
     def phase(self, roots) -> int:
-        """Grow one alternating forest from the exposed vertices ``roots``
-        and flip a path between each two of its trees that meet; the number
-        of paths flipped.  None is flipped only when no alternating path
-        joins two roots through unblocked vertices."""
+        """Grow one forest from the exposed vertices ``roots`` and flip a
+        path through each two of its trees that meet; the number flipped, 0
+        only when no alternating path joins two roots off ``blocked``."""
         inc, xor, mate_edge, blocked = self.inc, self.xor, self.mate_edge, self.blocked
         label, via, uf, tree = self.label, self.via, self.uf, self.tree
         for r in roots:

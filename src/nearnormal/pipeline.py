@@ -77,10 +77,9 @@ def colour_graph(g: MultiGraph, name: str = "") -> tuple[EdgeColouring, Colourin
     cycle_lengths = selection_size = shapes = audit_report = base_counts = None
     try:
         colouring = kempe_3_colouring(tf)
-        if colouring is not None:  # the repair checked 1, 2, 3 at every vertex: every edge is poor
+        if colouring:  # the repair checked 1, 2, 3 at every vertex: every edge is poor
             base_counts = [3] * base.m
-        else:
-            colouring = try_3_edge_colouring(base)
+        colouring = colouring or try_3_edge_colouring(base)
         three_colouring = "refuted" if colouring is None else "found"
     except _SearchOpen:
         colouring, three_colouring = None, "open"

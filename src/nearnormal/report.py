@@ -47,17 +47,13 @@ class ColouringReport:
 
     def to_json(self) -> str:
         """The report as ``json.dumps(dataclasses.asdict(self), indent=2)``
-        writes it, except that each list of scalars (the colours, say) stays
-        on one line, written by the C encoder: one line per report, not one
-        per edge.  The audit holds no such list and keeps ``indent=2``."""
+        writes it, but with each list of scalars (the colours) on one line,
+        by the C encoder.  The audit holds no such list: ``indent=2``."""
         lines = []
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if dataclasses.is_dataclass(value):
-                text = json.dumps(dataclasses.asdict(value), indent=2).replace("\n", "\n  ")
-            else:
-                text = json.dumps(value)
-            lines.append(f"  {json.dumps(f.name)}: {text}")
+            text = json.dumps(dataclasses.asdict(value), indent=2) if dataclasses.is_dataclass(value) else json.dumps(value)
+            lines.append(f"  {json.dumps(f.name)}: " + text.replace("\n", "\n  "))
         return "{\n" + ",\n".join(lines) + "\n}"
 
     def render_text(self) -> str:
