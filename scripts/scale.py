@@ -2,7 +2,7 @@
 """``colour_graph`` at n = 10^4, 10^5 and 10^6, written to BENCH_scale.json.
 
     python3 scripts/scale.py [--src DIR] [--label NAME] [--sizes N ...]
-                             [--families F ...] [--out FILE]
+                             [--families F ...] [--repeats R] [--out FILE]
 
 Three families, each at about the sizes given (default 10^4, 10^5, 10^6):
 
@@ -24,17 +24,19 @@ run that does not fit ends in ``MemoryError``, and so that its peak RSS
 The child times ``colour_graph`` end to end and, by wrapping the names it
 calls as ``bench/tracing.py`` does, the matching (``factor._Matcher.match_all``)
 and the whole 2-factor stage (``pipeline.choose_two_factor``).  A matcher
-that counts its phases and labelled vertices has them recorded too.
+that counts its phases and labelled vertices has them recorded too.  With
+``--repeats R`` each graph runs R times, each in a fresh child, and each
+time recorded is the least of the R.
 
 ``--src DIR`` imports the package from ``DIR/src`` (default: this
 checkout), so one script measures two checkouts on the same graphs; the
 generators always come from this checkout's ``bench/generators.py``.  Rows
 are merged into ``--out`` (default BENCH_scale.json at the root of the
 checkout), replacing rows with the same label, family and n.  The summary
-gives, per label and family, the matching's and the run's microseconds per
-vertex at the smallest and the largest n, and whether the matching stays
-within 2x of its smallest-n figure (ROADMAP item 3's target).  Standard
-library only.
+says, per label and family, whether the matching and the 2-factor stage
+stay within 2x of their smallest-n time per vertex at the largest n
+(ROADMAP item 3's target), and how much faster than the ``parent`` rows
+the matching is.  Standard library only.
 """
 
 from __future__ import annotations
@@ -126,11 +128,9 @@ def child(src: str, family: str, n: int) -> dict:
     return {
         "family": family,
         "n": g.n,
-        "seconds": round(seconds, 3),
-        "matching_s": round(spent["matching"], 3),
-        "two_factor_s": round(spent["two_factor"], 3),
-        "us_per_vertex": round(1e6 * seconds / g.n, 2),
-        "matching_us_per_vertex": round(1e6 * spent["matching"] / g.n, 2),
+        "seconds": round(seconds, 4),
+        "matching_s": round(spent["matching"], 4),
+        "two_factor_s": round(spent["two_factor"], 4),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "branch": report.branch,
         "three_colouring": report.three_colouring,
@@ -140,18 +140,25 @@ def child(src: str, family: str, n: int) -> dict:
 
 
 def summary(rows: list[dict]) -> list[dict]:
+    """Per label and family: microseconds per vertex at the smallest and
+    the largest n, for the run, the 2-factor stage and the matching; their
+    growth (largest over smallest); and, where a ``parent`` row has the same
+    family and largest n, how many times faster the matching is."""
     out = []
     for label, family in sorted({(r["label"], r["family"]) for r in rows}):
         mine = sorted((r for r in rows if (r["label"], r["family"]) == (label, family)), key=lambda r: r["n"])
         small, large = mine[0], mine[-1]
-        ratio = large["matching_us_per_vertex"] / max(small["matching_us_per_vertex"], 1e-9)
-        out.append({
-            "label": label, "family": family, "n": [small["n"], large["n"]],
-            "us_per_vertex": [small["us_per_vertex"], large["us_per_vertex"]],
-            "matching_us_per_vertex": [small["matching_us_per_vertex"], large["matching_us_per_vertex"]],
-            "matching_growth": round(ratio, 2),
-            "matching_within_2x": ratio <= 2,
-        })
+        entry = {"label": label, "family": family, "n": [small["n"], large["n"]]}
+        for key, seconds in (("run", "seconds"), ("two_factor", "two_factor_s"), ("matching", "matching_s")):
+            per_vertex = [round(1e6 * r[seconds] / r["n"], 2) for r in (small, large)]
+            entry[f"{key}_us_per_vertex"] = per_vertex
+            entry[f"{key}_growth"] = round(per_vertex[1] / max(per_vertex[0], 0.01), 2)
+        entry["two_factor_within_2x"] = entry["two_factor_growth"] <= 2
+        entry["matching_within_2x"] = entry["matching_growth"] <= 2
+        parent = [r for r in rows if (r["label"], r["family"], r["n"]) == ("parent", family, large["n"])]
+        if parent and label != "parent":
+            entry["matching_speedup_at_largest_n"] = round(parent[0]["matching_s"] / max(large["matching_s"], 1e-3), 2)
+        out.append(entry)
     return out
 
 
@@ -162,6 +169,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
     parser.add_argument("--families", nargs="+", default=list(FAMILIES), choices=FAMILIES)
     parser.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
+    parser.add_argument("--repeats", type=int, default=1, help="runs per graph; each time is the least of them")
     parser.add_argument("--child", nargs=2, metavar=("FAMILY", "N"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -172,19 +180,23 @@ def main(argv: list[str]) -> int:
     rows = data.get("rows", [])
     for family in args.families:
         for n in args.sizes:
-            proc = subprocess.run(
-                [sys.executable, __file__, "--src", args.src, "--child", family, str(n)],
-                capture_output=True, text=True,
-            )
-            if proc.returncode:
-                print(proc.stderr, file=sys.stderr)
-                return 1
-            row = {"label": args.label, **json.loads(proc.stdout.splitlines()[-1])}
+            runs = []
+            for _ in range(args.repeats):
+                proc = subprocess.run(
+                    [sys.executable, __file__, "--src", args.src, "--child", family, str(n)],
+                    capture_output=True, text=True,
+                )
+                if proc.returncode:
+                    print(proc.stderr, file=sys.stderr)
+                    return 1
+                runs.append(json.loads(proc.stdout.splitlines()[-1]))
+            row = {"label": args.label, "runs": len(runs), **runs[0]}
+            row.update((key, min(run[key] for run in runs)) for key in ("seconds", "matching_s", "two_factor_s"))
             print(json.dumps(row), flush=True)
             rows = [r for r in rows if (r["label"], r["family"], r["n"]) != (row["label"], family, row["n"])]
             rows.append(row)
     data = {
-        "about": "colour_graph per graph, one run each; written by scripts/scale.py",
+        "about": "colour_graph per graph, the least time of `runs` runs; written by scripts/scale.py",
         "rows": sorted(rows, key=lambda r: (r["family"], r["n"], r["label"])),
         "summary": summary(rows),
     }

@@ -332,21 +332,21 @@ def _frontier_tables(order, pos, edges, inc):
 # The perturbing chain swaps kempe_3_colouring may make before it gives
 # up, and the seed of the generator that picks them.  A base with no
 # 3-colouring pays all of them before the 3-colour search runs.  With 16,
-# the repair colours 146 of the 167 class1_random bases (seed 47) whose
+# the repair colours 153 of the 166 class1_random bases (seed 47) whose
 # 2-factor is odd; scripts/kempe_budget.py prints this and the moves that
 # seeded random graphs need without a cap.
 _KEMPE_MOVES = 16
 _KEMPE_SEED = 0
 
 # The backtracks try_3_edge_colouring may make before it leaves a graph
-# open: class1_random finds (seeds 0-39) need up to 1,154, and random44#103
+# open: class1_random finds (seeds 0-39) need up to 1,073, and random44#103
 # (seed 12) is refuted, as scripts/kempe_budget.py prints; flower snarks up
 # to J99 are refuted.
 _BACKTRACKS = 1 << 15
 
 # The k = 3 search keeps refuted states only after _MEMO_AFTER * m
 # backtracks, so that short searches and large graphs, which seldom revisit
-# a state, skip the memo's set-up and its cost per node: 1 of the 644
+# a state, skip the memo's set-up and its cost per node: 1 of the 642
 # class1_random searches at seeds 0-39 reaches it.
 _MEMO_AFTER = 32
 

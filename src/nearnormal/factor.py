@@ -279,11 +279,9 @@ class _Matcher:
         self.edges, self.inc = g.edges, g._incident
         self.xor = [u ^ v for u, v in g.edges]  # other end of e from v: xor[e] ^ v
         self.mate_edge = [-1] * n
-        self.blocked = bytearray(n)
-        self.label = bytearray(n)
-        self.via = [-1] * n
+        self.blocked, self.label = bytearray(n), bytearray(n)
+        self.via, self.tree = [-1] * n, [-1] * n  # per labelled vertex, its tree link and its tree's root
         self.uf = list(range(n))
-        self.tree = [-1] * n  # per labelled vertex, the root of its tree
         self.seen = [0] * n
         self.clock = self.phases = self.labelled = 0
 
@@ -291,8 +289,10 @@ class _Matcher:
         """Match every vertex, greedily in edge-id order, then by phases from
         every exposed vertex; False once a phase flips nothing (no matching)."""
         mate_edge = self.mate_edge
+        free = bytearray(map((-1).__eq__, mate_edge))  # read faster than mate_edge's ints
         for e, (u, v) in enumerate(self.edges):
-            if mate_edge[u] < 0 and mate_edge[v] < 0:
+            if free[u] and free[v]:
+                free[u] = free[v] = 0
                 mate_edge[u] = mate_edge[v] = e
         while -1 in mate_edge:
             if not self.phase([v for v, f in enumerate(mate_edge) if f < 0]):
@@ -354,23 +354,19 @@ class _Matcher:
         """Shrink the blossom closed by edge ``e`` between the even vertices
         ``v`` and ``w`` into the base where their tree paths meet."""
         xor, mate_edge, label, via, uf, seen = self.xor, self.mate_edge, self.label, self.via, self.uf, self.seen
-        self.clock += 1
-        clock = self.clock
-        x = v
-        while True:  # mark the bases from v up to the root
-            x = _find(uf, x)
+        clock = self.clock = self.clock + 1
+        # walk up the bases from v and w by turns, at a cost of the blossom's
+        # size, not the tree's depth: the first base both reach is the base
+        x, y = _find(uf, v), _find(uf, w)
+        while seen[x] != clock:
             seen[x] = clock
-            if mate_edge[x] < 0:
-                break
-            y = xor[mate_edge[x]] ^ x
-            x = xor[via[y]] ^ y
-        x = w
-        while True:  # the first marked base from w up is the new base
-            x = _find(uf, x)
-            if seen[x] == clock:
-                break
-            y = xor[mate_edge[x]] ^ x
-            x = xor[via[y]] ^ y
+            if mate_edge[x] < 0:  # the root: the other walk goes on alone
+                x, y = y, -1
+                continue
+            z = xor[mate_edge[x]] ^ x
+            x = _find(uf, xor[via[z]] ^ z)
+            if y >= 0:
+                x, y = y, x
         base = x
         merged = []
         for x, link in ((v, e), (w, e)):

@@ -122,9 +122,8 @@ def build_graph(vertex_count: int, edge_list) -> MultiGraph:
 
 
 def _lowpoint_search(n: int, edges, incident) -> tuple[int, set[int]]:
-    """One iterative lowpoint search from vertex 0 of the multigraph on
-    0..n-1 with lists ``edges`` (endpoint pairs) and ``incident``: the
-    number of vertices it reaches and the cut edges among them.
+    """One iterative lowpoint search from vertex 0 of the multigraph with
+    ``n``, ``edges`` and ``incident``: the vertices it reaches, and its cut edges.
 
     Parallel edges are never bridges: the twin edge acts as a back edge
     because the traversal skips only the tree edge *id*, not the endpoint.
