@@ -98,7 +98,7 @@ def build(family: str, n: int) -> tuple[int, list[tuple[int, int]]]:
 
 def child(src: str, family: str, n: int) -> dict:
     """One graph in this process: the row for it."""
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    _soft, hard = resource.getrlimit(resource.RLIMIT_AS)
     cap = ADDRESS_CAP if hard == resource.RLIM_INFINITY else min(ADDRESS_CAP, hard)
     resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
     sys.path.insert(0, str(Path(src).resolve() / "src"))

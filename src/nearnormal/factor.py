@@ -172,7 +172,7 @@ def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
         cycle_of_vertex[start] = cycle_of_edge[e] = idx
         position[start] = 0
         verts, eids = [start], [e]
-        while v != start:  # fills every per-vertex and per-edge field as it goes
+        while v != start:
             cycle_of_vertex[v] = idx
             position[v] = len(verts)
             verts.append(v)
@@ -287,7 +287,7 @@ class _Matcher:
 
     def match_all(self) -> bool:
         """Match every vertex, greedily in edge-id order, then by phases from
-        every exposed vertex; False once a phase flips nothing (no matching)."""
+        every exposed vertex; False once a phase flips nothing: then no perfect matching exists."""
         mate_edge = self.mate_edge
         free = bytearray(map((-1).__eq__, mate_edge))  # read faster than mate_edge's ints
         for e, (u, v) in enumerate(self.edges):

@@ -122,8 +122,8 @@ def build_graph(vertex_count: int, edge_list) -> MultiGraph:
 
 
 def _lowpoint_search(n: int, edges, incident) -> tuple[int, set[int]]:
-    """One iterative lowpoint search from vertex 0 of the multigraph with
-    ``n``, ``edges`` and ``incident``: the vertices it reaches, and its cut edges.
+    """One iterative lowpoint search from vertex 0 over ``n`` vertices, endpoint pairs
+    ``edges`` and incidence lists ``incident``: how many vertices it reaches, and its cut edges.
 
     Parallel edges are never bridges: the twin edge acts as a back edge
     because the traversal skips only the tree edge *id*, not the endpoint.

@@ -89,4 +89,3 @@ class ColouringReport:
             lines.append(f"  oracle minimum medium over 4-colourings: {self.oracle_minimum}"
                          + (" ORACLE-ABOVE-PIPELINE" if self.oracle_minimum > self.medium else ""))
         return "\n".join(lines)
-
