@@ -10,6 +10,9 @@ then phases that each grow one alternating forest from every exposed vertex
 looks further only when every cycle of F has length 5.
 :func:`connected_and_bridgeless` reads both properties of G off F, and
 :func:`choose_two_factor` refuses a G that lacks either.
+:func:`_walk` lists only F's cycle edges and each vertex's cycle, all that
+the certificate and the Kempe repair read; a 3-edge-colourable G needs no
+more, so :class:`TwoFactor` derives its other tables on first read.
 :func:`enumerate_perfect_matchings` lists matchings up to a cap.  The
 pipeline does not use it; it stays because ``bench/tracing.py`` wraps it by
 name (guarded by ``tests/test_bench_hooks.py``) and
@@ -18,7 +21,8 @@ name (guarded by ``tests/test_bench_hooks.py``) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import GraphError, MultiGraph, _lowpoint_search
 
@@ -34,23 +38,43 @@ class TwoFactor:
     ``cycles[c][(i+1) % len]``.  ``position[v]`` is the index of ``v`` in
     its cycle, and ``cycle_of_edge[e]`` the cycle of edge ``e`` (-1 on
     matching edges).  ``partner[v]`` is the matched neighbour of ``v``.
+    Only the construction reads ``cycles``, ``position``, ``cycle_of_edge``
+    and ``partner``: they are derived on first read, all four in one pass.
     """
 
     graph: MultiGraph
     matching: frozenset[int]
-    cycles: tuple[tuple[int, ...], ...]
     cycle_edges: tuple[tuple[int, ...], ...]
     cycle_of_vertex: tuple[int, ...]
-    position: tuple[int, ...]
-    cycle_of_edge: tuple[int, ...]
-    partner: tuple[int, ...]
-    _odd: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_odd", tuple(c for c, cyc in enumerate(self.cycles) if len(cyc) % 2))
+    def _derive(self, name: str):
+        """Store the four derived tables as their cached_property would; return the one named."""
+        edges, n, cycles = self.graph.edges, self.graph.n, []
+        position, partner, cycle_of_edge = [-1] * n, [-1] * n, [-1] * len(edges)
+        for c, eids in enumerate(self.cycle_edges):
+            v = min(edges[eids[0]])  # the walk starts at the cycle's smallest vertex
+            verts = []
+            for e in eids:
+                position[v] = len(verts)
+                verts.append(v)
+                cycle_of_edge[e] = c
+                a, b = edges[e]
+                v ^= a ^ b
+            cycles.append(tuple(verts))
+        for u, v in map(edges.__getitem__, self.matching):
+            partner[u], partner[v] = v, u
+        self.__dict__.update(cycles=tuple(cycles), position=tuple(position),
+                             cycle_of_edge=tuple(cycle_of_edge), partner=tuple(partner))
+        return self.__dict__[name]
+
+    cycles = cached_property(lambda self: self._derive("cycles"))
+    position = cached_property(lambda self: self._derive("position"))
+    cycle_of_edge = cached_property(lambda self: self._derive("cycle_of_edge"))
+    partner = cached_property(lambda self: self._derive("partner"))
+    _odd = cached_property(lambda self: tuple(c for c, eids in enumerate(self.cycle_edges) if len(eids) % 2))
 
     def cycle_length(self, c: int) -> int:
-        return len(self.cycles[c])
+        return len(self.cycle_edges[c])
 
     def odd_cycles(self) -> tuple[int, ...]:
         """The indices of the odd cycles, in increasing order."""
@@ -69,7 +93,7 @@ def connected_and_bridgeless(tf: TwoFactor) -> bool:
     included, and contracting the cycles keeps components and bridges, so G
     is connected and bridgeless iff Q is.  Q has at most n/2 edges, and the
     lowpoint search runs on its endpoint and incidence lists as built."""
-    cyc, k = tf.cycle_of_vertex, len(tf.cycles)
+    cyc, k = tf.cycle_of_vertex, len(tf.cycle_edges)
     ends = [(cyc[u], cyc[v]) for u, v in map(tf.graph.edges.__getitem__, tf.matching) if cyc[u] != cyc[v]]
     inc: list[list[int]] = [[] for _ in range(k)]
     for i, ab in enumerate(ends):
@@ -130,71 +154,57 @@ def enumerate_perfect_matchings(g: MultiGraph, limit: int = DEFAULT_MATCHING_LIM
 
 
 def two_factor_from_matching(g: MultiGraph, m) -> TwoFactor:
+    """The 2-factor G - M of the edge ids ``m``, by :func:`_walk`, which
+    checks that ``g`` is cubic and M a perfect matching of it."""
+    matching = frozenset(m)
+    edges = g.edges
+    if matching and (min(matching) < 0 or max(matching) >= len(edges)):
+        raise GraphError("not a perfect matching of this graph")
+    mate = [-1] * g.n  # per vertex, its matching edge
+    for e in matching:
+        u, v = edges[e]
+        mate[u] = mate[v] = e
+    return _walk(g, mate, [u ^ v for u, v in edges], matching)
+
+
+def _walk(g: MultiGraph, mate: list[int], xor: list[int], matching: frozenset[int]) -> TwoFactor:
     """Cycle decomposition of G - M with a deterministic traversal: each
     cycle starts at its smallest vertex and proceeds toward the smaller
-    neighbour (smaller edge id breaks parallel-edge ties).
+    neighbour (smaller edge id breaks parallel-edge ties).  ``mate[v]`` is
+    the edge of M at ``v``, ``xor[e]`` the xor of edge ``e``'s ends.
 
     ``g`` must be cubic and M a perfect matching of it, n/2 edges whose
     ends cover every vertex.  Then G - M is 2-regular: at each vertex the
     two edges other than its matching edge."""
-    matching = frozenset(m)
-    edges, inc = g.edges, g._incident
-    if matching and (min(matching) < 0 or max(matching) >= len(edges)):
-        raise GraphError("not a perfect matching of this graph")
-    if any(map((3).__ne__, map(len, inc))):
-        raise GraphError("graph minus matching is not 2-regular (input not cubic?)")
-    mate, partner = [-1] * g.n, [-1] * g.n  # per vertex, its matching edge and that edge's other end
-    for e in matching:
-        u, v = edges[e]
-        mate[u] = mate[v] = e
-        partner[u], partner[v] = v, u
+    try:
+        step = [a ^ b ^ c ^ f for (a, b, c), f in zip(g._incident, mate)]
+    except ValueError:  # a vertex with other than three edges
+        raise GraphError("graph minus matching is not 2-regular (input not cubic?)") from None
     # n/2 edges that cover every vertex cover each once
     if 2 * len(matching) != g.n or -1 in mate:
         raise GraphError("not a perfect matching of this graph")
 
-    cycles: list[tuple[int, ...]] = []
     cycle_edges: list[tuple[int, ...]] = []
     cycle_of_vertex = [-1] * g.n
-    cycle_of_edge = [-1] * g.m
-    position = [-1] * g.n
     start = done = 0
     while done < g.n:
         start = cycle_of_vertex.index(-1, start)  # the smallest vertex on no cycle yet
-        idx = len(cycles)
-        a, b, c = inc[start]  # in increasing id order
+        idx = len(cycle_edges)
+        a, b, c = g._incident[start]  # in increasing id order
         e, f = (b, c) if a == mate[start] else (a, c) if b == mate[start] else (a, b)
-        a, b = edges[f]
-        w = a ^ b ^ start
-        a, b = edges[e]
-        v = a ^ b ^ start
+        w, v = xor[f] ^ start, xor[e] ^ start
         if w < v:
             e, v = f, w
-        cycle_of_vertex[start] = cycle_of_edge[e] = idx
-        position[start] = 0
-        verts, eids = [start], [e]
+        cycle_of_vertex[start] = idx
+        eids = [e]
         while v != start:
             cycle_of_vertex[v] = idx
-            position[v] = len(verts)
-            verts.append(v)
-            a, b, c = inc[v]
-            e ^= a ^ b ^ c ^ mate[v]  # the other one of v's two cycle edges
-            cycle_of_edge[e] = idx
+            e ^= step[v]  # the other one of v's two cycle edges
             eids.append(e)
-            a, b = edges[e]
-            v ^= a ^ b
-        done += len(verts)
-        cycles.append(tuple(verts))
+            v ^= xor[e]
+        done += len(eids)
         cycle_edges.append(tuple(eids))
-    return TwoFactor(
-        graph=g,
-        matching=matching,
-        cycles=tuple(cycles),
-        cycle_edges=tuple(cycle_edges),
-        cycle_of_vertex=tuple(cycle_of_vertex),
-        position=tuple(position),
-        cycle_of_edge=tuple(cycle_of_edge),
-        partner=tuple(partner),
-    )
+    return TwoFactor(g, matching, tuple(cycle_edges), tuple(cycle_of_vertex))
 
 
 def choose_two_factor(g: MultiGraph) -> TwoFactor:
@@ -218,12 +228,12 @@ def choose_two_factor(g: MultiGraph) -> TwoFactor:
     matcher = _Matcher(g)
     if not matcher.match_all():
         raise GraphError("graph has no perfect matching")
-    first = two_factor_from_matching(g, matcher.mate_edge)
+    mate_edge, blocked, xor = matcher.mate_edge, matcher.blocked, matcher.xor
+    first = _walk(g, mate_edge, xor, frozenset(mate_edge))
     if not connected_and_bridgeless(first):
         raise GraphError("graph is disconnected or has a bridge")
-    if any(len(cyc) != 5 for cyc in first.cycles):
+    if any(len(eids) != 5 for eids in first.cycle_edges):
         return first
-    mate_edge, blocked, xor = matcher.mate_edge, matcher.blocked, matcher.xor
     saved = mate_edge[:]
     for e, (u, v) in enumerate(g.edges):
         fu, fv = saved[u], saved[v]
@@ -237,8 +247,8 @@ def choose_two_factor(g: MultiGraph) -> TwoFactor:
         found = matcher.phase((x, y))
         blocked[u] = blocked[v] = 0
         if found:
-            tf = two_factor_from_matching(g, mate_edge)
-            if any(len(cyc) != 5 for cyc in tf.cycles):
+            tf = _walk(g, mate_edge, xor, frozenset(mate_edge))
+            if any(len(eids) != 5 for eids in tf.cycle_edges):
                 return tf
     return first
 

@@ -16,17 +16,34 @@ were before they read ``g.edges`` and ``g._incident`` directly, with the
 xor trick, in place of lists of their own: :func:`two_factor_from_matching`,
 :class:`_Matcher`, :func:`matching_two_factor` (the production
 ``choose_two_factor``) and :func:`kempe_3_colouring`.  The tests require the
-production code to return the same 2-factors and colourings.
+production code to return the same 2-factors and colourings.  The walk fills
+every table at once, in a record of its own, :class:`TwoFactor`, where the
+production ``TwoFactor`` derives four of them on first read.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from nearnormal import colouring
 from nearnormal.colouring import ColouringError, EdgeColouring
-from nearnormal.factor import DEFAULT_MATCHING_LIMIT, TwoFactor
+from nearnormal.factor import DEFAULT_MATCHING_LIMIT
 from nearnormal.graph import GraphError, MultiGraph
+
+
+@dataclass(frozen=True)
+class TwoFactor:
+    """The fields of ``nearnormal.factor.TwoFactor``, every one stored."""
+
+    graph: MultiGraph
+    matching: frozenset[int]
+    cycles: tuple[tuple[int, ...], ...]
+    cycle_edges: tuple[tuple[int, ...], ...]
+    cycle_of_vertex: tuple[int, ...]
+    position: tuple[int, ...]
+    cycle_of_edge: tuple[int, ...]
+    partner: tuple[int, ...]
 
 
 def is_perfect_matching(g: MultiGraph, m) -> bool:

@@ -347,6 +347,14 @@ def valid_perfect_matching(g, mate_edge):
     return all(v in g.edges[e] for v, e in enumerate(mate_edge) if e >= 0) and is_perfect_matching(g, set(mate_edge))
 
 
+def assert_same_two_factor(tf, want):
+    """``tf`` has every table of the reference's eagerly built ``want``,
+    the ones derived on first read included."""
+    assert tf.graph is want.graph
+    for name in TWO_FACTOR_FIELDS:
+        assert getattr(tf, name) == getattr(want, name), name
+
+
 def assert_same_as_the_reference(g):
     """The matcher gives the verdict of the single-source matcher that came
     before it, and a perfect matching; given the same matching, the
@@ -355,13 +363,21 @@ def assert_same_as_the_reference(g):
     matcher = factor._Matcher(g)
     assert matcher.match_all() == ref._Matcher(g).match_all() == (g.n % 2 == 0)
     assert valid_perfect_matching(g, matcher.mate_edge)
-    first = two_factor_from_matching(g, matcher.mate_edge)
-    assert first == ref.two_factor_from_matching(g, matcher.mate_edge)
+    assert_same_two_factor(two_factor_from_matching(g, matcher.mate_edge),
+                           ref.two_factor_from_matching(g, matcher.mate_edge))
     tf = choose_two_factor(g)
     want = ref.two_factor_from_matching(g, tf.matching)
-    for name in TWO_FACTOR_FIELDS:
-        assert getattr(tf, name) == getattr(want, name), name
+    assert_same_two_factor(tf, want)
     assert kempe_3_colouring(tf) == ref.kempe_3_colouring(want)
+
+
+# even orders, each with a perfect matching
+NOT_CUBIC = {
+    "4-cycle": build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "one-edge": build_graph(2, [(0, 1)]),
+    "octahedron": build_graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 3]),
+    "prism6-plus-a-chord": build_graph(12, [*prism(6).edges, (0, 6)]),
+}
 
 
 class TestSameAsTheReference:
@@ -386,13 +402,21 @@ class TestSameAsTheReference:
         with pytest.raises(GraphError, match=f"^{re.escape(str(want.value))}$"):
             two_factor_from_matching(k4, frozenset(m))
 
-    def test_the_same_error_for_a_graph_that_is_not_cubic(self):
-        g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        for m in ({0, 2}, {0}, {7}):
+    @pytest.mark.parametrize("name", sorted(NOT_CUBIC))
+    def test_the_same_error_for_a_graph_that_is_not_cubic(self, name):
+        # the walk's unpack into three incidences is the cubic check;
+        # pytest.raises(GraphError) also fails on the bare ValueError of
+        # the unpack
+        g = NOT_CUBIC[name]
+        for m in (ref.enumerate_perfect_matchings(g, 1)[0], {0}, {g.m}):
             with pytest.raises(GraphError) as want:
                 ref.two_factor_from_matching(g, frozenset(m))
             with pytest.raises(GraphError, match=f"^{re.escape(str(want.value))}$"):
                 two_factor_from_matching(g, frozenset(m))
+        with pytest.raises(GraphError) as want:
+            ref.choose_two_factor(g)
+        with pytest.raises(GraphError, match=f"^{re.escape(str(want.value))}$"):
+            choose_two_factor(g)
 
 
 def random_multigraph(rng):

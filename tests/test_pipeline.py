@@ -392,7 +392,9 @@ class TestEachCheckOnce:
     record; the attachments come from the builder that checks the
     selection, so that one call is also the check.  The graph is scanned for
     parallel pairs and triangles once, by ``reduce_fully``; the construction
-    reads the same property off its 2-factor."""
+    reads the same property off its 2-factor.  The 2-factor's vertex lists,
+    positions, edge cycles and partners are derived in one pass, and only
+    when the construction runs."""
 
     @THREE_CONSTRUCTED
     def test_one_scan_for_pairs_and_triangles(self, make, monkeypatch):
@@ -421,6 +423,30 @@ class TestEachCheckOnce:
         report = colour_graph(g)[1]
         assert report.base_branch == "3-colourable" and report.poor == g.m
         assert calls == ({"_colour_counts": classified} if classified else {})
+
+    @pytest.mark.parametrize("make, derived", [
+        (lambda: prism(20), 0),
+        (lambda: bench_families.random_cubic(120, 1, triangle_free=True), 0),
+        (lambda: bench_families.flower_snark(5), 1),
+        (lambda: bench_families.petersen_inflation(8, seed=8), 1),
+    ], ids=["prism20-even", "random120-repaired", "J5", "petersen-inflation72"])
+    def test_the_construction_tables_are_derived_only_for_the_construction(self, make, derived, monkeypatch):
+        # the certificate, the cycle-length test and the repair read only
+        # the walk's cycle edges and vertex cycles; the selection and the
+        # construction share one pass for the other four tables
+        derive, passes = factor.TwoFactor._derive, []
+
+        def counted(tf, name):
+            passes.append(name)
+            return derive(tf, name)
+
+        monkeypatch.setattr(factor.TwoFactor, "_derive", counted)
+        report = colour_graph(make())[1]
+        if derived:
+            assert report.base_branch == "constructed" and report.audit_passed is True
+        else:
+            assert report.base_branch == "3-colourable" and report.audit_passed is None
+        assert len(passes) == derived
 
     @THREE_CONSTRUCTED
     def test_components_and_attachments_built_once(self, make, monkeypatch):
@@ -586,10 +612,10 @@ class TestInputCertificate:
         # first one not certified, the edges of each copy would be forced
         # one by one, each with a 2-factor of the whole graph
         g = disjoint_union(*[petersen_graph()] * 200)
-        calls = count_calls(monkeypatch, factor.two_factor_from_matching)
+        calls = count_calls(monkeypatch, factor._walk)
         with pytest.raises(InvalidInput, match=r"^invalid input \(connected\): "):
             colour_graph(g)
-        assert calls == {"two_factor_from_matching": 1}
+        assert calls == {"_walk": 1}
 
     @pytest.mark.parametrize("make", [
         petersen_graph,
