@@ -25,8 +25,12 @@ The child times ``colour_graph`` end to end and, by wrapping the names it
 calls as ``bench/tracing.py`` does, the matching (``factor._Matcher.match_all``)
 and the whole 2-factor stage (``pipeline.choose_two_factor``).  A matcher
 that counts its phases and labelled vertices has them recorded too.  With
-``--repeats R`` each graph runs R times, each in a fresh child, and each
-time recorded is the least of the R.
+``--repeats R`` each graph runs R times, each in a fresh child, in R rounds
+that each run every family at every size once, so that a slow spell of a
+shared host spreads over the sizes instead of landing on one of them.  Each
+time recorded is the least of the R, with the largest beside it
+(``seconds_max``, ``matching_s_max``, ``two_factor_s_max``); the other
+fields are the first run's.
 
 ``--src DIR`` imports the package from ``DIR/src`` (default: this
 checkout), so one script measures two checkouts on the same graphs; the
@@ -178,25 +182,29 @@ def main(argv: list[str]) -> int:
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     rows = data.get("rows", [])
-    for family in args.families:
-        for n in args.sizes:
-            runs = []
-            for _ in range(args.repeats):
-                proc = subprocess.run(
-                    [sys.executable, __file__, "--src", args.src, "--child", family, str(n)],
-                    capture_output=True, text=True,
-                )
-                if proc.returncode:
-                    print(proc.stderr, file=sys.stderr)
-                    return 1
-                runs.append(json.loads(proc.stdout.splitlines()[-1]))
-            row = {"label": args.label, "runs": len(runs), **runs[0]}
-            row.update((key, min(run[key] for run in runs)) for key in ("seconds", "matching_s", "two_factor_s"))
-            print(json.dumps(row), flush=True)
-            rows = [r for r in rows if (r["label"], r["family"], r["n"]) != (row["label"], family, row["n"])]
-            rows.append(row)
+    graphs = [(family, n) for family in args.families for n in args.sizes]
+    runs = {graph: [] for graph in graphs}
+    for _ in range(args.repeats):
+        for family, n in graphs:
+            proc = subprocess.run(
+                [sys.executable, __file__, "--src", args.src, "--child", family, str(n)],
+                capture_output=True, text=True,
+            )
+            if proc.returncode:
+                print(proc.stderr, file=sys.stderr)
+                return 1
+            runs[family, n].append(json.loads(proc.stdout.splitlines()[-1]))
+    for graph in graphs:
+        mine = runs[graph]
+        row = {"label": args.label, "runs": len(mine), **mine[0]}
+        for key in ("seconds", "matching_s", "two_factor_s"):
+            row[key], row[f"{key}_max"] = min(run[key] for run in mine), max(run[key] for run in mine)
+        print(json.dumps(row), flush=True)
+        rows = [r for r in rows if (r["label"], r["family"], r["n"]) != (row["label"], row["family"], row["n"])]
+        rows.append(row)
     data = {
-        "about": "colour_graph per graph, the least time of `runs` runs; written by scripts/scale.py",
+        "about": "colour_graph per graph: each time is the least of `runs` runs, and its `_max` field, where "
+                 "present, the largest; written by scripts/scale.py",
         "rows": sorted(rows, key=lambda r: (r["family"], r["n"], r["label"])),
         "summary": summary(rows),
     }

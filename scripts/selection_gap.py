@@ -44,7 +44,7 @@ from nearnormal.colouring import construct_colouring, medium_count  # noqa: E402
 from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus  # noqa: E402
 from nearnormal.discharging import run_audit  # noqa: E402
 from nearnormal.factor import choose_two_factor, enumerate_perfect_matchings, two_factor_from_matching  # noqa: E402
-from nearnormal.graph import girth  # noqa: E402
+from nearnormal.graph import _pairs_and_triangles  # noqa: E402
 from nearnormal.selection import _attachments, find_optimal_selection  # noqa: E402
 
 
@@ -92,7 +92,7 @@ def gap() -> None:
     mediums = [0, 0]  # greedy, exact
     for n in CORPUS_ORDERS:
         for g in load_cubic_corpus(n):
-            triangle_free = girth(g) >= 4
+            triangle_free = not any(_pairs_and_triangles(g))
             for m in enumerate_perfect_matchings(g):
                 tf = two_factor_from_matching(g, m)
                 if not tf.odd_cycles():

@@ -629,7 +629,7 @@ def bullet_violations(con: Construction, mediums: frozenset[int]) -> list[str]:
             out.append(f"edge {e}: colour-4 does not coincide with the matching")
     odd = set(tf.odd_cycles())
     for e in range(g.m):
-        if c.colour_of[e] == 3 and tf.cycle_of_edge[e] not in odd:
+        if c.colour_of[e] == 3 and (e in tf.matching or tf.cycle_of_vertex[g.edges[e][0]] not in odd):
             out.append(f"edge {e}: colour 3 off the odd cycles")
     for cyc, eids in enumerate(tf.cycle_edges):
         threes = [e for e in eids if c.colour_of[e] == 3]

@@ -78,9 +78,10 @@ def initial_ledger(con: Construction, counts: list[int] | None = None) -> Charge
 
 def apply_r0(ledger: ChargeLedger, con: Construction) -> None:
     """Every medium edge on a cycle sends its whole unit to that cycle."""
-    cycle_of_edge = con.two_factor.cycle_of_edge
-    ledger.apply("R0", [(("edge", e), cycle_of_edge[e], 10)
-                        for e in sorted(ledger.medium_edges) if cycle_of_edge[e] >= 0])
+    tf = con.two_factor
+    edges, cyc = tf.graph.edges, tf.cycle_of_vertex
+    ledger.apply("R0", [(("edge", e), cyc[edges[e][0]], 10)
+                        for e in sorted(ledger.medium_edges) if e not in tf.matching])
 
 
 def apply_r1(ledger: ChargeLedger, con: Construction) -> None:
@@ -126,6 +127,12 @@ def _cyclic_distance(tf: TwoFactor, c: int, a: int, b: int) -> int:
     return min(d, ell - d)
 
 
+def _partner(tf: TwoFactor, v: int) -> int:
+    """The matched neighbour of ``v``: the other end of its matching edge."""
+    a, b = next(tf.graph.edges[e] for e in tf.graph._incident[v] if e in tf.matching)
+    return a ^ b ^ v
+
+
 def apply_r2_r3_r4(ledger: ChargeLedger, con: Construction) -> None:
     """The cycle-to-cycle rules, each move sending 1/5 out of a 5-cycle.
 
@@ -141,11 +148,11 @@ def apply_r2_r3_r4(ledger: ChargeLedger, con: Construction) -> None:
         source = ("cycle", cyc)
         if cyc not in att:  # degree 0
             for v in tf.cycles[cyc]:
-                plans["R2"].append((source, tf.cycle_of_vertex[tf.partner[v]], 2))
+                plans["R2"].append((source, tf.cycle_of_vertex[_partner(tf, v)], 2))
         elif len(att[cyc]) == 1:
             pos = tf.position_on_cycle(cyc, att[cyc][0])
             for x in (tf.cycles[cyc][(pos - 1) % 5], tf.cycles[cyc][(pos + 1) % 5]):
-                partner = tf.partner[x]
+                partner = _partner(tf, x)
                 target = tf.cycle_of_vertex[partner]
                 if not (tf.cycle_length(target) == 5 and len(att.get(target, ())) == 1):
                     plans["R3"].append((source, target, 2))
@@ -153,7 +160,7 @@ def apply_r2_r3_r4(ledger: ChargeLedger, con: Construction) -> None:
                     w = att[target][0]
                     if _cyclic_distance(tf, target, partner, w) != 2:
                         continue
-                    final = tf.cycle_of_vertex[tf.partner[w]]
+                    final = tf.cycle_of_vertex[_partner(tf, w)]
                     if len(att.get(final, ())) == 2:
                         plans["R4"].append((source, final, 2))
     for rule, moves in plans.items():

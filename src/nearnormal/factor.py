@@ -12,7 +12,8 @@ looks further only when every cycle of F has length 5.
 :func:`choose_two_factor` refuses a G that lacks either.
 :func:`_walk` lists only F's cycle edges and each vertex's cycle, all that
 the certificate and the Kempe repair read; a 3-edge-colourable G needs no
-more, so :class:`TwoFactor` derives its other tables on first read.
+more, so :class:`TwoFactor` derives the construction's two tables, each
+cycle's vertices and each vertex's position, on first read.
 :func:`enumerate_perfect_matchings` lists matchings up to a cap.  The
 pipeline does not use it; it stays because ``bench/tracing.py`` wraps it by
 name (guarded by ``tests/test_bench_hooks.py``) and
@@ -36,10 +37,10 @@ class TwoFactor:
     ``cycles[c]`` lists the vertices of cycle ``c`` in traversal order and
     ``cycle_edges[c][i]`` is the edge joining ``cycles[c][i]`` to
     ``cycles[c][(i+1) % len]``.  ``position[v]`` is the index of ``v`` in
-    its cycle, and ``cycle_of_edge[e]`` the cycle of edge ``e`` (-1 on
-    matching edges).  ``partner[v]`` is the matched neighbour of ``v``.
-    Only the construction reads ``cycles``, ``position``, ``cycle_of_edge``
-    and ``partner``: they are derived on first read, all four in one pass.
+    its cycle.  Only the construction reads ``cycles`` and ``position``:
+    they are derived on first read.  A vertex's matched neighbour is the
+    other end of its edge in ``matching``, and an edge lies on the cycle of
+    its ends unless it is in ``matching``.
     """
 
     graph: MultiGraph
@@ -47,30 +48,27 @@ class TwoFactor:
     cycle_edges: tuple[tuple[int, ...], ...]
     cycle_of_vertex: tuple[int, ...]
 
-    def _derive(self, name: str):
-        """Store the four derived tables as their cached_property would; return the one named."""
-        edges, n, cycles = self.graph.edges, self.graph.n, []
-        position, partner, cycle_of_edge = [-1] * n, [-1] * n, [-1] * len(edges)
-        for c, eids in enumerate(self.cycle_edges):
+    @cached_property
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        edges, cycles = self.graph.edges, []
+        for eids in self.cycle_edges:
             v = min(edges[eids[0]])  # the walk starts at the cycle's smallest vertex
             verts = []
             for e in eids:
-                position[v] = len(verts)
                 verts.append(v)
-                cycle_of_edge[e] = c
                 a, b = edges[e]
                 v ^= a ^ b
             cycles.append(tuple(verts))
-        for u, v in map(edges.__getitem__, self.matching):
-            partner[u], partner[v] = v, u
-        self.__dict__.update(cycles=tuple(cycles), position=tuple(position),
-                             cycle_of_edge=tuple(cycle_of_edge), partner=tuple(partner))
-        return self.__dict__[name]
+        return tuple(cycles)
 
-    cycles = cached_property(lambda self: self._derive("cycles"))
-    position = cached_property(lambda self: self._derive("position"))
-    cycle_of_edge = cached_property(lambda self: self._derive("cycle_of_edge"))
-    partner = cached_property(lambda self: self._derive("partner"))
+    @cached_property
+    def position(self) -> tuple[int, ...]:
+        position = [-1] * self.graph.n
+        for verts in self.cycles:
+            for i, v in enumerate(verts):
+                position[v] = i
+        return tuple(position)
+
     _odd = cached_property(lambda self: tuple(c for c, eids in enumerate(self.cycle_edges) if len(eids) % 2))
 
     def cycle_length(self, c: int) -> int:

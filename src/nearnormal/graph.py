@@ -6,13 +6,12 @@ downstream maps are keyed by edge id, never by endpoint pair (graph rewrites
 create and destroy parallel edges).
 
 The module also holds the structural queries a run needs: input validation
-by one lowpoint search, the doubled pairs and triangles that reduction
-removes, and the girth that ``is_petersen_graph`` reads.
+by one lowpoint search, and the doubled pairs and triangles that reduction
+removes.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -200,28 +199,3 @@ def _pairs_and_triangles(g: MultiGraph) -> tuple[list[tuple[int, int]], list[tup
         nb[v].add(u)
     triangles = {(u, v, w) for u, v in g.edges if not nb[u].isdisjoint(nb[v]) for w in nb[u] & nb[v] if w > v}
     return sorted(pairs), sorted(triangles)
-
-
-def girth(g: MultiGraph) -> int:
-    """Length of a shortest cycle; parallel pairs count as 2-cycles."""
-    if not g.is_simple():
-        return 2
-    best = g.n + 1
-    edges, incident = g.edges, g._incident
-    for root in range(g.n):
-        dist = [-1] * g.n
-        via = [-1] * g.n
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for e in incident[v]:
-                a, b = edges[e]
-                w = a ^ b ^ v
-                if dist[w] == -1:
-                    dist[w] = dist[v] + 1
-                    via[w] = e
-                    queue.append(w)
-                elif e != via[v]:
-                    best = min(best, dist[v] + dist[w] + 1)
-    return best if best <= g.n else 0

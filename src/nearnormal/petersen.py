@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .colouring import MEDIUM, EdgeColouring, classify_all
-from .graph import GraphError, MultiGraph, girth
+from .graph import GraphError, MultiGraph
 
 TRIVIAL = "trivial"
 SURJECTIVE = "surjective"
@@ -36,11 +36,6 @@ class KneserPetersen:
     def edge_between(self, w: int, z: int) -> int:
         pair = (min(w, z), max(w, z))
         return self.edges.index(pair)
-
-    def edges_at(self, w: int) -> tuple[int, ...]:
-        return tuple(
-            e for e, (a, b) in enumerate(self.edges) if w in (a, b)
-        )
 
 
 @lru_cache(maxsize=1)
@@ -163,12 +158,19 @@ def classify_petersen_colouring(pc: PetersenColouring) -> PetersenClassification
     if len(image) == len(kp.edges):
         return PetersenClassification(SURJECTIVE)
     for w in range(len(kp.vertex_subsets)):
-        if image <= set(kp.edges_at(w)):
+        if all(w in kp.edges[p] for p in image):
             return PetersenClassification(TRIVIAL)
     return PetersenClassification(NEITHER, tuple(sorted(image)))
 
 
 def is_petersen_graph(g: MultiGraph) -> bool:
     """Exact recognition: the Petersen graph is the only cubic graph on 10
-    vertices with girth 5 (the unique (3,5)-cage)."""
-    return g.n == 10 and g.m == 15 and g.is_simple() and g.is_cubic() and girth(g) == 5
+    vertices with girth 5 (Hoffman & Singleton 1960, the unique (3,5)-cage).
+    Girth 5 is read off neighbour sets: three distinct neighbours at every
+    vertex, none shared by two adjacent vertices (no triangle), and at most
+    one shared by any two (no 4-cycle)."""
+    if g.n != 10 or not g.is_cubic():
+        return False
+    nb = [set(g.neighbours(v)) for v in range(10)]
+    return all(len(s) == 3 for s in nb) and all(
+        len(nb[u] & nb[v]) <= (v not in nb[u]) for u, v in combinations(range(10), 2))

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .discharging import AuditReport
+
+
+def _tally(values, unit: str = "") -> str:
+    """``count value`` per distinct value, smallest value first: the text
+    report's lists stay short at any n."""
+    return ", ".join(f"{count} {value}{unit}" for value, count in sorted(Counter(values).items()))
 
 
 @dataclass(frozen=True)
@@ -57,20 +64,16 @@ class ColouringReport:
         return "{\n" + ",\n".join(lines) + "\n}"
 
     def render_text(self) -> str:
-        kinds = ", ".join(f"{self.reductions.count(kind)} {kind}" for kind in sorted(set(self.reductions)))
         lines = [
             f"graph {self.name or '<unnamed>'}: n={self.n}, m={self.m}",
             f"  branch: {self.branch}"
-            + (f" (reductions: {kinds}; base: {self.base_branch} "
+            + (f" (reductions: {_tally(self.reductions)}; base: {self.base_branch} "
                f"on {self.base_order} vertices)" if self.reductions else ""),
         ]
         lines.append(f"  3-edge-colouring: {self.three_colouring}")
         if self.cycle_lengths is not None:
-            lines.append(f"  2-factor cycle lengths: {list(self.cycle_lengths)}")
-            lines.append(
-                f"  selection size: {self.selection_size}; "
-                f"component shapes: {list(self.component_shapes or ())}"
-            )
+            lines.append(f"  2-factor: {_tally(self.cycle_lengths, '-cycles')}")
+            lines.append(f"  selection size: {self.selection_size}; components: {_tally(self.component_shapes)}")
         lines.append(
             f"  edges: poor={self.poor} medium={self.medium} rich={self.rich}"
         )

@@ -34,7 +34,9 @@ from nearnormal.graph import GraphError, MultiGraph
 
 @dataclass(frozen=True)
 class TwoFactor:
-    """The fields of ``nearnormal.factor.TwoFactor``, every one stored."""
+    """The fields of ``nearnormal.factor.TwoFactor``, every one stored,
+    with each edge's cycle (-1 on the matching) and each vertex's matched
+    neighbour besides."""
 
     graph: MultiGraph
     matching: frozenset[int]

@@ -30,7 +30,7 @@ from nearnormal.factor import (
     enumerate_perfect_matchings,
     two_factor_from_matching,
 )
-from nearnormal.graph import build_graph, girth
+from nearnormal.graph import _pairs_and_triangles, build_graph
 from nearnormal.oracle import exists_normal
 from nearnormal.selection import CYCLE, _attachments, find_optimal_selection, s_components
 from witnesses import (
@@ -378,12 +378,10 @@ class TestConstructColouring:
     def test_every_two_factor_of_the_triangle_free_corpus(self):
         # the construction must deliver on any 2-factor, not just the
         # pipeline's preferred one
-        from nearnormal.graph import girth
-
         built = 0
         for n in (6, 8, 10):
             for g in load_cubic_corpus(n):
-                if girth(g) < 4:
+                if any(_pairs_and_triangles(g)):
                     continue
                 for m in enumerate_perfect_matchings(g):
                     tf = two_factor_from_matching(g, m)
@@ -424,7 +422,7 @@ def corpus_odd_two_factors():
     triangle-free corpus graphs."""
     for n in CORPUS_ORDERS:
         for g in load_cubic_corpus(n):
-            if girth(g) >= 4:
+            if not any(_pairs_and_triangles(g)):
                 for m in enumerate_perfect_matchings(g):
                     tf = two_factor_from_matching(g, m)
                     if tf.odd_cycles():

@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 import bench_families
-from nearnormal.colouring import MEDIUM, ColouringError, classify_all, construct_colouring
+from nearnormal.colouring import MEDIUM, ColouringError, EdgeColouring, bullet_violations, classify_all, construct_colouring
 from nearnormal.discharging import (
     RULES,
     DischargingError,
@@ -136,6 +136,15 @@ class TestR1:
         stale = dataclasses.replace(con, three_edges={**con.three_edges, c: other})
         with pytest.raises(ColouringError, match=f"^constructed colouring violates: cycle {c}: colour-3 edges"):
             run_discharging(stale)
+
+    def test_colour_3_on_a_matching_edge_is_off_the_odd_cycles(self, petersen):
+        # a matching edge lies on no cycle, though both its ends lie on odd ones
+        g, tf, sel, con = petersen_setup(petersen)
+        e = min(tf.matching)
+        cols = list(con.colouring.colour_of)
+        cols[e] = 3
+        bad = dataclasses.replace(con, colouring=EdgeColouring(4, tuple(cols)))
+        assert f"edge {e}: colour 3 off the odd cycles" in bullet_violations(bad, frozenset())
 
 
 class TestR2R3R4:
@@ -309,12 +318,12 @@ class TestAudit:
         # pipeline's preferred one
         from nearnormal.corpus import load_cubic_corpus
         from nearnormal.factor import enumerate_perfect_matchings
-        from nearnormal.graph import girth
+        from nearnormal.graph import _pairs_and_triangles
 
         audited = 0
         for n in (6, 8, 10, 12, 14):
             for g in load_cubic_corpus(n):
-                if girth(g) < 4:
+                if any(_pairs_and_triangles(g)):
                     continue
                 for m in enumerate_perfect_matchings(g):
                     tf = two_factor_from_matching(g, m)
@@ -479,11 +488,11 @@ class TestDegreesFollowTheSet:
     def two_factors():
         from nearnormal.corpus import CORPUS_ORDERS, load_cubic_corpus
         from nearnormal.factor import enumerate_perfect_matchings
-        from nearnormal.graph import girth
+        from nearnormal.graph import _pairs_and_triangles
 
         for n in CORPUS_ORDERS:
             for g in load_cubic_corpus(n):
-                if girth(g) < 4:
+                if any(_pairs_and_triangles(g)):
                     continue
                 for m in enumerate_perfect_matchings(g):
                     tf = two_factor_from_matching(g, m)

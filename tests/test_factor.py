@@ -14,6 +14,7 @@ from reference_factor import is_perfect_matching
 from nearnormal import factor
 from nearnormal.corpus import CORPUS_ORDERS, complete_graph_k4, k33, load_cubic_corpus, prism, triple_edge
 from nearnormal.colouring import kempe_3_colouring
+from nearnormal.discharging import _partner
 from nearnormal.factor import (
     choose_two_factor,
     connected_and_bridgeless,
@@ -137,7 +138,10 @@ class TestTwoFactorFromMatching:
         m = enumerate_perfect_matchings(petersen)[0]
         tf = two_factor_from_matching(petersen, m)
         for v in range(10):
-            assert tf.partner[tf.partner[v]] == v
+            # one matching edge at v, which is also the one at its partner
+            (e,) = [e for e in petersen.incident_edges(v) if e in tf.matching]
+            assert _partner(tf, v) == petersen.other_end(e, v)
+            assert _partner(tf, _partner(tf, v)) == v
             assert v in tf.cycles[tf.cycle_of_vertex[v]]
         # traversal starts at the cycle's smallest vertex, toward the
         # smaller-id neighbour
@@ -155,10 +159,11 @@ class TestTwoFactorFromMatching:
 
     @pytest.mark.parametrize("n", CORPUS_ORDERS)
     def test_stored_positions_on_corpus(self, n):
-        """The stored positions and edge cycles equal the ``tuple.index``
-        lookups they replace, and cycle edge i joins the vertices at
-        positions i and i + 1, which ``solve_path_phases`` reads an edge's
-        position from, on every 2-factor of every corpus graph."""
+        """The stored positions equal the ``tuple.index`` lookups they
+        replace, each edge outside the matching lies on its ends' cycle, and
+        cycle edge i joins the vertices at positions i and i + 1, which
+        ``solve_path_phases`` reads an edge's position from, on every
+        2-factor of every corpus graph."""
         for g in load_cubic_corpus(n):
             for m in enumerate_perfect_matchings(g):
                 tf = two_factor_from_matching(g, m)
@@ -166,11 +171,12 @@ class TestTwoFactorFromMatching:
                     for v in cyc:
                         assert tf.position_on_cycle(c, v) == cyc.index(v)
                     for e in eids:
-                        assert tf.cycle_of_edge[e] == c
                         u, v = g.edges[e]
+                        assert e not in tf.matching and tf.cycle_of_vertex[u] == tf.cycle_of_vertex[v] == c
                         i = eids.index(e)
                         assert {tf.position[u], tf.position[v]} == {i, (i + 1) % len(cyc)}
-                assert all(tf.cycle_of_edge[e] == -1 for e in m)
+                # every edge is on exactly one cycle or in the matching
+                assert sorted([*m, *itertools.chain(*tf.cycle_edges)]) == list(range(g.m))
 
     def test_stored_positions_on_two_cycles(self):
         g = build_graph(4, [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)])
@@ -338,7 +344,7 @@ class TestChooseTwoFactorAtScale:
 
 
 # compared one by one, so that a failure names the field
-TWO_FACTOR_FIELDS = ("matching", "cycles", "cycle_edges", "cycle_of_vertex", "position", "cycle_of_edge", "partner")
+TWO_FACTOR_FIELDS = ("matching", "cycles", "cycle_edges", "cycle_of_vertex", "position")
 
 
 def valid_perfect_matching(g, mate_edge):
@@ -349,10 +355,15 @@ def valid_perfect_matching(g, mate_edge):
 
 def assert_same_two_factor(tf, want):
     """``tf`` has every table of the reference's eagerly built ``want``,
-    the ones derived on first read included."""
+    the ones derived on first read included; each edge's cycle and each
+    vertex's partner, which ``tf`` does not store, are read through the
+    matching as the charge rules read them."""
     assert tf.graph is want.graph
     for name in TWO_FACTOR_FIELDS:
         assert getattr(tf, name) == getattr(want, name), name
+    g, cyc = tf.graph, tf.cycle_of_vertex
+    assert tuple(-1 if e in tf.matching else cyc[u] for e, (u, v) in enumerate(g.edges)) == want.cycle_of_edge
+    assert tuple(_partner(tf, v) for v in range(g.n)) == want.partner
 
 
 def assert_same_as_the_reference(g):

@@ -6,7 +6,7 @@ import pytest
 
 from nearnormal.colouring import POOR, classify_all, try_3_edge_colouring
 from nearnormal.corpus import load_cubic_corpus
-from nearnormal.graph import GraphError, build_graph, girth
+from nearnormal.graph import GraphError, build_graph
 from nearnormal.oracle import exists_normal
 from nearnormal.petersen import (
     NEITHER,
@@ -32,7 +32,7 @@ class TestKneserModel:
     def test_three_regular_girth_five(self):
         g = build_graph(10, build_kneser_petersen().edges)
         assert g.is_cubic()
-        assert girth(g) == 5
+        assert is_petersen_graph(g)
 
     def test_label_is_the_missing_element(self):
         kp = build_kneser_petersen()
@@ -157,11 +157,19 @@ class TestIsPetersenGraph:
     def test_multigraph(self, triple):
         assert not is_petersen_graph(triple)
 
+    def test_cubic_multigraph_on_ten_vertices(self):
+        # a 10-cycle with every other edge doubled: two neighbours per vertex
+        ring = [(i, (i + 1) % 10) for i in range(10)]
+        assert not is_petersen_graph(build_graph(10, ring + ring[::2]))
+
+    def test_complete_graph_k4(self, k4):
+        assert not is_petersen_graph(k4)
+
     def test_agrees_with_isomorphism_on_corpus(self):
-        # n = 10 with the bridged graphs: the girth-5 rule against backtracking
+        # n = 10 with the bridged graphs: the neighbourhood rule against backtracking
         model = build_graph(10, build_kneser_petersen().edges)
         graphs = load_cubic_corpus(10, bridgeless_only=False)
-        assert sum(is_petersen_graph(g) for g in graphs) == 1
+        assert len(graphs) == 19 and sum(is_petersen_graph(g) for g in graphs) == 1
         for g in graphs:
             assert is_petersen_graph(g) == graphs_isomorphic(g, model)
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import re
 import sys
 from collections import Counter
 
@@ -53,6 +55,14 @@ def expand_vertex_to_triangle(g, v):
     assert hit == 3
     edges += [(corners[0], corners[1]), (corners[1], corners[2]), (corners[2], corners[0])]
     return build_graph(n + 2, edges)
+
+
+def generalized_petersen(k, s):
+    """GP(k, s), spokes first: edges 0..k-1 are a perfect matching whose
+    complement is the outer k-cycle and, when gcd(k, s) = 1, one inner one."""
+    spokes = [(i, k + i) for i in range(k)]
+    return build_graph(2 * k, spokes + [(i, (i + 1) % k) for i in range(k)]
+                       + [(k + i, k + (i + s) % k) for i in range(k)])
 
 
 class TestColourGraph:
@@ -164,6 +174,21 @@ class TestReportSchema:
         )
         _c, report = colour_graph(expand_vertex_to_triangle(petersen_graph(), 0))
         assert "(reductions: 1 triangle; base: constructed on 10 vertices)" in report.render_text()
+
+    def test_render_text_counts_cycle_lengths_and_shapes(self, petersen):
+        # one count per distinct length and shape, the JSON lists tallied
+        report = colour_graph(petersen)[1]
+        assert report.render_text().splitlines()[3:5] == [
+            "  2-factor: 2 5-cycles", "  selection size: 1; components: 1 path"]
+        report = colour_graph(bench_families.petersen_inflation(1112, seed=1112))[1]
+        text = report.render_text()
+        assert report.n == 10_008 and len(text) < 1_000
+        lengths, shapes = text.splitlines()[3:5]
+        lengths = {int(ell): int(c) for c, ell in re.findall(r"(\d+) (\d+)-cycles", lengths)}
+        shapes = {shape: int(c) for c, shape in re.findall(r"(\d+) ([a-z]+)", shapes.split("components: ")[1])}
+        payload = json.loads(report.to_json())
+        assert lengths == Counter(payload["cycle_lengths"]) and shapes == Counter(payload["component_shapes"])
+        assert list(lengths) == sorted(lengths) and list(shapes) == sorted(shapes)
 
     def test_render_text_flags_each_failure(self, petersen):
         # failures the pipeline raises or never produces, seeded on a real report
@@ -311,15 +336,26 @@ class TestThreeColouringOutcome:
         assert set(json.loads(report.to_json())) == self.KEYS
         assert f"  3-edge-colouring: {outcome}" in report.render_text().splitlines()
 
-    @pytest.mark.parametrize("make", [
-        lambda: bench_families.flower_snark(301),
-        lambda: bench_families.flower_snark(1001),
-        lambda: bench_families.random_cubic(1000, 107, triangle_free=True),
-    ], ids=["J301", "J1001", "random1000#107"])
-    def test_open_runs_end_to_end(self, make):
+    @pytest.mark.parametrize("make, budgets", [
+        (lambda: bench_families.flower_snark(301), None),
+        (lambda: bench_families.flower_snark(1001), None),
+        (lambda: generalized_petersen(7, 2), (0, 0)),
+    ], ids=["J301", "J1001", "gp7_2-without-budgets"])
+    def test_open_runs_end_to_end(self, make, budgets, monkeypatch):
+        """The flower snarks are open at the default budgets.  GP(7, 2) is
+        3-colourable, as the repair shows at its default budget; with no
+        moves and no backtracks its base is open.  Its spokes are edges
+        0-6, so the greedy pass matches them all, no forest phase runs, and
+        the 2-factor is the two 7-cycles whatever the forest would pick."""
         g = make()
+        if budgets:
+            assert colour_graph(g)[1].three_colouring == "found"
+            assert factor.choose_two_factor(g).matching == frozenset(range(g.n // 2))
+            monkeypatch.setattr("nearnormal.colouring._KEMPE_MOVES", budgets[0])
+            monkeypatch.setattr("nearnormal.colouring._BACKTRACKS", budgets[1])
         colouring_, report = colour_graph(g)
         assert report.three_colouring == "open" and report.base_branch == "constructed"
+        assert budgets is None or report.cycle_lengths == (7, 7)
         assert report.bound_ok and not report.bound_tight
         assert report.audit_passed is True and report.audit_failures == ()
         assert is_proper(g, colouring_) and medium_count(g, colouring_) == report.medium
@@ -392,9 +428,9 @@ class TestEachCheckOnce:
     record; the attachments come from the builder that checks the
     selection, so that one call is also the check.  The graph is scanned for
     parallel pairs and triangles once, by ``reduce_fully``; the construction
-    reads the same property off its 2-factor.  The 2-factor's vertex lists,
-    positions, edge cycles and partners are derived in one pass, and only
-    when the construction runs."""
+    reads the same property off its 2-factor.  The 2-factor's vertex lists
+    and positions are derived once each, and only when the construction
+    runs."""
 
     @THREE_CONSTRUCTED
     def test_one_scan_for_pairs_and_triangles(self, make, monkeypatch):
@@ -432,21 +468,23 @@ class TestEachCheckOnce:
     ], ids=["prism20-even", "random120-repaired", "J5", "petersen-inflation72"])
     def test_the_construction_tables_are_derived_only_for_the_construction(self, make, derived, monkeypatch):
         # the certificate, the cycle-length test and the repair read only
-        # the walk's cycle edges and vertex cycles; the selection and the
-        # construction share one pass for the other four tables
-        derive, passes = factor.TwoFactor._derive, []
+        # the walk's cycle edges and vertex cycles; the selection, the
+        # construction and the rules share one derivation of each table
+        passes = []
+        for name in ("cycles", "position"):
+            def counted(tf, derive=getattr(factor.TwoFactor, name).func, name=name):
+                passes.append(name)
+                return derive(tf)
 
-        def counted(tf, name):
-            passes.append(name)
-            return derive(tf, name)
-
-        monkeypatch.setattr(factor.TwoFactor, "_derive", counted)
+            table = functools.cached_property(counted)
+            table.__set_name__(factor.TwoFactor, name)
+            monkeypatch.setattr(factor.TwoFactor, name, table)
         report = colour_graph(make())[1]
         if derived:
             assert report.base_branch == "constructed" and report.audit_passed is True
         else:
             assert report.base_branch == "3-colourable" and report.audit_passed is None
-        assert len(passes) == derived
+        assert Counter(passes) == Counter({"cycles": derived, "position": derived})
 
     @THREE_CONSTRUCTED
     def test_components_and_attachments_built_once(self, make, monkeypatch):
